@@ -16,9 +16,9 @@ from pathlib import Path
 from . import __version__
 from .ablation import run_ablation
 from .corpus import (
-    TokenClass,
     TokenizerConfig,
     iter_corpus_lines,
+    parse_classes,
     read_vocab_tsv,
     scan_corpus,
     write_vocab_tsv,
@@ -58,11 +58,9 @@ from .reports import (
     sentiment_tsv,
     translation_tsv,
 )
+from .scoring import COSINE, RETRIEVAL_MODES
 from .sentiment import eval_majority, eval_probe, load_sentiment_tsv, train_probe
 from .translate import precision_at_k
-
-_CLASS_BY_NAME = {c.value: c for c in TokenClass}
-
 
 def _tok_config(args) -> TokenizerConfig:
     return TokenizerConfig(lowercase=not args.no_lowercase)
@@ -111,8 +109,9 @@ def cmd_dict(args) -> int:
     tgt = read_vocab_tsv(args.tgt_vocab)
     dictionary = build_identical_dictionary(src, tgt)
     if args.classes:
-        keep = {_CLASS_BY_NAME[c] for c in args.classes.split(",")}
-        dictionary = filter_by_class(dictionary, keep)
+        dictionary = filter_by_class(
+            dictionary, parse_classes(args.classes.split(","))
+        )
     from .lexicon import save_dictionary
 
     save_dictionary(dictionary, args.out)
@@ -309,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=int, default=20000)
     p.add_argument("--max-iters", type=int, default=50)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--retrieval", choices=["cosine", "csls"], default="cosine")
+    p.add_argument("--retrieval", choices=RETRIEVAL_MODES, default=COSINE)
     p.add_argument("--reweight-s", type=float, default=None)
     p.set_defaults(func=cmd_align)
 
@@ -328,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_args(p)
     p.add_argument("--test", required=True)
     p.add_argument("--ks", default="1,5,10")
-    p.add_argument("--retrieval", choices=["cosine", "csls"], default="cosine")
+    p.add_argument("--retrieval", choices=RETRIEVAL_MODES, default=COSINE)
     p.add_argument("--oov-as-wrong", action="store_true")
     p.add_argument("--exclude-identical-test-pairs", action="store_true")
     p.add_argument("--out", default=None)
@@ -347,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_args(p)
     p.add_argument("--test", required=True)
     p.add_argument("--ks", default="1,5,10")
-    p.add_argument("--retrieval", choices=["cosine", "csls"], default="cosine")
+    p.add_argument("--retrieval", choices=RETRIEVAL_MODES, default=COSINE)
     p.add_argument("--normalize", default=",".join(DEFAULT_NORMALIZE))
     p.add_argument("--self-learn", action="store_true")
     p.add_argument("--cutoff", type=int, default=20000)

@@ -30,6 +30,21 @@ class TokenClass(Enum):
     WORD = "word"
 
 
+CLASS_BY_NAME = {c.value: c for c in TokenClass}
+
+
+def parse_classes(names) -> set:
+    """Token classes for the given names; unknown names raise a ValueError
+    that lists the valid ones."""
+    unknown = [n for n in names if n not in CLASS_BY_NAME]
+    if unknown:
+        raise ValueError(
+            f"unknown token class(es) {unknown}; "
+            f"valid names: {', '.join(CLASS_BY_NAME)}"
+        )
+    return {CLASS_BY_NAME[n] for n in names}
+
+
 @dataclass(frozen=True)
 class TokenizerConfig:
     lowercase: bool = True

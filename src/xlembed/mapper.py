@@ -14,10 +14,14 @@ import numpy as np
 
 from .embeddings import EmbeddingSpace
 from .lexicon import BilingualDictionary
-from .scoring import cosine_matrix, csls_matrix
-
-COSINE = "cosine"
-CSLS = "csls"
+from .scoring import (
+    COSINE,
+    CSLS,
+    check_retrieval,
+    neighbourhood_mean,
+    score_blocks,
+    unit_rows,
+)
 
 
 @dataclass
@@ -26,7 +30,6 @@ class SelfLearnConfig:
     retrieval: str = COSINE
     max_iters: int = 50
     tol: float = 1e-6
-    csls_k: int = 10
 
 
 @dataclass
@@ -109,25 +112,37 @@ def solve_procrustes(
 
 
 def _induce_pairs(
-    src_top: np.ndarray,
-    tgt_top: np.ndarray,
-    w: np.ndarray,
+    src_unit: np.ndarray,
+    tgt_unit: np.ndarray,
     retrieval: str,
-    csls_k: int,
     seed_pairs: np.ndarray,
 ) -> np.ndarray:
     """Union of src->tgt and tgt->src nearest-neighbor pairs plus seeds,
-    deduplicated and lexicographically sorted (deterministic)."""
-    cos = cosine_matrix(src_top @ w, tgt_top)
-    scores = csls_matrix(cos, csls_k) if retrieval == CSLS else cos
-    fwd = np.argmax(scores, axis=1)
-    bwd = np.argmax(scores, axis=0)
-    n_src = scores.shape[0]
-    n_tgt = scores.shape[1]
+    deduplicated and lexicographically sorted (deterministic).
+
+    One blocked pass over the source rows gives each row's argmax and a
+    running per-target max; a strict > keeps the first (lowest) source
+    index on ties, as a column-wise argmax over the full matrix would.
+    CSLS first needs r_S, one more blocked pass with the roles swapped.
+    """
+    n_src = src_unit.shape[0]
+    n_tgt = tgt_unit.shape[0]
+    r_src = neighbourhood_mean(tgt_unit, src_unit) if retrieval == CSLS else None
+    fwd = np.empty(n_src, dtype=np.int64)
+    bwd = np.zeros(n_tgt, dtype=np.int64)
+    best = np.full(n_tgt, -np.inf)
+    cols = np.arange(n_tgt)
+    for rows, scores in score_blocks(src_unit, tgt_unit, r_src):
+        fwd[rows] = np.argmax(scores, axis=1)
+        arg = np.argmax(scores, axis=0)
+        val = scores[arg, cols]
+        better = val > best
+        best[better] = val[better]
+        bwd[better] = arg[better] + rows.start
     pairs = np.concatenate(
         [
             np.stack([np.arange(n_src), fwd], axis=1),
-            np.stack([bwd, np.arange(n_tgt)], axis=1),
+            np.stack([bwd, cols], axis=1),
             seed_pairs,
         ]
     )
@@ -145,13 +160,13 @@ def self_learn(
     stops improving. Deterministic; returns the best-scoring model."""
     cfg = config or SelfLearnConfig()
     _check_pair(src, tgt, seed)
-    if cfg.retrieval not in (COSINE, CSLS):
-        raise ValueError(f"unknown retrieval mode {cfg.retrieval!r}")
+    check_retrieval(cfg.retrieval)
     if cfg.max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     cutoff = min(cfg.induce_vocab_cutoff, len(src.vocab), len(tgt.vocab))
     src_top = src.matrix[:cutoff]
     tgt_top = tgt.matrix[:cutoff]
+    tgt_unit = unit_rows(tgt_top)
 
     seed_pairs_all = np.stack([seed.src_indices, seed.tgt_indices], axis=1)
     in_range = (seed_pairs_all[:, 0] < cutoff) & (seed_pairs_all[:, 1] < cutoff)
@@ -173,7 +188,7 @@ def self_learn(
         u, _, vt = _svd_cross(src.matrix[cur_src], tgt.matrix[cur_tgt])
         w = u @ vt
         induced = _induce_pairs(
-            src_top, tgt_top, w, cfg.retrieval, cfg.csls_k, seed_pairs
+            unit_rows(src_top @ w), tgt_unit, cfg.retrieval, seed_pairs
         )
         score = _mean_pair_cosine(src_top[induced[:, 0]] @ w, tgt_top[induced[:, 1]])
         history.append(score)

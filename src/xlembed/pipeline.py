@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .corpus import TokenClass, TokenizerConfig
+from .corpus import TokenizerConfig, parse_classes
 from .embeddings import (
     DEFAULT_NORMALIZE,
     load_embeddings,
@@ -51,6 +51,7 @@ from .reports import (
     translation_markdown,
     translation_tsv,
 )
+from .scoring import COSINE, RETRIEVAL_MODES
 from .sentiment import eval_probe, load_sentiment_tsv, train_probe
 from .translate import precision_at_k
 
@@ -125,6 +126,21 @@ class PipelineConfig:
 
     def validate(self) -> None:
         problems = []
+
+        def require_positive_int(name: str, value) -> None:
+            try:
+                ok = int(value) >= 1
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                problems.append(f"{name} must be an integer >= 1, got {value!r}")
+
+        def require_retrieval(name: str, value) -> None:
+            if value not in RETRIEVAL_MODES:
+                problems.append(
+                    f"{name} must be one of {RETRIEVAL_MODES}, got {value!r}"
+                )
+
         for side in ("src", "tgt"):
             block = self.raw.get(side)
             if not isinstance(block, dict) or "embeddings" not in block:
@@ -148,10 +164,19 @@ class PipelineConfig:
                 problems.append(f"dictionary.file: no such file {d['file']!r}")
         if mode == "external-seed" and int(d.get("k", 100)) < 1:
             problems.append("dictionary.k must be >= 1")
-        method = self.mapper.get("method", "procrustes")
+        try:
+            parse_classes(d.get("classes") or [])
+        except ValueError as exc:
+            problems.append(f"dictionary.classes: {exc}")
+        m = self.mapper
+        method = m.get("method", "procrustes")
         if method not in MAPPER_METHODS:
             problems.append(f"mapper.method must be one of {MAPPER_METHODS}")
-        s = self.mapper.get("reweight_s")
+        require_retrieval("mapper.retrieval", m.get("retrieval", COSINE))
+        for key in ("max_iters", "induce_vocab_cutoff"):
+            if key in m:
+                require_positive_int(f"mapper.{key}", m[key])
+        s = m.get("reweight_s")
         if s is not None and not 0.0 <= float(s) <= 1.0:
             problems.append("mapper.reweight_s must lie in [0, 1]")
         if self.refine.get("mode", "none") not in REFINE_MODES:
@@ -166,6 +191,14 @@ class PipelineConfig:
                     f"eval.translation.test_dictionary: no such file "
                     f"{tr['test_dictionary']!r}"
                 )
+            ks = tr.get("ks", [1])
+            if not ks:
+                problems.append("eval.translation.ks must not be empty")
+            for k in ks:
+                require_positive_int("eval.translation.ks entries", k)
+            require_retrieval(
+                "eval.translation.retrieval", tr.get("retrieval", COSINE)
+            )
         se = ev.get("sentiment")
         if se is not None:
             for key in ("train", "test"):
@@ -179,9 +212,6 @@ class PipelineConfig:
             raise ValueError(
                 "invalid pipeline config:\n  " + "\n  ".join(problems)
             )
-
-
-_CLASS_BY_NAME = {c.value: c for c in TokenClass}
 
 
 def run_pipeline(config: PipelineConfig, out_dir) -> dict:
@@ -272,8 +302,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
             )
         class_names = d.get("classes")
         if class_names:
-            keep = {_CLASS_BY_NAME[c] for c in class_names}
-            dictionary = filter_by_class(dictionary, keep)
+            dictionary = filter_by_class(dictionary, parse_classes(class_names))
         save_dictionary(dictionary, out / "dictionary.tsv")
         artifacts.append("dictionary.tsv")
         record(stage, ["dictionary.tsv"], mode=mode, pairs=len(dictionary))
@@ -284,7 +313,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
         if method == "self-learn":
             slc = SelfLearnConfig(
                 induce_vocab_cutoff=int(m.get("induce_vocab_cutoff", 20000)),
-                retrieval=m.get("retrieval", "cosine"),
+                retrieval=m.get("retrieval", COSINE),
                 max_iters=int(m.get("max_iters", 50)),
                 tol=float(m.get("tol", 1e-6)),
             )
@@ -343,7 +372,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
                 space,
                 test,
                 ks=tuple(tr.get("ks", [1, 5, 10])),
-                retrieval=tr.get("retrieval", "cosine"),
+                retrieval=tr.get("retrieval", COSINE),
                 oov_as_wrong=bool(tr.get("oov_as_wrong", False)),
             )
             write_text(

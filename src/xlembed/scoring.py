@@ -1,6 +1,28 @@
-"""Dense similarity kernels shared by dictionary induction and retrieval."""
+"""Blocked similarity kernels shared by dictionary induction and retrieval.
+
+Queries are scored against every target BLOCK_ROWS query rows at a time,
+so scratch memory is O(BLOCK_ROWS x n_targets): no n_queries x n_targets
+matrix is ever allocated. CSLS (Conneau et al. 2018) scores a pair as
+2*cos(x, y) - r_T(x) - r_S(y), where r_T(x) is the mean cosine of x's
+CSLS_K nearest targets and r_S(y) the mean cosine of y's CSLS_K nearest
+sources; both neighbourhood means are row-wise passes over blocks.
+"""
+
+from typing import Iterator, Optional
 
 import numpy as np
+
+COSINE = "cosine"
+CSLS = "csls"
+RETRIEVAL_MODES = (COSINE, CSLS)
+CSLS_K = 10
+
+BLOCK_ROWS = 256
+
+
+def check_retrieval(retrieval: str) -> None:
+    if retrieval not in RETRIEVAL_MODES:
+        raise ValueError(f"unknown retrieval mode {retrieval!r}")
 
 
 def unit_rows(matrix: np.ndarray) -> np.ndarray:
@@ -10,27 +32,73 @@ def unit_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / norms
 
 
-def cosine_matrix(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarities, queries as rows."""
-    return unit_rows(queries) @ unit_rows(targets).T
+def topk_mean(scores: np.ndarray, k: int) -> np.ndarray:
+    """Mean of the k largest entries of each row."""
+    n = scores.shape[1]
+    k = min(k, n)
+    part = np.partition(scores, n - k, axis=1)
+    return part[:, n - k :].mean(axis=1)
 
 
-def topk_mean(scores: np.ndarray, k: int, axis: int) -> np.ndarray:
-    """Mean of the k largest entries along an axis."""
-    k = min(k, scores.shape[axis])
-    part = np.partition(scores, scores.shape[axis] - k, axis=axis)
-    sl = [slice(None)] * scores.ndim
-    sl[axis] = slice(scores.shape[axis] - k, None)
-    return part[tuple(sl)].mean(axis=axis)
+def _blocks(n_rows: int) -> Iterator[slice]:
+    for start in range(0, n_rows, BLOCK_ROWS):
+        yield slice(start, min(start + BLOCK_ROWS, n_rows))
 
 
-def csls_matrix(cos: np.ndarray, k: int = 10) -> np.ndarray:
-    """Hubness-corrected scores: 2*cos(x,y) - r_T(x) - r_S(y).
+def neighbourhood_mean(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """For each unit query row, the mean cosine of its CSLS_K nearest unit
+    target rows. With sources as targets this is CSLS's r_S of each
+    target row."""
+    out = np.empty(queries.shape[0])
+    for rows in _blocks(queries.shape[0]):
+        out[rows] = topk_mean(queries[rows] @ targets.T, CSLS_K)
+    return out
 
-    r_T(x) is the mean cosine of x's k nearest target neighbors and r_S(y)
-    the mean cosine of y's k nearest source neighbors, both read off the
-    full cosine matrix.
-    """
-    r_tgt = topk_mean(cos, k, axis=1)
-    r_src = topk_mean(cos, k, axis=0)
-    return 2.0 * cos - r_tgt[:, None] - r_src[None, :]
+
+def score_blocks(
+    queries: np.ndarray, targets: np.ndarray, r_src: Optional[np.ndarray] = None
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield (rows, scores) for consecutive blocks of unit query rows
+    against all unit target rows: cosine, or CSLS when r_src holds the
+    targets' r_S (see neighbourhood_mean)."""
+    for rows in _blocks(queries.shape[0]):
+        cos = queries[rows] @ targets.T
+        if r_src is None:
+            yield rows, cos
+        else:
+            r_tgt = topk_mean(cos, CSLS_K)
+            yield rows, 2.0 * cos - r_tgt[:, None] - r_src[None, :]
+
+
+def ranked_topk(scores: np.ndarray, k: int) -> np.ndarray:
+    """Top-k column indices per row: descending score, ties to the lower
+    index. argpartition finds the k-th score; every entry tied with it
+    stays a candidate, so the exact (-score, index) sort of the candidates
+    breaks ties at the boundary the same way a stable full sort would."""
+    n_rows, n = scores.shape
+    k = min(k, n)
+    cand = np.argpartition(scores, n - k, axis=1)[:, n - k :]
+    kth = np.take_along_axis(scores, cand, axis=1).min(axis=1)
+    rows, cols = np.nonzero(scores >= kth[:, None])
+    order = np.lexsort((cols, -scores[rows, cols], rows))
+    starts = np.searchsorted(rows[order], np.arange(n_rows))
+    return cols[order][starts[:, None] + np.arange(k)]
+
+
+def topk(
+    queries: np.ndarray,
+    targets: np.ndarray,
+    k: int,
+    r_src: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k target indices and their scores for every unit query row,
+    ranked as ranked_topk; cosine, or CSLS when r_src is given."""
+    k = min(k, targets.shape[0])
+    idx = np.empty((queries.shape[0], k), dtype=np.int64)
+    val = np.empty((queries.shape[0], k))
+    if k == 0:
+        return idx, val
+    for rows, scores in score_blocks(queries, targets, r_src):
+        idx[rows] = ranked_topk(scores, k)
+        val[rows] = np.take_along_axis(scores, idx[rows], axis=1)
+    return idx, val

@@ -7,13 +7,17 @@ import numpy as np
 
 from .lexicon import TestDictionary
 from .refine import CrossLingualSpace
-from .scoring import cosine_matrix, topk_mean, unit_rows
+from .scoring import (
+    COSINE,
+    CSLS,
+    check_retrieval,
+    neighbourhood_mean,
+    topk,
+    unit_rows,
+)
 
-COSINE = "cosine"
-CSLS = "csls"
-CSLS_K = 10
-
-_QUERY_CHUNK = 1024
+# Read by perfbench/layertrace.py to size the largest score block.
+from .scoring import BLOCK_ROWS as _QUERY_CHUNK
 
 
 @dataclass
@@ -31,31 +35,18 @@ class TranslationReport:
         return all(v is not None for v in self.p_at.values())
 
 
-def _ranked_topk(scores: np.ndarray, k: int) -> np.ndarray:
-    """Top-k indices per row: descending score, ties to the lower index
-    (higher-frequency token). Stable full sort keeps tie-breaking exact."""
-    k = min(k, scores.shape[1])
-    order = np.argsort(-scores, axis=1, kind="stable")
-    return order[:, :k]
-
-
-def _score_block(
-    query_rows: np.ndarray,
-    tgt_unit: np.ndarray,
-    retrieval: str,
-    r_src: Optional[np.ndarray],
-) -> np.ndarray:
-    cos = unit_rows(query_rows) @ tgt_unit.T
-    if retrieval == COSINE:
-        return cos
-    r_tgt = topk_mean(cos, CSLS_K, axis=1)
-    return 2.0 * cos - r_tgt[:, None] - r_src[None, :]
-
-
-def _csls_src_penalty(space: CrossLingualSpace) -> np.ndarray:
-    """r_S(y): mean cosine of each target row's 10 nearest source rows."""
-    cos = cosine_matrix(space.tgt.matrix, space.src.matrix)
-    return topk_mean(cos, CSLS_K, axis=1)
+def _retrieve(
+    space: CrossLingualSpace, query_rows: np.ndarray, k: int, retrieval: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k target indices and scores for raw source rows. CSLS r_S is
+    taken over the whole source space, not just the queries."""
+    tgt_unit = unit_rows(space.tgt.matrix)
+    r_src = (
+        neighbourhood_mean(tgt_unit, unit_rows(space.src.matrix))
+        if retrieval == CSLS
+        else None
+    )
+    return topk(unit_rows(query_rows), tgt_unit, k, r_src)
 
 
 def translate_topk(
@@ -64,15 +55,15 @@ def translate_topk(
     """Rank all target tokens for one source token."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if retrieval not in (COSINE, CSLS):
-        raise ValueError(f"unknown retrieval mode {retrieval!r}")
+    check_retrieval(retrieval)
     if query not in space.src.vocab.index:
         raise KeyError(f"query token {query!r} not in source vocabulary")
     row = space.src.matrix[space.src.vocab.index[query]][None, :]
-    r_src = _csls_src_penalty(space) if retrieval == CSLS else None
-    scores = _score_block(row, unit_rows(space.tgt.matrix), retrieval, r_src)
-    top = _ranked_topk(scores, k)[0]
-    return [(space.tgt.vocab.tokens[int(j)], float(scores[0, j])) for j in top]
+    top, scores = _retrieve(space, row, k, retrieval)
+    return [
+        (space.tgt.vocab.tokens[int(j)], float(v))
+        for j, v in zip(top[0], scores[0])
+    ]
 
 
 def precision_at_k(
@@ -89,9 +80,10 @@ def precision_at_k(
     in the top-k candidates. Entries with out-of-vocabulary sources are
     skipped and reported unless oov_as_wrong, which counts them incorrect.
     """
-    if retrieval not in (COSINE, CSLS):
-        raise ValueError(f"unknown retrieval mode {retrieval!r}")
+    check_retrieval(retrieval)
     ks = tuple(sorted(ks))
+    if not ks or ks[0] < 1:
+        raise ValueError(f"ks must be non-empty and every k >= 1, got {ks}")
     src_vocab = space.src.vocab
     tgt_vocab = space.tgt.vocab
 
@@ -125,32 +117,26 @@ def precision_at_k(
         [src_vocab.index[s] for s, _ in covered_entries], dtype=np.int64
     )
 
-    tgt_unit = unit_rows(space.tgt.matrix)
-    r_src = _csls_src_penalty(space) if retrieval == CSLS else None
-
+    top, scores = _retrieve(space, space.src.matrix[query_idx], kmax, retrieval)
     hits = {k: 0 for k in ks}
-    per_query = [] if keep_per_query else None
-    for start in range(0, covered, _QUERY_CHUNK):
-        block_idx = query_idx[start : start + _QUERY_CHUNK]
-        scores = _score_block(
-            space.src.matrix[block_idx], tgt_unit, retrieval, r_src
-        )
-        top = _ranked_topk(scores, kmax)
-        for bi in range(top.shape[0]):
-            golds = gold_idx[start + bi]
+    for qi, golds in enumerate(gold_idx):
+        found = np.flatnonzero(np.isin(top[qi], golds))
+        if found.size:
             for k in ks:
-                if np.isin(top[bi, : min(k, top.shape[1])], golds).any():
-                    hits[k] += 1
-            if keep_per_query:
-                per_query.append(
-                    (
-                        covered_entries[start + bi][0],
-                        [
-                            (tgt_vocab.tokens[int(j)], float(scores[bi, j]))
-                            for j in top[bi]
-                        ],
-                    )
-                )
+                hits[k] += int(found[0] < k)
+
+    per_query = None
+    if keep_per_query:
+        per_query = [
+            (
+                src_tok,
+                [
+                    (tgt_vocab.tokens[int(j)], float(v))
+                    for j, v in zip(top[qi], scores[qi])
+                ],
+            )
+            for qi, (src_tok, _) in enumerate(covered_entries)
+        ]
 
     p_at = {k: 100.0 * hits[k] / denominator for k in ks}
     return TranslationReport(

@@ -79,6 +79,20 @@ def test_dict_with_class_filter(tmp_path, capsys):
     assert code == 0 and "1 pairs" in out
     assert numerals.read_text(encoding="utf-8").startswith("5\t5\t")
 
+    bad = tmp_path / "bad.tsv"
+    code, _, err = _run(
+        capsys,
+        [
+            "dict", "--src-vocab", str(va), "--tgt-vocab", str(vb),
+            "--out", str(bad), "--classes", "numeral,emojii",
+        ],
+    )
+    assert code == 1 and not bad.exists()
+    payload = json.loads(err.splitlines()[-1])
+    assert payload["type"] == "ValueError"
+    assert "emojii" in payload["error"]
+    assert "numeral, emoji, emoticon, word" in payload["error"]
+
 
 # ------------------------------------------------- align/refine/eval chain
 
@@ -328,3 +342,36 @@ def test_pipeline_bad_config_path_error(tmp_path, capsys):
     assert code == 1
     payload = json.loads(err.splitlines()[-1])
     assert "missing.vec" in payload["error"]
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("dictionary", "classes", ["numeral", "emojii"]),
+        ("translation", "ks", [0, 1, 5]),
+        ("translation", "retrieval", "dot"),
+        ("mapper", "retrieval", "dot"),
+        ("mapper", "max_iters", 0),
+        ("mapper", "induce_vocab_cutoff", 0),
+    ],
+)
+def test_pipeline_bad_value_fails_before_any_stage(
+    fixture_dir, tmp_path, capsys, section, key, value
+):
+    cfg = json.loads((fixture_dir / "config.json").read_text(encoding="utf-8"))
+    cfg["mapper"] = {"method": "self-learn"}
+    block = cfg["eval"]["translation"] if section == "translation" else cfg[section]
+    block[key] = value
+    # a second bad value: both must be reported in the one error
+    cfg["refine"] = {"mode": "averaged"}
+    path = fixture_dir / "bad.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    run_dir = tmp_path / "run"
+    code, _, err = _run(
+        capsys, ["pipeline", "--config", str(path), "--out", str(run_dir)]
+    )
+    assert code == 1
+    payload = json.loads(err.splitlines()[-1])
+    assert "stage" not in payload
+    assert key in payload["error"] and "refine.mode" in payload["error"]
+    assert not run_dir.exists()

@@ -1,0 +1,228 @@
+"""The blocked retrieval kernel against dense references.
+
+The block size is shrunk to 7 rows so the small fixtures cross many block
+boundaries, including a ragged last block.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import xlembed.mapper as mapper
+import xlembed.scoring as scoring
+from xlembed import (
+    CrossLingualSpace,
+    SelfLearnConfig,
+    TestDictionary,
+    build_identical_dictionary,
+    dictionary_from_pairs,
+    make_space,
+    precision_at_k,
+    self_learn,
+    translate_topk,
+)
+from synthetic import rotation_benchmark
+from test_translate import _random_space, brute_force_topk, csls_oracle
+
+MODES = ("cosine", "csls")
+
+
+@pytest.fixture()
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(scoring, "BLOCK_ROWS", 7)
+
+
+def _cosine_oracle(space):
+    a = space.src.matrix / np.linalg.norm(space.src.matrix, axis=1, keepdims=True)
+    b = space.tgt.matrix / np.linalg.norm(space.tgt.matrix, axis=1, keepdims=True)
+    return a @ b.T
+
+
+def _oracle_ranking(space, retrieval, k):
+    """Dense scores, then a stable (-score, index) order per query."""
+    scores = csls_oracle(space) if retrieval == "csls" else _cosine_oracle(space)
+    n_tgt = scores.shape[1]
+    return scores, [
+        np.lexsort((np.arange(n_tgt), -row))[:k] for row in scores
+    ]
+
+
+def _axis_space():
+    """Rows drawn from {+-e1, +-e2, e3}: every cosine is exactly -1, 0 or
+    1, and every CSLS neighbourhood mean is a sum of such integers over
+    10, so scores tie exactly and the dense oracle reproduces them bit for
+    bit. Source rows 6 and 7 (either side of the first 7-row block
+    boundary) are equal."""
+    basis = np.array(
+        [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [0, 0, 1]], dtype=float
+    )
+    src_rows = basis[[(3 * i) % 5 for i in range(23)]]
+    src_rows[7] = src_rows[6]
+    tgt_rows = basis[[(2 * j + j // 5) % 5 for j in range(19)]]
+    return CrossLingualSpace(
+        src=make_space([f"s{i:03d}" for i in range(23)], src_rows),
+        tgt=make_space([f"t{j:03d}" for j in range(19)], tgt_rows),
+    )
+
+
+SPACES = {"random": lambda: _random_space(4), "exact-ties": _axis_space}
+
+
+# ------------------------------------------------------------ top-k
+
+def test_ranked_topk_ties_at_kth_position_go_to_lower_index():
+    scores = np.array(
+        [
+            [0.5, 0.9, 0.5, 0.1, 0.5, 0.9],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [-0.0, 0.0, -1.0, 0.0, 1.0, -0.0],
+        ]
+    )
+    for k in range(1, 8):
+        want = np.array(
+            [np.lexsort((np.arange(6), -row))[: min(k, 6)] for row in scores]
+        )
+        assert np.array_equal(scoring.ranked_topk(scores, k), want)
+
+
+def test_cosine_topk_blocked_matches_brute_force(small_blocks):
+    space = _random_space(0)
+    for tok in space.src.vocab.tokens:
+        got = translate_topk(space, tok, k=5)
+        want = brute_force_topk(space, tok, k=5)
+        assert [t for t, _ in got] == [t for t, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert abs(a - b) < 1e-12
+
+
+@pytest.mark.parametrize("retrieval", MODES)
+@pytest.mark.parametrize("space_name", SPACES)
+def test_topk_blocked_matches_dense_oracle(small_blocks, retrieval, space_name):
+    space = SPACES[space_name]()
+    n_tgt = len(space.tgt.vocab)
+    for k in (1, 3, 5, n_tgt, n_tgt + 5):
+        scores, ranking = _oracle_ranking(space, retrieval, k)
+        for i, tok in enumerate(space.src.vocab.tokens):
+            got = translate_topk(space, tok, k=k, retrieval=retrieval)
+            want = [space.tgt.vocab.tokens[int(j)] for j in ranking[i]]
+            assert [t for t, _ in got] == want
+            for (_, a), j in zip(got, ranking[i]):
+                assert abs(a - scores[i, int(j)]) < 1e-10
+
+
+@pytest.mark.parametrize("retrieval", MODES)
+@pytest.mark.parametrize("space_name", SPACES)
+def test_precision_at_k_blocked_matches_dense_oracle(
+    small_blocks, retrieval, space_name
+):
+    space = SPACES[space_name]()
+    src_toks, tgt_toks = space.src.vocab.tokens, space.tgt.vocab.tokens
+    n_tgt = len(tgt_toks)
+    entries = [
+        (s, (tgt_toks[(5 * i) % n_tgt], tgt_toks[(5 * i + 3) % n_tgt]))
+        for i, s in enumerate(src_toks)
+    ]
+    ks = (1, 3, 5, n_tgt + 2)
+    report = precision_at_k(
+        space, TestDictionary(entries=entries), ks=ks, retrieval=retrieval,
+        keep_per_query=True,
+    )
+    scores, ranking = _oracle_ranking(space, retrieval, max(ks))
+    for i, (src_tok, ranked) in enumerate(report.per_query):
+        assert src_tok == src_toks[i]
+        assert [t for t, _ in ranked] == [tgt_toks[int(j)] for j in ranking[i]]
+    for k in ks:
+        hits = sum(
+            bool(set(golds) & {tgt_toks[int(j)] for j in ranking[i][:k]})
+            for i, (_, golds) in enumerate(entries)
+        )
+        assert report.p_at[k] == 100.0 * hits / len(entries)
+
+
+# ---------------------------------------------------- self-learning
+
+def _dense_induce(src_unit, tgt_unit, retrieval, seed_pairs):
+    """The whole score matrix at once; argmax along both axes."""
+    cos = src_unit @ tgt_unit.T
+    scores = cos
+    if retrieval == "csls":
+        k = scoring.CSLS_K
+        r_t = np.array([np.mean(sorted(row, reverse=True)[:k]) for row in cos])
+        r_s = np.array([np.mean(sorted(col, reverse=True)[:k]) for col in cos.T])
+        scores = 2.0 * cos - r_t[:, None] - r_s[None, :]
+    n_src, n_tgt = scores.shape
+    pairs = np.concatenate(
+        [
+            np.stack([np.arange(n_src), scores.argmax(axis=1)], axis=1),
+            np.stack([scores.argmax(axis=0), np.arange(n_tgt)], axis=1),
+            seed_pairs,
+        ]
+    )
+    return np.unique(pairs, axis=0)
+
+
+@pytest.mark.parametrize("retrieval", MODES)
+def test_induce_pairs_exact_ties_across_blocks(small_blocks, retrieval):
+    space = _axis_space()
+    seeds = np.array([[0, 1], [3, 2]])
+    got = mapper._induce_pairs(space.src.matrix, space.tgt.matrix, retrieval, seeds)
+    want = _dense_induce(space.src.matrix, space.tgt.matrix, retrieval, seeds)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("retrieval", MODES)
+def test_self_learn_blocked_induced_pairs_match_dense(
+    small_blocks, monkeypatch, retrieval
+):
+    src, tgt, _ = rotation_benchmark(n=60, d=6, noise=0.1, seed=3)
+    full = build_identical_dictionary(src.vocab, tgt.vocab)
+    seed = dictionary_from_pairs(full.pairs()[:8], src.vocab, tgt.vocab)
+    calls = []
+    blocked = mapper._induce_pairs
+
+    def recording(src_unit, tgt_unit, mode, seed_pairs):
+        got = blocked(src_unit, tgt_unit, mode, seed_pairs)
+        calls.append((got, _dense_induce(src_unit, tgt_unit, mode, seed_pairs)))
+        return got
+
+    monkeypatch.setattr(mapper, "_induce_pairs", recording)
+    self_learn(
+        src, tgt, seed,
+        SelfLearnConfig(induce_vocab_cutoff=45, retrieval=retrieval, max_iters=4),
+    )
+    assert calls
+    for got, want in calls:
+        assert np.array_equal(got, want)
+
+
+# ----------------------------------------------------------- memory
+
+V = 3000
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csls_peak_memory_below_one_vocab_square_matrix():
+    src, tgt, _ = rotation_benchmark(n=V, d=16, noise=0.1, seed=5)
+    space = CrossLingualSpace(src=src, tgt=tgt)
+    test = TestDictionary(entries=[(t, (t,)) for t in src.vocab.tokens[:500]])
+    full = build_identical_dictionary(src.vocab, tgt.vocab)
+    seed = dictionary_from_pairs(full.pairs()[:50], src.vocab, tgt.vocab)
+    square = V * V * 8
+
+    peak = _peak_bytes(
+        lambda: precision_at_k(space, test, ks=(1, 10), retrieval="csls")
+    )
+    assert peak < square, f"CSLS P@k peaked at {peak} bytes"
+    cfg = SelfLearnConfig(induce_vocab_cutoff=V, retrieval="csls", max_iters=2)
+    peak = _peak_bytes(lambda: self_learn(src, tgt, seed, cfg))
+    assert peak < square, f"CSLS self_learn peaked at {peak} bytes"
