@@ -7,6 +7,7 @@ addresses matrix row i.
 
 import warnings
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -15,6 +16,8 @@ from .corpus import Vocabulary, classify_token, read_vocab_tsv
 UNIT_ROWS = "unit"
 CENTER_COLUMNS = "center"
 DEFAULT_NORMALIZE = (UNIT_ROWS, CENTER_COLUMNS, UNIT_ROWS)
+# Rows per parse or format block of the word2vec-text reader and writer.
+BLOCK_ROWS = 512
 
 
 class EmbeddingFormatError(ValueError):
@@ -64,14 +67,43 @@ def make_space(tokens, matrix, freqs=None) -> EmbeddingSpace:
 def load_embeddings(path, expected_dim=None, vocab_tsv=None) -> EmbeddingSpace:
     """Parse a word2vec text file (header `n d`, rows `token v1 .. vd`).
 
-    Frequencies come from the sidecar vocabulary TSV when given; without a
-    sidecar the file rank serves as a proxy (frequency := n - rank, so the
-    first row gets n). Duplicate tokens keep the first occurrence.
+    The file must be UTF-8. Rows are parsed BLOCK_ROWS lines at a time, so
+    scratch memory does not grow with the file. Frequencies come from the
+    sidecar vocabulary TSV when given (tokens it lacks get frequency 0, with
+    one warning); without a sidecar the file rank serves as a proxy
+    (frequency := n - rank, so the first row gets n). Duplicate tokens keep
+    the first occurrence.
     """
-    tokens: list[str] = []
-    rows: list[np.ndarray] = []
-    seen = {}
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    try:
+        tokens, matrix = _read_word2vec(path, expected_dim)
+    except UnicodeDecodeError as exc:
+        raise EmbeddingFormatError(_undecodable_line(path, exc)) from None
+    if vocab_tsv is not None:
+        side = read_vocab_tsv(vocab_tsv)
+        missing = sum(t not in side.index for t in tokens)
+        if missing:
+            warnings.warn(
+                f"{vocab_tsv}: {missing} of {len(tokens)} embedding tokens are "
+                f"missing from the sidecar vocabulary; their frequency is 0"
+            )
+        freqs = np.array(
+            [side.freqs[side.index[t]] if t in side.index else 0 for t in tokens],
+            dtype=np.int64,
+        )
+        classes = [
+            side.classes[side.index[t]] if t in side.index else classify_token(t)
+            for t in tokens
+        ]
+    else:
+        freqs = np.arange(len(tokens), 0, -1, dtype=np.int64)
+        classes = [classify_token(t) for t in tokens]
+    vocab = Vocabulary(tokens=tokens, freqs=freqs, classes=classes)
+    return EmbeddingSpace(vocab=vocab, matrix=matrix)
+
+
+def _read_word2vec(path, expected_dim):
+    """Tokens and float64 matrix of a word2vec text file, duplicates dropped."""
+    with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         parts = header.split()
         if len(parts) != 2:
@@ -90,66 +122,125 @@ def load_embeddings(path, expected_dim=None, vocab_tsv=None) -> EmbeddingSpace:
             raise EmbeddingFormatError(
                 f"{path}: line 1: dimension {d} does not match expected {expected_dim}"
             )
-        for lineno in range(2, n + 2):
-            line = fh.readline()
-            if not line:
+        tokens: list[str] = []
+        blocks: list[np.ndarray] = []
+        seen = set()
+        for start in range(0, n, BLOCK_ROWS):
+            first = start + 2  # file line of the block's first row
+            rows = min(BLOCK_ROWS, n - start)
+            lines = list(islice(fh, rows))
+            if len(lines) < rows:
                 raise EmbeddingFormatError(
-                    f"{path}: line {lineno}: file ends before {n} rows were read"
+                    f"{path}: line {first + len(lines)}: "
+                    f"file ends before {n} rows were read"
                 )
-            fields = line.rstrip("\n").split(" ")
-            # tolerate a trailing space, common in the wild
-            if fields and fields[-1] == "":
-                fields = fields[:-1]
-            if len(fields) != d + 1:
+            block_tokens, payloads = [], []
+            for lineno, line in enumerate(lines, start=first):
+                body = line.rstrip("\n")
+                # tolerate a trailing space, common in the wild
+                if body.endswith(" "):
+                    body = body[:-1]
+                spaces = body.count(" ")
+                if spaces != d:
+                    raise EmbeddingFormatError(
+                        f"{path}: line {lineno}: expected token plus {d} values, "
+                        f"got {spaces + 1 if body else 0} fields"
+                    )
+                tok, _, payload = body.partition(" ")
+                block_tokens.append(tok)
+                payloads.append(payload)
+            block = _parse_rows(path, first, block_tokens, payloads, d)
+            finite = np.isfinite(block).all(axis=1)
+            if not finite.all():
+                i = int(np.argmin(finite))
                 raise EmbeddingFormatError(
-                    f"{path}: line {lineno}: expected token plus {d} values, "
-                    f"got {len(fields)} fields"
+                    f"{path}: line {first + i}: non-finite value for token "
+                    f"{block_tokens[i]!r}"
                 )
-            tok = fields[0]
-            try:
-                vec = np.array(fields[1:], dtype=np.float64)
-            except ValueError:
-                raise EmbeddingFormatError(
-                    f"{path}: line {lineno}: unparseable float value"
-                ) from None
-            if not np.isfinite(vec).all():
-                raise EmbeddingFormatError(
-                    f"{path}: line {lineno}: non-finite value for token {tok!r}"
-                )
-            if tok in seen:
-                warnings.warn(
-                    f"{path}: line {lineno}: duplicate token {tok!r}, keeping first"
-                )
-                continue
-            seen[tok] = True
-            tokens.append(tok)
-            rows.append(vec)
+            keep = []
+            for i, tok in enumerate(block_tokens):
+                if tok in seen:
+                    warnings.warn(
+                        f"{path}: line {first + i}: duplicate token {tok!r}, "
+                        f"keeping first"
+                    )
+                    continue
+                seen.add(tok)
+                keep.append(i)
+            if len(keep) < len(block_tokens):
+                block = block[keep]
+                block_tokens = [block_tokens[i] for i in keep]
+            tokens.extend(block_tokens)
+            blocks.append(block)
+    matrix = np.concatenate(blocks) if blocks else np.zeros((0, d), dtype=np.float64)
+    return tokens, matrix
 
-    matrix = np.vstack(rows) if rows else np.zeros((0, d), dtype=np.float64)
-    if vocab_tsv is not None:
-        side = read_vocab_tsv(vocab_tsv)
-        freqs = np.array(
-            [side.freqs[side.index[t]] if t in side.index else 0 for t in tokens],
-            dtype=np.int64,
-        )
-        classes = [
-            side.classes[side.index[t]] if t in side.index else classify_token(t)
-            for t in tokens
-        ]
-    else:
-        freqs = np.arange(len(tokens), 0, -1, dtype=np.int64)
-        classes = [classify_token(t) for t in tokens]
-    vocab = Vocabulary(tokens=tokens, freqs=freqs, classes=classes)
-    return EmbeddingSpace(vocab=vocab, matrix=matrix)
+
+def _parse_rows(path, first, tokens, payloads, d) -> np.ndarray:
+    """Parse `d` space-separated floats per payload into a (rows, d) block."""
+    block = _loadtxt(payloads)
+    if block is not None and block.shape == (len(payloads), d):
+        return block
+    # loadtxt skips blank payloads and its error rows are not file lines, so
+    # parse row by row to name the first bad line
+    for i, payload in enumerate(payloads):
+        row = _loadtxt([payload])
+        if row is None or row.shape != (1, d):
+            raise EmbeddingFormatError(
+                f"{path}: line {first + i}: unparseable float value for token "
+                f"{tokens[i]!r}"
+            )
+    raise EmbeddingFormatError(
+        f"{path}: lines {first}-{first + len(payloads) - 1}: unparseable float values"
+    )
+
+
+def _loadtxt(payloads):
+    """np.loadtxt over space-separated rows, or None if a value is invalid."""
+    with warnings.catch_warnings():
+        # an all-blank block is caught by the caller's shape check
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            return np.loadtxt(
+                payloads, dtype=np.float64, delimiter=" ", comments=None, ndmin=2
+            )
+        except ValueError:
+            return None
+
+
+def _undecodable_line(path, exc: UnicodeDecodeError) -> str:
+    """Error text naming the first line of `path` that is not valid UTF-8."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                return (
+                    f"{path}: line {lineno}: invalid UTF-8 byte "
+                    f"{raw[bad.start]:#04x} at column {bad.start + 1}"
+                )
+    return f"{path}: invalid UTF-8: {exc}"
 
 
 def save_embeddings(space: EmbeddingSpace, path) -> None:
-    """Write word2vec text format with 6 decimal places."""
+    """Write word2vec text format with 6 decimal places.
+
+    Each block of BLOCK_ROWS rows is formatted by one `%` operation (the
+    same C formatter as `f"{v:.6f}"`, so `-0.000000` is kept) and written
+    at once.
+    """
+    n, d = space.matrix.shape
+    row_format = "%s " + " ".join(["%.6f"] * d) + "\n"
+    tokens = space.vocab.tokens
     with open(path, "w", encoding="utf-8") as fh:
-        n, d = space.matrix.shape
         fh.write(f"{n} {d}\n")
-        for tok, row in zip(space.vocab.tokens, space.matrix):
-            fh.write(tok + " " + " ".join(f"{v:.6f}" for v in row) + "\n")
+        for start in range(0, n, BLOCK_ROWS):
+            block = space.matrix[start : start + BLOCK_ROWS].tolist()
+            values = []
+            for tok, row in zip(tokens[start : start + len(block)], block):
+                values.append(tok)
+                values += row
+            fh.write(row_format * len(block) % tuple(values))
 
 
 def normalize(space: EmbeddingSpace, steps=DEFAULT_NORMALIZE) -> EmbeddingSpace:

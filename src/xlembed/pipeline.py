@@ -9,6 +9,7 @@ write-once: the runner refuses a non-empty directory.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -135,6 +136,17 @@ class PipelineConfig:
             if not ok:
                 problems.append(f"{name} must be an integer >= 1, got {value!r}")
 
+        def require_number(name: str, value, low=-math.inf, high=math.inf) -> None:
+            try:
+                number = float(value)
+            except (TypeError, ValueError):
+                number = math.nan
+            if isinstance(value, bool) or not (
+                math.isfinite(number) and low <= number <= high
+            ):
+                span = "" if math.isinf(low) else f" in [{low:g}, {high:g}]"
+                problems.append(f"{name} must be a finite number{span}, got {value!r}")
+
         def require_retrieval(name: str, value) -> None:
             if value not in RETRIEVAL_MODES:
                 problems.append(
@@ -162,8 +174,8 @@ class PipelineConfig:
                 problems.append(f"dictionary mode {mode!r} requires a file")
             elif not self._path(d["file"]).exists():
                 problems.append(f"dictionary.file: no such file {d['file']!r}")
-        if mode == "external-seed" and int(d.get("k", 100)) < 1:
-            problems.append("dictionary.k must be >= 1")
+        if "k" in d:
+            require_positive_int("dictionary.k", d["k"])
         try:
             parse_classes(d.get("classes") or [])
         except ValueError as exc:
@@ -176,11 +188,18 @@ class PipelineConfig:
         for key in ("max_iters", "induce_vocab_cutoff"):
             if key in m:
                 require_positive_int(f"mapper.{key}", m[key])
-        s = m.get("reweight_s")
-        if s is not None and not 0.0 <= float(s) <= 1.0:
-            problems.append("mapper.reweight_s must lie in [0, 1]")
-        if self.refine.get("mode", "none") not in REFINE_MODES:
+        if "tol" in m:
+            require_number("mapper.tol", m["tol"])
+        if m.get("reweight_s") is not None:
+            require_number("mapper.reweight_s", m["reweight_s"], 0.0, 1.0)
+        r = self.refine
+        if r.get("mode", "none") not in REFINE_MODES:
             problems.append(f"refine.mode must be one of {REFINE_MODES}")
+        rel = r.get("relative_frequencies", False)
+        if not isinstance(rel, bool):
+            problems.append(
+                f"refine.relative_frequencies must be true or false, got {rel!r}"
+            )
         ev = self.eval
         tr = ev.get("translation")
         if tr is not None:

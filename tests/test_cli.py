@@ -353,6 +353,10 @@ def test_pipeline_bad_config_path_error(tmp_path, capsys):
         ("mapper", "retrieval", "dot"),
         ("mapper", "max_iters", 0),
         ("mapper", "induce_vocab_cutoff", 0),
+        ("mapper", "reweight_s", "abc"),
+        ("mapper", "tol", "x"),
+        ("dictionary", "k", "abc"),
+        ("refine", "relative_frequencies", "no"),
     ],
 )
 def test_pipeline_bad_value_fails_before_any_stage(
@@ -360,10 +364,10 @@ def test_pipeline_bad_value_fails_before_any_stage(
 ):
     cfg = json.loads((fixture_dir / "config.json").read_text(encoding="utf-8"))
     cfg["mapper"] = {"method": "self-learn"}
-    block = cfg["eval"]["translation"] if section == "translation" else cfg[section]
-    block[key] = value
     # a second bad value: both must be reported in the one error
     cfg["refine"] = {"mode": "averaged"}
+    block = cfg["eval"]["translation"] if section == "translation" else cfg[section]
+    block[key] = value
     path = fixture_dir / "bad.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     run_dir = tmp_path / "run"
@@ -373,5 +377,7 @@ def test_pipeline_bad_value_fails_before_any_stage(
     assert code == 1
     payload = json.loads(err.splitlines()[-1])
     assert "stage" not in payload
-    assert key in payload["error"] and "refine.mode" in payload["error"]
+    prefix = "eval.translation" if section == "translation" else section
+    assert f"{prefix}.{key}" in payload["error"]
+    assert "refine.mode" in payload["error"]
     assert not run_dir.exists()

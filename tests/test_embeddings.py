@@ -1,8 +1,10 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -14,6 +16,7 @@ from xlembed import (
     normalize,
     save_embeddings,
 )
+from xlembed import embeddings
 from xlembed.corpus import write_vocab_tsv
 from xlembed.embeddings import CENTER_COLUMNS, DEFAULT_NORMALIZE, UNIT_ROWS
 
@@ -117,6 +120,123 @@ def test_load_sidecar_vocab_frequencies(tmp_path):
     write_vocab_tsv(side, tsv)
     space = load_embeddings(vec, vocab_tsv=tsv)
     assert space.vocab.freqs.tolist() == [700, 41]
+
+
+def test_load_sidecar_missing_tokens_warn_with_count(tmp_path):
+    vec = tmp_path / "v.vec"
+    vec.write_text("3 1\nhola 1.0\nnuevo 2.0\nadios 3.0\n", encoding="utf-8")
+    side = make_space(["hola", "adios"], np.zeros((2, 1)), freqs=[700, 41]).vocab
+    tsv = tmp_path / "v.tsv"
+    write_vocab_tsv(side, tsv)
+    with pytest.warns(UserWarning, match="1 of 3 embedding tokens") as rec:
+        space = load_embeddings(vec, vocab_tsv=tsv)
+    assert len(rec) == 1 and str(tsv) in str(rec[0].message)
+    assert space.vocab.freqs.tolist() == [700, 0, 41]
+
+
+def _per_value_bytes(space):
+    """The value-by-value writer `save_embeddings` replaced: the byte oracle."""
+    n, d = space.matrix.shape
+    out = [f"{n} {d}\n"]
+    for tok, row in zip(space.vocab.tokens, space.matrix):
+        out.append(tok + " " + " ".join(f"{v:.6f}" for v in row) + "\n")
+    return "".join(out).encode("utf-8")
+
+
+_EDGE_VALUES = [0.0, -0.0, 4.9999995e-7, -4.9999995e-7, 5e-7, -5e-7,
+                1e15, -1e15, 1.7976931348623157e308]
+
+
+@settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda d: st.lists(
+            st.tuples(
+                st.text(
+                    st.characters(blacklist_categories=("Z", "C")), min_size=1
+                ),
+                st.lists(
+                    st.one_of(
+                        st.sampled_from(_EDGE_VALUES),
+                        st.floats(allow_nan=False, allow_infinity=False),
+                    ),
+                    min_size=d, max_size=d,
+                ),
+            ),
+            min_size=0, max_size=11, unique_by=lambda row: row[0],
+        ).map(lambda rows: (rows, d))
+    )
+)
+def test_blocked_save_bytes_equal_per_value_writer(tmp_path, monkeypatch, case):
+    rows, d = case
+    monkeypatch.setattr(embeddings, "BLOCK_ROWS", 3)  # blocks break mid-file
+    tokens = [tok for tok, _ in rows]
+    space = make_space(tokens, np.array([v for _, v in rows]).reshape(len(rows), d))
+    path = tmp_path / "v.vec"
+    save_embeddings(space, path)
+    assert path.read_bytes() == _per_value_bytes(space)
+
+    toks, ref = _reference_parse(path)
+    back = load_embeddings(path)
+    assert back.vocab.tokens == toks == tokens
+    assert np.array_equal(back.matrix, ref.reshape(len(rows), d))
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("c 1.0 2.0", "expected token plus 1 values"),
+        ("c abc", "unparseable float value for token 'c'"),
+        ("c 1_0", "unparseable float value for token 'c'"),
+        ("c  ", "unparseable float value for token 'c'"),
+        ("c inf", "non-finite value for token 'c'"),
+    ],
+)
+def test_load_error_in_second_block_names_file_line(
+    tmp_path, monkeypatch, row, message
+):
+    monkeypatch.setattr(embeddings, "BLOCK_ROWS", 2)
+    p = tmp_path / "bad.vec"
+    p.write_text(f"4 1\na 1.0\nb 2.0\n{row}\nd 4.0\n", encoding="utf-8")
+    with pytest.raises(EmbeddingFormatError) as err:
+        load_embeddings(p)
+    assert str(err.value).startswith(f"{p}: line 4: ")
+    assert message in str(err.value)
+
+
+def test_load_tolerates_one_trailing_space(tmp_path):
+    p = tmp_path / "v.vec"
+    p.write_text("2 2\na 1.0 2.0 \nb 3.0 4.0\n", encoding="utf-8")
+    space = load_embeddings(p)
+    assert space.vocab.tokens == ["a", "b"]
+    assert space.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_load_rejects_undecodable_tokens(tmp_path):
+    # with replacement both tokens became U+FFFD and the second was dropped
+    # as a duplicate
+    p = tmp_path / "bad.vec"
+    p.write_bytes(b"2 1\n\xff 1.0\n\xfe 2.0\n")
+    with pytest.raises(EmbeddingFormatError) as err:
+        load_embeddings(p)
+    assert str(err.value).startswith(f"{p}: line 2: ")
+    assert "0xff" in str(err.value)
+
+
+def test_save_memory_is_bounded_by_block(tmp_path):
+    rng = np.random.default_rng(5)
+    space = make_space([f"w{i}" for i in range(5000)], rng.normal(size=(5000, 50)))
+    path = tmp_path / "v.vec"
+    tracemalloc.start()
+    try:
+        save_embeddings(space, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < os.path.getsize(path)
 
 
 # --------------------------------------------------------- constructors
