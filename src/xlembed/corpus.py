@@ -5,6 +5,7 @@ four classes (numeral, emoji, emoticon, word); the class drives how the
 synthetic bilingual dictionaries are filtered later on.
 """
 
+import codecs
 import re
 import unicodedata
 import warnings
@@ -168,11 +169,42 @@ def vocabulary_from_counts(counts: Counter, min_count: int = 5) -> Vocabulary:
     )
 
 
+# Replacement characters inserted by the corpus decoder in this process. A
+# reader adds only the increments made between its resume and its yield,
+# while no other reader in the thread can decode, so readers advanced in
+# turn (e.g. zipped) each count their own file.
+_replaced = [0]
+
+
+def _count_replace(exc: UnicodeDecodeError):
+    _replaced[0] += 1
+    return "\ufffd", exc.end
+
+
+codecs.register_error("xlembed.corpus.replace", _count_replace)
+
+
 def iter_corpus_lines(path: str) -> Iterator[str]:
-    """Yield raw tweet lines; invalid UTF-8 becomes the replacement char."""
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        for line in fh:
-            yield line.rstrip("\n")
+    """Yield raw tweet lines; invalid UTF-8 becomes the replacement char.
+
+    Each undecodable byte sequence becomes one U+FFFD, and one warning names
+    the file and the number of sequences replaced.
+    """
+    replaced = 0
+    try:
+        with open(path, encoding="utf-8", errors="xlembed.corpus.replace") as fh:
+            before = _replaced[0]
+            for line in fh:
+                replaced += _replaced[0] - before
+                yield line.rstrip("\n")
+                before = _replaced[0]
+            replaced += _replaced[0] - before
+    finally:
+        if replaced:
+            warnings.warn(
+                f"{path}: {replaced} invalid UTF-8 byte sequence(s) replaced "
+                f"by U+FFFD"
+            )
 
 
 def scan_corpus(
@@ -183,13 +215,15 @@ def scan_corpus(
     """Deduplicate tweets, tokenize, and count.
 
     Duplicate tweet lines (exact match after trimming surrounding
-    whitespace) are dropped before counting.
+    whitespace) are dropped before counting. No token spans whitespace and
+    NFC never composes across it, so each kept tweet is split into
+    whitespace-delimited chunks, and each distinct chunk is tokenized once
+    and its tokens counted once per occurrence.
     """
     seen = set()
-    counts: Counter = Counter()
+    chunks: Counter = Counter()
     n_tweets = 0
     n_duplicates = 0
-    n_tokens = 0
     for line in lines:
         key = line.strip()
         if key in seen:
@@ -197,9 +231,14 @@ def scan_corpus(
             continue
         seen.add(key)
         n_tweets += 1
-        toks = tokenize(line, config)
-        n_tokens += len(toks)
-        counts.update(toks)
+        chunks.update(unicodedata.normalize("NFC", line).split())
+    counts: Counter = Counter()
+    n_tokens = 0
+    for chunk, count in chunks.items():
+        toks = tokenize(chunk, config)
+        n_tokens += len(toks) * count
+        for tok in toks:
+            counts[tok] += count
     vocab = vocabulary_from_counts(counts, min_count) if counts else Vocabulary(
         tokens=[], freqs=np.zeros(0, dtype=np.int64), classes=[]
     )
@@ -219,36 +258,62 @@ def write_vocab_tsv(vocab: Vocabulary, path: str) -> None:
 
 
 def read_vocab_tsv(path: str) -> Vocabulary:
-    """Read a vocabulary TSV (token, count, class), preserving file order."""
+    """Read a UTF-8 vocabulary TSV (token, count, class), preserving file
+    order. Undecodable bytes and duplicate tokens are errors naming the line."""
     tokens: list[str] = []
     freqs: list[int] = []
     classes: list[TokenClass] = []
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 3 tab-separated fields, "
-                    f"got {len(parts)}"
-                )
-            tokens.append(parts[0])
-            try:
-                freqs.append(int(parts[1]))
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: bad count field {parts[1]!r}"
-                ) from None
-            try:
-                classes.append(TokenClass(parts[2]))
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: unknown token class {parts[2]!r}"
-                ) from None
+    first_line: dict[str, int] = {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 3:
+                    raise ValueError(
+                        f"{path}: line {lineno}: expected 3 tab-separated "
+                        f"fields, got {len(parts)}"
+                    )
+                tok = parts[0]
+                if tok in first_line:
+                    raise ValueError(
+                        f"{path}: line {lineno}: duplicate token {tok!r} "
+                        f"(first on line {first_line[tok]})"
+                    )
+                first_line[tok] = lineno
+                tokens.append(tok)
+                try:
+                    freqs.append(int(parts[1]))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {lineno}: bad count field {parts[1]!r}"
+                    ) from None
+                try:
+                    classes.append(TokenClass(parts[2]))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {lineno}: unknown token class {parts[2]!r}"
+                    ) from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(undecodable_line(path, exc)) from None
     return Vocabulary(
         tokens=tokens,
         freqs=np.array(freqs, dtype=np.int64),
         classes=classes,
     )
+
+
+def undecodable_line(path, exc: UnicodeDecodeError) -> str:
+    """Error text naming the first line of `path` that is not valid UTF-8."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                return (
+                    f"{path}: line {lineno}: invalid UTF-8 byte "
+                    f"{raw[bad.start]:#04x} at column {bad.start + 1}"
+                )
+    return f"{path}: invalid UTF-8: {exc}"

@@ -11,13 +11,17 @@ from itertools import islice
 
 import numpy as np
 
-from .corpus import Vocabulary, classify_token, read_vocab_tsv
+from .corpus import Vocabulary, classify_token, read_vocab_tsv, undecodable_line
 
 UNIT_ROWS = "unit"
 CENTER_COLUMNS = "center"
 DEFAULT_NORMALIZE = (UNIT_ROWS, CENTER_COLUMNS, UNIT_ROWS)
 # Rows per parse or format block of the word2vec-text reader and writer.
 BLOCK_ROWS = 512
+# Row norms inside this range are computed exactly enough by the plain
+# sqrt-of-sum-of-squares (no squared entry overflows, and subnormal squares
+# are negligible); rows outside it are rescaled by their largest entry first.
+_SAFE_NORM = (1e-150, 1e150)
 
 
 class EmbeddingFormatError(ValueError):
@@ -72,12 +76,13 @@ def load_embeddings(path, expected_dim=None, vocab_tsv=None) -> EmbeddingSpace:
     sidecar vocabulary TSV when given (tokens it lacks get frequency 0, with
     one warning); without a sidecar the file rank serves as a proxy
     (frequency := n - rank, so the first row gets n). Duplicate tokens keep
-    the first occurrence.
+    the first occurrence. A non-blank line after the n declared rows is an
+    error.
     """
     try:
         tokens, matrix = _read_word2vec(path, expected_dim)
     except UnicodeDecodeError as exc:
-        raise EmbeddingFormatError(_undecodable_line(path, exc)) from None
+        raise EmbeddingFormatError(undecodable_line(path, exc)) from None
     if vocab_tsv is not None:
         side = read_vocab_tsv(vocab_tsv)
         missing = sum(t not in side.index for t in tokens)
@@ -172,6 +177,11 @@ def _read_word2vec(path, expected_dim):
                 block_tokens = [block_tokens[i] for i in keep]
             tokens.extend(block_tokens)
             blocks.append(block)
+        if fh.readline().strip():
+            raise EmbeddingFormatError(
+                f"{path}: line {n + 2}: unexpected row after the {n} rows "
+                f"the header declares"
+            )
     matrix = np.concatenate(blocks) if blocks else np.zeros((0, d), dtype=np.float64)
     return tokens, matrix
 
@@ -208,20 +218,6 @@ def _loadtxt(payloads):
             return None
 
 
-def _undecodable_line(path, exc: UnicodeDecodeError) -> str:
-    """Error text naming the first line of `path` that is not valid UTF-8."""
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as bad:
-                return (
-                    f"{path}: line {lineno}: invalid UTF-8 byte "
-                    f"{raw[bad.start]:#04x} at column {bad.start + 1}"
-                )
-    return f"{path}: invalid UTF-8: {exc}"
-
-
 def save_embeddings(space: EmbeddingSpace, path) -> None:
     """Write word2vec text format with 6 decimal places.
 
@@ -246,22 +242,17 @@ def save_embeddings(space: EmbeddingSpace, path) -> None:
 def normalize(space: EmbeddingSpace, steps=DEFAULT_NORMALIZE) -> EmbeddingSpace:
     """Apply normalization steps in order; returns a new space.
 
-    Steps: "unit" scales every row to Euclidean norm 1 (zero rows are an
-    error naming the token); "center" subtracts the column means.
+    Steps: "unit" scales every row to Euclidean norm 1 (all-zero rows are an
+    error naming the token; rows of tiny or huge values are scaled by their
+    largest entry first, so they neither underflow nor overflow); "center"
+    subtracts the column means.
     """
     matrix = space.matrix.copy()
     unit_rows = space.unit_rows
     mean_centered = space.mean_centered
     for step in steps:
         if step == UNIT_ROWS:
-            norms = np.linalg.norm(matrix, axis=1)
-            zero = np.flatnonzero(norms == 0.0)
-            if zero.size:
-                tok = space.vocab.tokens[int(zero[0])]
-                raise ValueError(
-                    f"cannot unit-normalize: zero-norm row for token {tok!r}"
-                )
-            matrix /= norms[:, None]
+            _unit_rows(matrix, space.vocab.tokens)
             unit_rows, mean_centered = True, False
         elif step == CENTER_COLUMNS:
             matrix -= matrix.mean(axis=0)
@@ -271,3 +262,25 @@ def normalize(space: EmbeddingSpace, steps=DEFAULT_NORMALIZE) -> EmbeddingSpace:
     return replace(
         space, matrix=matrix, unit_rows=unit_rows, mean_centered=mean_centered
     )
+
+
+def _unit_rows(matrix: np.ndarray, tokens) -> None:
+    """Scale every row of `matrix` in place to Euclidean norm 1."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(matrix, axis=1)
+    lo, hi = _SAFE_NORM
+    unsafe = np.flatnonzero(~((norms > lo) & (norms < hi)))
+    if unsafe.size:
+        rows = matrix[unsafe]
+        scale = np.abs(rows).max(axis=1)
+        zero = unsafe[scale == 0.0]
+        if zero.size:
+            raise ValueError(
+                f"cannot unit-normalize: zero-norm row for token "
+                f"{tokens[int(zero[0])]!r}"
+            )
+        rows /= scale[:, None]
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        norms[unsafe] = 1.0
+        matrix[unsafe] = rows
+    matrix /= norms[:, None]

@@ -49,6 +49,35 @@ def test_vocab_roundtrip(tmp_path, capsys):
     assert any("\temoji" in ln for ln in lines)
 
 
+@pytest.mark.parametrize("lowercase", [True, False])
+def test_vocab_and_stats_match_per_line_scan(tmp_path, capsys, monkeypatch, lowercase):
+    from test_corpus import scan_corpus_per_line
+
+    corpus = tmp_path / "c.txt"
+    corpus.write_text(
+        "Hola xD\u3000D: @Ana #Tag https://x.co/A 3.5 \U0001F44D\U0001F3FD\n"
+        "  Hola xD\u3000D: @Ana #Tag https://x.co/A 3.5 \U0001F44D\U0001F3FD\t\n"
+        "e\u0301 \u0301a 5\ufe0f\u20e3 \U0001F1EA\U0001F1F8\U0001F1EA hola\xa0HOLA\n"
+        "xDado aD: \U0001F469\u200d\U0001F467 :) :-( <3 hola\n",
+        encoding="utf-8",
+    )
+    flags = [] if lowercase else ["--no-lowercase"]
+    out_tsv = tmp_path / "v.tsv"
+
+    def outputs():
+        code, vocab_out, err = _run(
+            capsys, ["vocab", str(corpus), "--out", str(out_tsv), "--min-count", "1"] + flags
+        )
+        assert code == 0, err
+        code, stats_out, err = _run(capsys, ["stats", str(corpus)] + flags)
+        assert code == 0, err
+        return vocab_out, out_tsv.read_bytes(), stats_out
+
+    chunked = outputs()
+    monkeypatch.setattr("xlembed.cli.scan_corpus", scan_corpus_per_line)
+    assert outputs() == chunked
+
+
 # ----------------------------------------------------------------- dict
 
 def test_dict_with_class_filter(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import unicodedata
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -247,6 +249,123 @@ def test_scan_corpus_token_totals():
     assert stats.n_unique == 5
 
 
+def scan_corpus_per_line(lines, config=TokenizerConfig(), min_count=5):
+    """The per-line scan that tokenizes every kept tweet whole; the oracle
+    for scan_corpus, which tokenizes each distinct whitespace chunk once."""
+    seen = set()
+    counts = Counter()
+    n_tweets = n_duplicates = n_tokens = 0
+    for line in lines:
+        key = line.strip()
+        if key in seen:
+            n_duplicates += 1
+            continue
+        seen.add(key)
+        n_tweets += 1
+        toks = tokenize(line, config)
+        n_tokens += len(toks)
+        counts.update(toks)
+    vocab = vocabulary_from_counts(counts, min_count) if counts else Vocabulary(
+        tokens=[], freqs=np.zeros(0, dtype=np.int64), classes=[]
+    )
+    stats = CorpusStats(n_tweets, n_duplicates, n_tokens, len(counts))
+    return vocab, stats
+
+
+def _assert_same_scan(lines, config, min_count):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # empty after cutoff
+        got_vocab, got_stats = scan_corpus(lines, config, min_count)
+        want_vocab, want_stats = scan_corpus_per_line(lines, config, min_count)
+    assert got_stats == want_stats
+    assert got_vocab.tokens == want_vocab.tokens
+    assert got_vocab.freqs.tolist() == want_vocab.freqs.tolist()
+    assert got_vocab.classes == want_vocab.classes
+    assert got_vocab.total_tokens == want_vocab.total_tokens
+    assert got_vocab.n_unique == want_vocab.n_unique
+
+
+_SPACES = [" ", "\t", "\u2000", "\u2001", "\u3000", "\u0085", "\x1c", "\xa0"]
+_MARKS = ["\u0301", "\u0308", "\u0327"]
+_FRAGMENTS = (
+    _SPACES
+    + _MARKS
+    + [sp + mark for sp in (" ", "\u3000") for mark in _MARKS]
+    + ["a", "e", "x", "X", "D", "n", "É", "ß", "İ", "_", "e\u0301", "\u1100\u1161"]
+    + ["\u200d", "\U0001F469", "\U0001F467", "\U0001F44D", "\U0001F3FD"]
+    + ["\ufe0f", "\u20e3", "5\ufe0f\u20e3", "#\u20e3", "\U0001F1EA", "\U0001F1F8"]
+    + ["xD", "D:", ":)", ":-(", "<3", "^_^"]
+    + ["https://", "www.", "@", "#", "3.5", "3", ",", ".", "/"]
+)
+_LINE = st.lists(st.sampled_from(_FRAGMENTS), max_size=14).map("".join)
+_PAD = st.lists(st.sampled_from(_SPACES), max_size=2).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.booleans(), st.integers(1, 3))
+def test_scan_corpus_equals_per_line_scan(data, lowercase, min_count):
+    pool = data.draw(st.lists(_LINE, min_size=1, max_size=6))
+    # duplicates that differ only in surrounding whitespace
+    lines = data.draw(
+        st.lists(
+            st.tuples(_PAD, st.sampled_from(pool), _PAD).map("".join), max_size=12
+        )
+    )
+    _assert_same_scan(lines, TokenizerConfig(lowercase=lowercase), min_count)
+
+
+@pytest.mark.parametrize("lowercase", [True, False])
+def test_scan_corpus_equals_per_line_scan_on_chunk_edges(lowercase):
+    lines = [
+        "xD\u3000D:\txDado aD: Dx",
+        "\u0301a e\u0301\u00a0\u0308b \u1100\u1161",
+        "\U0001F469\u200d\U0001F467 \u200d\U0001F467 \U0001F44D\U0001F3FD \U0001F3FD",
+        "5\ufe0f\u20e3 \u20e3 \U0001F1EA\U0001F1F8\U0001F1EA \U0001F1F8",
+        "https://x.co/A\u2000www.B @Ana#Tag 3.5 3,5. x:)",
+        "  xD\u3000D:\txDado aD: Dx\x1c",
+        "Hola\u0085hola\x1cHOLA",
+    ]
+    _assert_same_scan(lines, TokenizerConfig(lowercase=lowercase), 1)
+
+
+# -------------------------------------------------------- corpus reading
+
+def test_iter_corpus_lines_warns_on_replaced_bytes(tmp_path):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"hola \xff mundo\n\xfe\xfe ok\r\nfin \xe2\x82")
+    with pytest.warns(UserWarning) as record:
+        lines = list(iter_corpus_lines(p))
+    # the lines are exactly what errors="replace" in text mode gives
+    with open(p, encoding="utf-8", errors="replace") as fh:
+        assert lines == [line.rstrip("\n") for line in fh]
+    assert lines == ["hola \ufffd mundo", "\ufffd\ufffd ok", "fin \ufffd"]
+    messages = [str(w.message) for w in record]
+    assert len(messages) == 1
+    assert str(p) in messages[0] and " 4 " in messages[0]
+
+
+def test_iter_corpus_lines_counts_per_file_when_interleaved(tmp_path):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_bytes(b"\xff\nok\n")
+    b.write_bytes(b"ok\n\xff\xff \xfe\n")
+    with pytest.warns(UserWarning) as record:
+        pairs = list(zip(iter_corpus_lines(a), iter_corpus_lines(b)))
+    assert len(pairs) == 2
+    messages = sorted(str(w.message) for w in record)
+    assert messages == [
+        f"{a}: 1 invalid UTF-8 byte sequence(s) replaced by U+FFFD",
+        f"{b}: 3 invalid UTF-8 byte sequence(s) replaced by U+FFFD",
+    ]
+
+
+def test_iter_corpus_lines_clean_file_is_silent(tmp_path):
+    p = tmp_path / "ok.txt"
+    p.write_text("hola \ufffd literal\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert list(iter_corpus_lines(p)) == ["hola \ufffd literal"]
+
+
 # ------------------------------------------------------- vocab TSV
 
 def test_vocab_tsv_round_trip(tmp_path):
@@ -265,3 +384,24 @@ def test_read_vocab_tsv_rejects_malformed(tmp_path):
     with pytest.raises(ValueError) as err:
         read_vocab_tsv(path)
     assert "2" in str(err.value)  # names the offending line
+
+
+def test_read_vocab_tsv_rejects_undecodable_bytes(tmp_path):
+    # with replacement decoding both tokens became U+FFFD and the error was
+    # a bare "duplicate tokens"
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(b"ok\t3\tword\n\xff\t2\tword\n\xfe\t1\tword\n")
+    with pytest.raises(ValueError) as err:
+        read_vocab_tsv(path)
+    msg = str(err.value)
+    assert str(path) in msg and "line 2" in msg and "0xff" in msg
+
+
+def test_read_vocab_tsv_duplicate_names_file_and_lines(tmp_path):
+    path = tmp_path / "dup.tsv"
+    path.write_text("si\t3\tword\nno\t2\tword\nsi\t1\tword\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_vocab_tsv(path)
+    msg = str(err.value)
+    assert str(path) in msg and "line 3" in msg and "line 1" in msg
+    assert "'si'" in msg

@@ -1,6 +1,7 @@
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,22 @@ def test_load_rejects_undecodable_tokens(tmp_path):
     assert "0xff" in str(err.value)
 
 
+def test_load_rejects_rows_beyond_header(tmp_path):
+    # these surplus rows used to be ignored without a word
+    p = tmp_path / "v.vec"
+    p.write_text("1 1\na 1.0\nb 2.0\nc 3.0\n", encoding="utf-8")
+    with pytest.raises(EmbeddingFormatError) as err:
+        load_embeddings(p)
+    assert str(err.value).startswith(f"{p}: line 3: ")
+    assert "1 rows" in str(err.value)
+
+
+def test_load_allows_blank_line_after_rows(tmp_path):
+    p = tmp_path / "v.vec"
+    p.write_text("1 1\na 1.0\n\n", encoding="utf-8")
+    assert load_embeddings(p).vocab.tokens == ["a"]
+
+
 def test_save_memory_is_bounded_by_block(tmp_path):
     rng = np.random.default_rng(5)
     space = make_space([f"w{i}" for i in range(5000)], rng.normal(size=(5000, 50)))
@@ -282,6 +299,32 @@ def test_unit_zero_row_error_names_token():
     with pytest.raises(ValueError) as err:
         normalize(space, steps=(UNIT_ROWS,))
     assert "dead" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [1.77e-161, 0.0],   # squared sum underflows: used to give norm 1.0033
+        [1e-170, 0.0],      # squared sum is 0: used to be a false zero row
+        [1e200, 1e200],     # squared sum overflows: used to become zeros
+        [5e-324, -5e-324],  # subnormal entries
+    ],
+)
+def test_unit_step_tiny_and_huge_rows(row):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning
+        out = normalize(make_space(["a", "b"], [row, [3.0, 4.0]]), steps=(UNIT_ROWS,))
+    expected = np.sign(row) / math.sqrt(np.count_nonzero(row))
+    assert np.allclose(out.matrix[0], expected, rtol=1e-15, atol=0)
+    assert out.matrix[1].tolist() == [0.6, 0.8]
+
+
+def test_unit_step_keeps_ordinary_rows_bit_exact():
+    rng = np.random.default_rng(8)
+    matrix = rng.normal(size=(50, 7)) * np.logspace(-140, 140, 50)[:, None]
+    out = normalize(make_space([f"t{i}" for i in range(50)], matrix), steps=(UNIT_ROWS,))
+    plain = matrix / np.linalg.norm(matrix, axis=1)[:, None]
+    assert np.array_equal(out.matrix, plain)
 
 
 def test_unknown_step_rejected():
