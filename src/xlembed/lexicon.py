@@ -12,7 +12,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .corpus import TokenClass, Vocabulary, classify_token
+from .corpus import TokenClass, Vocabulary, classify_token, undecodable_line
 
 
 @dataclass
@@ -133,26 +133,30 @@ def save_dictionary(dictionary: BilingualDictionary, path) -> None:
 def load_dictionary(
     path, src_vocab: Vocabulary, tgt_vocab: Vocabulary
 ) -> BilingualDictionary:
-    """Read a dictionary file (first two whitespace-separated fields per
-    line are the token pair; extra fields are ignored). Pairs with
-    out-of-vocabulary tokens are skipped with a warning."""
+    """Read a UTF-8 dictionary file (first two whitespace-separated fields
+    per line are the token pair; extra fields are ignored). Pairs with
+    out-of-vocabulary tokens are skipped with a warning; an undecodable
+    byte is an error naming the line."""
     pairs = []
     skipped = 0
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) < 2:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected at least two fields"
-                )
-            s, t = fields[0], fields[1]
-            if s in src_vocab.index and t in tgt_vocab.index:
-                pairs.append((s, t))
-            else:
-                skipped += 1
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line.strip():
+                    continue
+                fields = line.split()
+                if len(fields) < 2:
+                    raise ValueError(
+                        f"{path}: line {lineno}: expected at least two fields"
+                    )
+                s, t = fields[0], fields[1]
+                if s in src_vocab.index and t in tgt_vocab.index:
+                    pairs.append((s, t))
+                else:
+                    skipped += 1
+    except UnicodeDecodeError as exc:
+        raise ValueError(undecodable_line(path, exc)) from None
     if skipped:
         warnings.warn(f"{path}: skipped {skipped} out-of-vocabulary pairs")
     return dictionary_from_pairs(pairs, src_vocab, tgt_vocab)
@@ -184,26 +188,38 @@ def load_test_dictionary(
     tgt_vocab: Vocabulary,
     synthetic: Optional[BilingualDictionary] = None,
 ) -> tuple[TestDictionary, CoverageStats]:
-    """Read `src<whitespace>tgt` lines, merging duplicate sources."""
+    """Read UTF-8 `src<whitespace>tgt` lines, merging duplicate sources.
+
+    Repeated `src tgt` lines are dropped with one warning giving their
+    count; an undecodable byte is an error naming the line.
+    """
     order: list[str] = []
     golds: dict = {}
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 2:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected `src tgt`, "
-                    f"got {len(fields)} fields"
-                )
-            s, t = fields
-            if s not in golds:
-                golds[s] = []
-                order.append(s)
-            if t not in golds[s]:
-                golds[s].append(t)
+    duplicates = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line.strip():
+                    continue
+                fields = line.split()
+                if len(fields) != 2:
+                    raise ValueError(
+                        f"{path}: line {lineno}: expected `src tgt`, "
+                        f"got {len(fields)} fields"
+                    )
+                s, t = fields
+                if s not in golds:
+                    golds[s] = []
+                    order.append(s)
+                if t in golds[s]:
+                    duplicates += 1
+                else:
+                    golds[s].append(t)
+    except UnicodeDecodeError as exc:
+        raise ValueError(undecodable_line(path, exc)) from None
+    if duplicates:
+        warnings.warn(f"{path}: dropped {duplicates} duplicate `src tgt` line(s)")
     test = TestDictionary(entries=[(s, tuple(golds[s])) for s in order])
     stats = coverage_stats(test, src_vocab, tgt_vocab, synthetic)
     return test, stats

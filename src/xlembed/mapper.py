@@ -12,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 
+from .corpus import undecodable_line
 from .embeddings import EmbeddingSpace
 from .lexicon import BilingualDictionary
 from .scoring import (
@@ -111,6 +112,20 @@ def solve_procrustes(
     )
 
 
+def _merge_column_max(
+    scores: np.ndarray, start: int, best: np.ndarray, bwd: np.ndarray
+) -> None:
+    """Fold one block of rows (row i is source start + i) into the running
+    per-column max `best` and its source index `bwd`. A strict > keeps the
+    earlier block on ties, and the first True of `scores == max` the lowest
+    row within a block, as a column-wise argmax over the full matrix would.
+    Only the improved columns are gathered: no transposed copy of the block."""
+    val = scores.max(axis=0)
+    better = np.flatnonzero(val > best)
+    best[better] = val[better]
+    bwd[better] = np.argmax(scores[:, better] == val[better], axis=0) + start
+
+
 def _induce_pairs(
     src_unit: np.ndarray,
     tgt_unit: np.ndarray,
@@ -121,9 +136,8 @@ def _induce_pairs(
     deduplicated and lexicographically sorted (deterministic).
 
     One blocked pass over the source rows gives each row's argmax and a
-    running per-target max; a strict > keeps the first (lowest) source
-    index on ties, as a column-wise argmax over the full matrix would.
-    CSLS first needs r_S, one more blocked pass with the roles swapped.
+    running per-target max (_merge_column_max). CSLS first needs r_S, one
+    more blocked pass with the roles swapped.
     """
     n_src = src_unit.shape[0]
     n_tgt = tgt_unit.shape[0]
@@ -131,18 +145,13 @@ def _induce_pairs(
     fwd = np.empty(n_src, dtype=np.int64)
     bwd = np.zeros(n_tgt, dtype=np.int64)
     best = np.full(n_tgt, -np.inf)
-    cols = np.arange(n_tgt)
     for rows, scores in score_blocks(src_unit, tgt_unit, r_src):
         fwd[rows] = np.argmax(scores, axis=1)
-        arg = np.argmax(scores, axis=0)
-        val = scores[arg, cols]
-        better = val > best
-        best[better] = val[better]
-        bwd[better] = arg[better] + rows.start
+        _merge_column_max(scores, rows.start, best, bwd)
     pairs = np.concatenate(
         [
             np.stack([np.arange(n_src), fwd], axis=1),
-            np.stack([bwd, cols], axis=1),
+            np.stack([bwd, np.arange(n_tgt)], axis=1),
             seed_pairs,
         ]
     )
@@ -280,31 +289,71 @@ def save_model(model: AlignmentModel, path) -> None:
     when re-weighting is enabled. The re-weighting factor matrices are not
     persisted; saved models reproduce the orthogonal map only."""
     d = model.dim
+    line = " ".join(["%.17g"] * d) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{d} {model.s:.17g}\n")
         for row in model.w:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write(line % tuple(row.tolist()))
         if model.singular_values is not None:
-            fh.write(" ".join(f"{v:.17g}" for v in model.singular_values) + "\n")
+            fh.write(line % tuple(model.singular_values.tolist()))
+
+
+def _parse_floats(path, lineno: int, fields: list) -> list:
+    values = []
+    for v in fields:
+        try:
+            values.append(float(v))
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}: bad float value {v!r}"
+            ) from None
+    return values
 
 
 def load_model(path) -> AlignmentModel:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: line 1: expected header `d s`")
-        d = int(header[0])
-        s = float(header[1])
-        rows = []
-        for lineno in range(2, d + 2):
-            fields = fh.readline().split()
-            if len(fields) != d:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {d} floats"
-                )
-            rows.append([float(v) for v in fields])
-        rest = fh.readline().split()
-        sig = np.array([float(v) for v in rest]) if rest else None
+    """Read a save_model file. A malformed header, a row or singular-value
+    line of the wrong length, a non-float value or a non-blank line after
+    the singular values is an error naming the file and the line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(undecodable_line(path, exc)) from None
+    header = lines[0].split()
+    try:
+        d, s = int(header[0]), float(header[1])
+        ok = len(header) == 2 and d >= 1
+    except (IndexError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(
+            f"{path}: line 1: expected header `d s` with an integer d >= 1 "
+            f"and a float s"
+        )
+    rows = []
+    for lineno in range(2, d + 2):
+        fields = lines[lineno - 1].split() if lineno <= len(lines) else []
+        if len(fields) != d:
+            raise ValueError(
+                f"{path}: line {lineno}: expected {d} floats, got {len(fields)}"
+            )
+        rows.append(_parse_floats(path, lineno, fields))
+    sig = None
+    for lineno in range(d + 2, len(lines) + 1):
+        fields = lines[lineno - 1].split()
+        if not fields:
+            continue
+        if lineno != d + 2:
+            raise ValueError(
+                f"{path}: line {lineno}: unexpected content after the "
+                f"{d} rows of W and the singular values"
+            )
+        if len(fields) != d:
+            raise ValueError(
+                f"{path}: line {lineno}: expected {d} singular values, "
+                f"got {len(fields)}"
+            )
+        sig = np.array(_parse_floats(path, lineno, fields))
     return AlignmentModel(
         w=np.array(rows, dtype=np.float64), s=s, singular_values=sig
     )

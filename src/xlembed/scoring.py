@@ -2,10 +2,12 @@
 
 Queries are scored against every target BLOCK_ROWS query rows at a time,
 so scratch memory is O(BLOCK_ROWS x n_targets): no n_queries x n_targets
-matrix is ever allocated. CSLS (Conneau et al. 2018) scores a pair as
-2*cos(x, y) - r_T(x) - r_S(y), where r_T(x) is the mean cosine of x's
-CSLS_K nearest targets and r_S(y) the mean cosine of y's CSLS_K nearest
-sources; both neighbourhood means are row-wise passes over blocks.
+matrix is ever allocated, and each pass reuses its one or two block
+buffers instead of allocating per block. CSLS (Conneau et al. 2018)
+scores a pair as 2*cos(x, y) - r_T(x) - r_S(y), where r_T(x) is the mean
+cosine of x's CSLS_K nearest targets and r_S(y) the mean cosine of y's
+CSLS_K nearest sources; both neighbourhood means are row-wise passes over
+blocks.
 """
 
 from typing import Iterator, Optional
@@ -33,11 +35,15 @@ def unit_rows(matrix: np.ndarray) -> np.ndarray:
 
 
 def topk_mean(scores: np.ndarray, k: int) -> np.ndarray:
-    """Mean of the k largest entries of each row."""
+    """Mean of the k largest entries of each row.
+
+    The caller hands over a scratch block: its rows are partitioned in
+    place, exactly as np.partition would partition a copy of them.
+    """
     n = scores.shape[1]
     k = min(k, n)
-    part = np.partition(scores, n - k, axis=1)
-    return part[:, n - k :].mean(axis=1)
+    scores.partition(n - k, axis=1)
+    return scores[:, n - k :].mean(axis=1)
 
 
 def _blocks(n_rows: int) -> Iterator[slice]:
@@ -50,8 +56,8 @@ def neighbourhood_mean(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
     target rows. With sources as targets this is CSLS's r_S of each
     target row."""
     out = np.empty(queries.shape[0])
-    for rows in _blocks(queries.shape[0]):
-        out[rows] = topk_mean(queries[rows] @ targets.T, CSLS_K)
+    for rows, cos in score_blocks(queries, targets):
+        out[rows] = topk_mean(cos, CSLS_K)
     return out
 
 
@@ -60,14 +66,25 @@ def score_blocks(
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield (rows, scores) for consecutive blocks of unit query rows
     against all unit target rows: cosine, or CSLS when r_src holds the
-    targets' r_S (see neighbourhood_mean)."""
+    targets' r_S (see neighbourhood_mean).
+
+    A yielded block is a view of a buffer that the next block overwrites,
+    so copy whatever is kept beyond the current iteration."""
+    shape = (min(BLOCK_ROWS, queries.shape[0]), targets.shape[0])
+    buf = np.empty(shape)
+    csls = None if r_src is None else np.empty(shape)
     for rows in _blocks(queries.shape[0]):
-        cos = queries[rows] @ targets.T
+        m = rows.stop - rows.start
+        cos = np.matmul(queries[rows], targets.T, out=buf[:m])
         if r_src is None:
             yield rows, cos
         else:
-            r_tgt = topk_mean(cos, CSLS_K)
-            yield rows, 2.0 * cos - r_tgt[:, None] - r_src[None, :]
+            # 2*cos - r_T - r_S in place; 2*cos is taken before topk_mean
+            # reorders cos.
+            scores = np.multiply(cos, 2.0, out=csls[:m])
+            scores -= topk_mean(cos, CSLS_K)[:, None]
+            scores -= r_src[None, :]
+            yield rows, scores
 
 
 def ranked_topk(scores: np.ndarray, k: int) -> np.ndarray:

@@ -12,7 +12,12 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import TokenizerConfig, DEFAULT_TOKENIZER, tokenize
+from .corpus import (
+    DEFAULT_TOKENIZER,
+    TokenizerConfig,
+    iter_corpus_lines,
+    tokenize,
+)
 from .embeddings import EmbeddingSpace
 
 SCHEME_LABELS = {
@@ -59,27 +64,24 @@ def load_sentiment_tsv(
 
     The scheme is inferred from the labels present (3-class iff any
     'neutral') unless given. Lines whose text tokenizes to nothing are
-    dropped with a warning.
+    dropped with a warning. Invalid UTF-8 is read as iter_corpus_lines
+    reads it: one U+FFFD per sequence, and one warning with the count.
     """
     rows = []
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t", 1)
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected `label<TAB>text`"
-                )
-            label, text = parts
-            tokens = tokenize(text, config)
-            if not tokens:
-                warnings.warn(
-                    f"{path}: line {lineno}: text tokenizes to nothing, dropped"
-                )
-                continue
-            rows.append((tokens, label))
+    for lineno, line in enumerate(iter_corpus_lines(path), start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t", 1)
+        if len(parts) != 2:
+            raise ValueError(f"{path}: line {lineno}: expected `label<TAB>text`")
+        label, text = parts
+        tokens = tokenize(text, config)
+        if not tokens:
+            warnings.warn(
+                f"{path}: line {lineno}: text tokenizes to nothing, dropped"
+            )
+            continue
+        rows.append((tokens, label))
     if scheme is None:
         scheme = 3 if any(lbl == "neutral" for _, lbl in rows) else 2
     return SentimentDataset(examples=rows, scheme=scheme)

@@ -146,6 +146,19 @@ def test_load_dictionary_skips_oov_with_warning(tmp_path):
     assert d.pairs() == [("hola", "hola")]
 
 
+@pytest.mark.parametrize("load", [load_dictionary, load_test_dictionary])
+def test_dictionary_readers_reject_undecodable_bytes(tmp_path, load):
+    # with errors="replace" both lines read as source `a\ufffd` and merged
+    path = tmp_path / "d.txt"
+    path.write_bytes(b"b b\na\xff b\na\xfe c\n")
+    va = _vocab([("b", 1)])
+    with pytest.raises(ValueError) as err:
+        load(path, va, va)
+    assert str(err.value) == (
+        f"{path}: line 2: invalid UTF-8 byte 0xff at column 2"
+    )
+
+
 # ----------------------------------------------------- test dictionaries
 
 def test_load_test_dictionary_merges_duplicates(tmp_path):
@@ -157,6 +170,22 @@ def test_load_test_dictionary_merges_duplicates(tmp_path):
     assert test.entries == [("dog", ("perro", "can")), ("cat", ("gato",))]
     assert stats.total_entries == 2
     assert stats.source_coverage == 1.0
+
+
+def test_load_test_dictionary_warns_once_on_duplicate_pairs(tmp_path):
+    path = tmp_path / "gold.txt"
+    path.write_text(
+        "dog perro\ncat gato\ndog perro\ndog can\ndog  perro\ncat gato\n",
+        encoding="utf-8",
+    )
+    va = _vocab([("dog", 5), ("cat", 4)])
+    vb = _vocab([("perro", 4), ("gato", 3), ("can", 2)])
+    with pytest.warns(UserWarning) as record:
+        test, _ = load_test_dictionary(path, va, vb)
+    assert test.entries == [("dog", ("perro", "can")), ("cat", ("gato",))]
+    assert [str(w.message) for w in record] == [
+        f"{path}: dropped 3 duplicate `src tgt` line(s)"
+    ]
 
 
 def test_load_test_dictionary_rejects_bad_arity(tmp_path):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from xlembed import (
     CrossLingualSpace,
@@ -13,7 +16,7 @@ from xlembed import (
     self_learn,
     solve_procrustes,
 )
-from xlembed.mapper import load_model, reweight, save_model
+from xlembed.mapper import AlignmentModel, load_model, reweight, save_model
 from synthetic import held_out_test, rotation_benchmark, unit_gaussian_rows
 
 
@@ -435,3 +438,87 @@ def test_reweighted_model_apply_after_reload_is_rejected(tmp_path):
     assert back.singular_values is not None
     with pytest.raises(ValueError):
         apply_mapping(back, src)
+
+
+def _per_value_model_bytes(model):
+    """save_model as it was before whole-matrix formatting: one f-string
+    per value. The bytes must not change."""
+    out = [f"{model.dim} {model.s:.17g}\n"]
+    for row in model.w:
+        out.append(" ".join(f"{v:.17g}" for v in row) + "\n")
+    if model.singular_values is not None:
+        out.append(" ".join(f"{v:.17g}" for v in model.singular_values) + "\n")
+    return "".join(out).encode("utf-8")
+
+
+_MODEL_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 1e16, 0.1, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda d: st.tuples(
+            hnp.arrays(np.float64, (d, d), elements=_MODEL_FLOATS),
+            st.none() | hnp.arrays(np.float64, d, elements=_MODEL_FLOATS),
+            _MODEL_FLOATS,
+        )
+    )
+)
+def test_save_model_bytes_equal_per_value_writer(tmp_path_factory, case):
+    w, sig, s = case
+    model = AlignmentModel(w=w, s=s, singular_values=sig)
+    path = tmp_path_factory.mktemp("model") / "model.txt"
+    save_model(model, path)
+    assert path.read_bytes() == _per_value_model_bytes(model)
+    back = load_model(path)
+    assert np.array_equal(back.w, w)
+    assert back.s == s
+    if sig is None:
+        assert back.singular_values is None
+    else:
+        assert np.array_equal(back.singular_values, sig)
+
+
+@pytest.mark.parametrize(
+    "text, line, needle",
+    [
+        ("2 0\n1 0\n0 1\n3 2 1\n", 4, "expected 2 singular values, got 3"),
+        ("2 0\n1 0\n0 1\n3 2\nextra junk\n", 5, "unexpected content"),
+        ("2 0\n1 0\n0 1\n\n3 2\n", 5, "unexpected content"),
+        ("2 0\n1 x\n0 1\n", 2, "bad float value 'x'"),
+        ("2 0\n1 0\n0 1\n3 y\n", 4, "bad float value 'y'"),
+        ("2 0\n1 0\n", 3, "expected 2 floats, got 0"),
+        ("2 0\n1 0 0\n0 1\n", 2, "expected 2 floats, got 3"),
+        ("2\n1 0\n0 1\n", 1, "header"),
+        ("two 0\n", 1, "header"),
+        ("2 zero\n", 1, "header"),
+        ("0 0\n", 1, "header"),
+    ],
+)
+def test_load_model_errors_name_file_and_line(tmp_path, text, line, needle):
+    path = tmp_path / "model.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert f"{path}: line {line}: " in str(err.value)
+    assert needle in str(err.value)
+
+
+def test_load_model_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_bytes(b"2 0\n1 \xff\n0 1\n")
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}: line 2: invalid UTF-8 byte 0xff at column 3"
+
+
+def test_load_model_accepts_trailing_blank_lines(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text("2 0.5\n1 0\n0 1\n3 2\n\n\n", encoding="utf-8")
+    model = load_model(path)
+    assert model.w.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert model.s == 0.5
+    assert model.singular_values.tolist() == [3.0, 2.0]

@@ -8,6 +8,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import xlembed.mapper as mapper
 import xlembed.scoring as scoring
@@ -140,6 +143,114 @@ def test_precision_at_k_blocked_matches_dense_oracle(
         assert report.p_at[k] == 100.0 * hits / len(entries)
 
 
+# ------------------------------------------ reused buffers, in place
+
+def _copying_topk_mean(scores, k):
+    """topk_mean as it was before partitioning in place: np.partition of a
+    copy. The in-place kernel must reproduce it bit for bit."""
+    n = scores.shape[1]
+    k = min(k, n)
+    part = np.partition(scores, n - k, axis=1)
+    return part[:, n - k :].mean(axis=1)
+
+
+def _copying_score_blocks(queries, targets, r_src=None):
+    """score_blocks as it was before buffer reuse: fresh arrays per block
+    and the CSLS score as one expression."""
+    for rows in scoring._blocks(queries.shape[0]):
+        cos = queries[rows] @ targets.T
+        if r_src is None:
+            yield rows, cos
+        else:
+            r_tgt = _copying_topk_mean(cos, scoring.CSLS_K)
+            yield rows, 2.0 * cos - r_tgt[:, None] - r_src[None, :]
+
+
+def _copying_neighbourhood_mean(queries, targets):
+    out = np.empty(queries.shape[0])
+    for rows, cos in _copying_score_blocks(queries, targets):
+        out[rows] = _copying_topk_mean(cos, scoring.CSLS_K)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, max_side=15),
+        elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0]),
+    ),
+    st.integers(1, 20),
+)
+def test_topk_mean_in_place_matches_partitioned_copy(scores, k):
+    block = scores.copy()
+    got = scoring.topk_mean(block, k)
+    assert np.array_equal(got, _copying_topk_mean(scores, k))
+    n = scores.shape[1]
+    assert np.array_equal(block, np.partition(scores, n - min(k, n), axis=1))
+
+
+@pytest.mark.parametrize("retrieval", MODES)
+@pytest.mark.parametrize("space_name", SPACES)
+def test_reused_buffers_bit_identical_to_copying_kernel(
+    small_blocks, retrieval, space_name
+):
+    space = SPACES[space_name]()
+    src = scoring.unit_rows(space.src.matrix)
+    tgt = scoring.unit_rows(space.tgt.matrix)
+    assert src.shape[0] % scoring.BLOCK_ROWS  # a ragged last block
+    r_src = None
+    if retrieval == "csls":
+        r_src = scoring.neighbourhood_mean(tgt, src)
+        assert np.array_equal(r_src, _copying_neighbourhood_mean(tgt, src))
+    got = [(rows, block.copy()) for rows, block in scoring.score_blocks(src, tgt, r_src)]
+    want = list(_copying_score_blocks(src, tgt, r_src))
+    assert [rows for rows, _ in got] == [rows for rows, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert np.array_equal(a, b)
+    dense = np.concatenate([b for _, b in want])
+    for k in (1, 5, tgt.shape[0], tgt.shape[0] + 3):
+        idx, val = scoring.topk(src, tgt, k, r_src)
+        want_idx = np.concatenate(
+            [scoring.ranked_topk(b, min(k, tgt.shape[0])) for _, b in want]
+        )
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(val, np.take_along_axis(dense, want_idx, axis=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_merge_column_max_matches_argmax_and_running_merge(data):
+    """Small integers and signed zeros tie often, within a block and
+    across block boundaries."""
+    full = data.draw(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+            elements=st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0]),
+        )
+    )
+    n_rows, n_cols = full.shape
+    cuts = data.draw(st.sets(st.integers(1, max(1, n_rows - 1)))) if n_rows > 1 else set()
+    bounds = [0, *sorted(cuts), n_rows]
+    best, bwd = np.full(n_cols, -np.inf), np.zeros(n_cols, dtype=np.int64)
+    ref_best, ref_bwd = best.copy(), bwd.copy()
+    cols = np.arange(n_cols)
+    for lo, hi in zip(bounds, bounds[1:]):
+        block = full[lo:hi]
+        mapper._merge_column_max(block, lo, best, bwd)
+        # the reference: a column-wise argmax of the block, merged with a
+        # strict > into the running max
+        arg = np.argmax(block, axis=0)
+        val = block[arg, cols]
+        better = val > ref_best
+        ref_best[better] = val[better]
+        ref_bwd[better] = arg[better] + lo
+        assert np.array_equal(bwd, ref_bwd)
+        assert np.array_equal(best, ref_best)
+    assert np.array_equal(bwd, np.argmax(full, axis=0))
+
+
 # ---------------------------------------------------- self-learning
 
 def _dense_induce(src_unit, tgt_unit, retrieval, seed_pairs):
@@ -211,18 +322,38 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-def test_csls_peak_memory_below_one_vocab_square_matrix():
+def _csls_memory_case():
     src, tgt, _ = rotation_benchmark(n=V, d=16, noise=0.1, seed=5)
     space = CrossLingualSpace(src=src, tgt=tgt)
     test = TestDictionary(entries=[(t, (t,)) for t in src.vocab.tokens[:500]])
     full = build_identical_dictionary(src.vocab, tgt.vocab)
     seed = dictionary_from_pairs(full.pairs()[:50], src.vocab, tgt.vocab)
-    square = V * V * 8
-
-    peak = _peak_bytes(
-        lambda: precision_at_k(space, test, ks=(1, 10), retrieval="csls")
-    )
-    assert peak < square, f"CSLS P@k peaked at {peak} bytes"
     cfg = SelfLearnConfig(induce_vocab_cutoff=V, retrieval="csls", max_iters=2)
-    peak = _peak_bytes(lambda: self_learn(src, tgt, seed, cfg))
+    return (
+        lambda: precision_at_k(space, test, ks=(1, 10), retrieval="csls"),
+        lambda: self_learn(src, tgt, seed, cfg),
+    )
+
+
+def test_csls_peak_memory_below_one_vocab_square_matrix():
+    square = V * V * 8
+    run_p_at_k, run_self_learn = _csls_memory_case()
+    peak = _peak_bytes(run_p_at_k)
+    assert peak < square, f"CSLS P@k peaked at {peak} bytes"
+    peak = _peak_bytes(run_self_learn)
     assert peak < square, f"CSLS self_learn peaked at {peak} bytes"
+
+
+def test_csls_peak_memory_below_three_and_a_half_score_blocks():
+    """Two reused block buffers plus per-block top-k scratch: a copy per
+    partition, a transposed copy per argmax or a fresh CSLS block each
+    pushes the peak past 3.5 blocks. Each run is made once untraced first,
+    so one-time lazy imports inside numpy are not counted."""
+    block = scoring.BLOCK_ROWS * V * 8
+    run_p_at_k, run_self_learn = _csls_memory_case()
+    for name, run in (("P@k", run_p_at_k), ("self_learn", run_self_learn)):
+        run()
+        peak = _peak_bytes(run)
+        assert peak < 3.5 * block, (
+            f"CSLS {name} peaked at {peak / block:.2f} score blocks"
+        )

@@ -303,6 +303,21 @@ def test_load_sentiment_tsv_drops_empty_text(tmp_path):
     assert len(ds) == 1
 
 
+def test_load_sentiment_tsv_warns_once_with_replacement_count(tmp_path):
+    p = tmp_path / "s.tsv"
+    p.write_bytes(b"positive\tbien \xff\nnegative\tmal \xfe\xfe\n")
+    with pytest.warns(UserWarning) as record:
+        ds = load_sentiment_tsv(p)
+    # the same lines as errors="replace": one U+FFFD per invalid sequence
+    assert ds.examples == [
+        (["bien", "\ufffd"], "positive"),
+        (["mal", "\ufffd", "\ufffd"], "negative"),
+    ]
+    assert [str(w.message) for w in record] == [
+        f"{p}: 3 invalid UTF-8 byte sequence(s) replaced by U+FFFD"
+    ]
+
+
 def test_load_sentiment_tsv_rejects_missing_tab(tmp_path):
     p = tmp_path / "s.tsv"
     p.write_text("positive bien\n", encoding="utf-8")
