@@ -4,18 +4,24 @@ dictionary carries the alignment signal."""
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .corpus import TokenClass
 from .embeddings import EmbeddingSpace
 from .lexicon import BilingualDictionary, TestDictionary, filter_by_class
-from .mapper import SelfLearnConfig, apply_mapping, self_learn, solve_procrustes
-from .refine import CrossLingualSpace, average_weighted
-from .sentiment import SentimentDataset, eval_probe, train_probe
-from .translate import precision_at_k
+from .mapper import SelfLearnConfig
+from .pipeline import (
+    align,
+    evaluate_sentiment,
+    evaluate_translation,
+    refine_space,
+)
+from .scoring import COSINE
+from .sentiment import SentimentDataset
+from .translate import DEFAULT_KS
 
 BASE = "base"
 WEIGHTED = "weighted"
+# Model columns of the grid and the refine mode each one runs.
+MODELS = ((BASE, "none"), (WEIGHTED, "weighted"))
 
 VARIANTS = (
     ("All", None),
@@ -44,6 +50,7 @@ class AblationTable:
     rows: list
     ks: tuple
     has_sentiment: bool
+    models = tuple(name for name, _ in MODELS)   # report column order
 
 
 def _run_cell(
@@ -51,7 +58,7 @@ def _run_cell(
     tgt: EmbeddingSpace,
     dictionary: BilingualDictionary,
     test: TestDictionary,
-    refine_weighted: bool,
+    refine_mode: str,
     ks: tuple,
     retrieval: str,
     oov_as_wrong: bool,
@@ -60,24 +67,17 @@ def _run_cell(
     self_learn_config: Optional[SelfLearnConfig],
 ) -> AblationCell:
     try:
-        if self_learn_config is not None:
-            model = self_learn(src, tgt, dictionary, self_learn_config)
-        else:
-            model = solve_procrustes(src, tgt, dictionary)
-        space = CrossLingualSpace(
-            src=apply_mapping(model, src, side="src"),
-            tgt=apply_mapping(model, tgt, side="tgt"),
-        )
-        if refine_weighted:
-            space = average_weighted(space, dictionary)
+        _, space = align(src, tgt, dictionary, self_learn_config)
+        space = refine_space(space, dictionary, refine_mode)
         cell = AblationCell(
-            translation=precision_at_k(
-                space, test, ks=ks, retrieval=retrieval, oov_as_wrong=oov_as_wrong
+            translation=evaluate_translation(
+                space, test, ks, retrieval, oov_as_wrong=oov_as_wrong
             )
         )
         if sentiment_train is not None and sentiment_test is not None:
-            probe = train_probe(sentiment_train, space.src)
-            cell.sentiment = eval_probe(probe, sentiment_test, space.tgt)
+            _, cell.sentiment = evaluate_sentiment(
+                space, sentiment_train, sentiment_test
+            )
         return cell
     except Exception as exc:  # per-cell failures become markers, not aborts
         return AblationCell(error=f"{type(exc).__name__}: {exc}")
@@ -88,8 +88,8 @@ def run_ablation(
     tgt: EmbeddingSpace,
     dictionary: BilingualDictionary,
     test: TestDictionary,
-    ks: tuple = (1, 5, 10),
-    retrieval: str = "cosine",
+    ks: tuple = DEFAULT_KS,
+    retrieval: str = COSINE,
     oov_as_wrong: bool = False,
     sentiment_train: Optional[SentimentDataset] = None,
     sentiment_test: Optional[SentimentDataset] = None,
@@ -105,9 +105,9 @@ def run_ablation(
     for name, keep in VARIANTS:
         variant = dictionary if keep is None else filter_by_class(dictionary, keep)
         row = AblationRow(name=name, n_pairs=len(variant))
-        for model_name, weighted in ((BASE, False), (WEIGHTED, True)):
+        for model_name, refine_mode in MODELS:
             row.cells[model_name] = _run_cell(
-                src, tgt, variant, test, weighted, ks, retrieval,
+                src, tgt, variant, test, refine_mode, ks, retrieval,
                 oov_as_wrong, sentiment_train, sentiment_test,
                 self_learn_config,
             )

@@ -18,40 +18,27 @@ from .ablation import run_ablation
 from .corpus import (
     TokenizerConfig,
     iter_corpus_lines,
-    parse_classes,
     read_vocab_tsv,
     scan_corpus,
     write_vocab_tsv,
 )
-from .embeddings import (
-    DEFAULT_NORMALIZE,
-    load_embeddings,
-    normalize,
-    save_embeddings,
+from .embeddings import DEFAULT_NORMALIZE, load_embeddings, save_embeddings
+from .lexicon import load_test_dictionary, save_dictionary
+from .mapper import SelfLearnConfig, save_model
+from .pipeline import (
+    REFINE_MODES,
+    PipelineConfig,
+    PipelineError,
+    align,
+    build_dictionary,
+    evaluate_sentiment,
+    evaluate_translation,
+    load_sentiment_pair,
+    normalize_pair,
+    refine_space,
+    run_pipeline,
 )
-from .lexicon import (
-    build_identical_dictionary,
-    exclude_identical_entries,
-    filter_by_class,
-    load_dictionary,
-    load_test_dictionary,
-)
-from .mapper import (
-    SelfLearnConfig,
-    apply_mapping,
-    load_model,
-    reweight,
-    save_model,
-    self_learn,
-    solve_procrustes,
-)
-from .pipeline import PipelineConfig, PipelineError, run_pipeline
-from .refine import (
-    CrossLingualSpace,
-    average_plain,
-    average_weighted,
-    meemi_transform,
-)
+from .refine import CrossLingualSpace
 from .reports import (
     ablation_markdown,
     ablation_tsv,
@@ -59,17 +46,42 @@ from .reports import (
     translation_tsv,
 )
 from .scoring import COSINE, RETRIEVAL_MODES
-from .sentiment import eval_majority, eval_probe, load_sentiment_tsv, train_probe
-from .translate import precision_at_k
+from .sentiment import eval_majority
+from .translate import DEFAULT_KS
+
 
 def _tok_config(args) -> TokenizerConfig:
     return TokenizerConfig(lowercase=not args.no_lowercase)
 
 
-def _load_pair(args):
+def _load_pair(args, normalized=False):
     src = load_embeddings(args.src_emb, vocab_tsv=args.src_vocab)
     tgt = load_embeddings(args.tgt_emb, vocab_tsv=args.tgt_vocab)
+    if normalized and args.normalize:
+        return normalize_pair(src, tgt, args.normalize.split(","))
     return src, tgt
+
+
+def _space(args) -> CrossLingualSpace:
+    return CrossLingualSpace(*_load_pair(args))
+
+
+def _self_learn_config(args):
+    if not args.self_learn:
+        return None
+    return SelfLearnConfig(
+        induce_vocab_cutoff=args.cutoff,
+        retrieval=args.retrieval,
+        max_iters=args.max_iters,
+        tol=args.tol,
+    )
+
+
+def _write(text: str, out) -> None:
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def _add_pair_args(p) -> None:
@@ -105,47 +117,28 @@ def cmd_vocab(args) -> int:
 
 
 def cmd_dict(args) -> int:
-    src = read_vocab_tsv(args.src_vocab)
-    tgt = read_vocab_tsv(args.tgt_vocab)
-    dictionary = build_identical_dictionary(src, tgt)
-    if args.classes:
-        dictionary = filter_by_class(
-            dictionary, parse_classes(args.classes.split(","))
-        )
-    from .lexicon import save_dictionary
-
+    dictionary = build_dictionary(
+        read_vocab_tsv(args.src_vocab),
+        read_vocab_tsv(args.tgt_vocab),
+        "identical",
+        classes=args.classes.split(",") if args.classes else None,
+    )
     save_dictionary(dictionary, args.out)
     print(f"{len(dictionary)} pairs -> {args.out}")
     return 0
 
 
 def cmd_align(args) -> int:
-    src, tgt = _load_pair(args)
-    steps = tuple(args.normalize.split(",")) if args.normalize else ()
-    if steps:
-        src = normalize(src, steps)
-        tgt = normalize(tgt, steps)
-    dictionary = load_dictionary(args.dict, src.vocab, tgt.vocab)
-    if args.self_learn:
-        cfg = SelfLearnConfig(
-            induce_vocab_cutoff=args.cutoff,
-            retrieval=args.retrieval,
-            max_iters=args.max_iters,
-            tol=args.tol,
-        )
-        model = self_learn(src, tgt, dictionary, cfg)
-    else:
-        model = solve_procrustes(src, tgt, dictionary)
-    if args.reweight_s is not None:
-        src_out, tgt_out = reweight(model, src, tgt, dictionary, args.reweight_s)
-    else:
-        src_out = apply_mapping(model, src, side="src")
-        tgt_out = apply_mapping(model, tgt, side="tgt")
+    src, tgt = _load_pair(args, normalized=True)
+    dictionary = build_dictionary(src.vocab, tgt.vocab, "file", file=args.dict)
+    model, space = align(
+        src, tgt, dictionary, _self_learn_config(args), args.reweight_s
+    )
     save_model(model, args.out_model)
     if args.out_src:
-        save_embeddings(src_out, args.out_src)
+        save_embeddings(space.src, args.out_src)
     if args.out_tgt:
-        save_embeddings(tgt_out, args.out_tgt)
+        save_embeddings(space.tgt, args.out_tgt)
     cos = model.dict_cosines[-1] if model.dict_cosines else float("nan")
     print(
         f"aligned in {model.iterations} iteration(s), "
@@ -155,15 +148,11 @@ def cmd_align(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    src, tgt = _load_pair(args)
-    dictionary = load_dictionary(args.dict, src.vocab, tgt.vocab)
-    space = CrossLingualSpace(src=src, tgt=tgt)
-    if args.mode == "plain":
-        space = average_plain(space, dictionary)
-    elif args.mode == "weighted":
-        space = average_weighted(space, dictionary, relative=args.relative)
-    elif args.mode == "meemi":
-        space = meemi_transform(space, dictionary)
+    space = _space(args)
+    dictionary = build_dictionary(
+        space.src.vocab, space.tgt.vocab, "file", file=args.dict
+    )
+    space = refine_space(space, dictionary, args.mode, relative=args.relative)
     save_embeddings(space.src, args.out_src)
     save_embeddings(space.tgt, args.out_tgt)
     print(f"refine mode {args.mode}: {len(dictionary)} pairs applied")
@@ -171,23 +160,16 @@ def cmd_refine(args) -> int:
 
 
 def cmd_eval_translate(args) -> int:
-    src, tgt = _load_pair(args)
-    space = CrossLingualSpace(src=src, tgt=tgt)
-    test, coverage = load_test_dictionary(args.test, src.vocab, tgt.vocab)
-    if args.exclude_identical_test_pairs:
-        test = exclude_identical_entries(test)
-    report = precision_at_k(
-        space,
-        test,
-        ks=tuple(int(k) for k in args.ks.split(",")),
-        retrieval=args.retrieval,
+    space = _space(args)
+    test, coverage = load_test_dictionary(
+        args.test, space.src.vocab, space.tgt.vocab
+    )
+    report = evaluate_translation(
+        space, test, [int(k) for k in args.ks.split(",")], args.retrieval,
+        exclude_identical=args.exclude_identical_test_pairs,
         oov_as_wrong=args.oov_as_wrong,
     )
-    text = translation_tsv(report)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(translation_tsv(report), args.out)
     sys.stderr.write(
         f"identical-pair rate {100 * coverage.identical_rate:.1f}%\n"
     )
@@ -195,63 +177,40 @@ def cmd_eval_translate(args) -> int:
 
 
 def cmd_eval_sentiment(args) -> int:
-    src, tgt = _load_pair(args)
-    cfg = _tok_config(args)
-    train_set = load_sentiment_tsv(args.train, cfg)
-    test_set = load_sentiment_tsv(args.test, cfg, train_set.scheme)
+    space = _space(args)
+    train_set, test_set = load_sentiment_pair(
+        args.train, args.test, _tok_config(args)
+    )
     if args.majority_baseline:
         report = eval_majority(train_set, test_set)
     else:
-        probe = train_probe(train_set, src)
-        report = eval_probe(probe, test_set, tgt)
-    text = sentiment_tsv(report)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+        _, report = evaluate_sentiment(space, train_set, test_set)
+    _write(sentiment_tsv(report), args.out)
     return 0
 
 
 def cmd_ablation(args) -> int:
-    src, tgt = _load_pair(args)
-    steps = tuple(args.normalize.split(",")) if args.normalize else ()
-    if steps:
-        src = normalize(src, steps)
-        tgt = normalize(tgt, steps)
-    dictionary = build_identical_dictionary(src.vocab, tgt.vocab)
+    if bool(args.sentiment_train) != bool(args.sentiment_test):
+        raise ValueError(
+            "--sentiment-train and --sentiment-test must be given together"
+        )
+    src, tgt = _load_pair(args, normalized=True)
+    dictionary = build_dictionary(src.vocab, tgt.vocab, "identical")
     test, _ = load_test_dictionary(args.test, src.vocab, tgt.vocab)
-    cfg = _tok_config(args)
-    sentiment_train = (
-        load_sentiment_tsv(args.sentiment_train, cfg)
-        if args.sentiment_train
-        else None
-    )
-    sentiment_test = (
-        load_sentiment_tsv(args.sentiment_test, cfg, getattr(sentiment_train, "scheme", None))
-        if args.sentiment_test
-        else None
-    )
+    sentiment_train = sentiment_test = None
+    if args.sentiment_train:
+        sentiment_train, sentiment_test = load_sentiment_pair(
+            args.sentiment_train, args.sentiment_test, _tok_config(args)
+        )
     table = run_ablation(
-        src,
-        tgt,
-        dictionary,
-        test,
+        src, tgt, dictionary, test,
         ks=tuple(int(k) for k in args.ks.split(",")),
         retrieval=args.retrieval,
         sentiment_train=sentiment_train,
         sentiment_test=sentiment_test,
-        self_learn_config=(
-            SelfLearnConfig(
-                induce_vocab_cutoff=args.cutoff, retrieval=args.retrieval
-            )
-            if args.self_learn
-            else None
-        ),
+        self_learn_config=_self_learn_config(args),
     )
-    if args.markdown:
-        sys.stdout.write(ablation_markdown(table))
-    else:
-        sys.stdout.write(ablation_tsv(table))
+    sys.stdout.write(ablation_markdown(table) if args.markdown else ablation_tsv(table))
     return 0
 
 
@@ -305,9 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-tgt", default=None)
     p.add_argument("--normalize", default=",".join(DEFAULT_NORMALIZE))
     p.add_argument("--self-learn", action="store_true")
-    p.add_argument("--cutoff", type=int, default=20000)
-    p.add_argument("--max-iters", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument(
+        "--cutoff", type=int, default=SelfLearnConfig.induce_vocab_cutoff
+    )
+    p.add_argument("--max-iters", type=int, default=SelfLearnConfig.max_iters)
+    p.add_argument("--tol", type=float, default=SelfLearnConfig.tol)
     p.add_argument("--retrieval", choices=RETRIEVAL_MODES, default=COSINE)
     p.add_argument("--reweight-s", type=float, default=None)
     p.set_defaults(func=cmd_align)
@@ -315,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refine", help="averaging / regression refinement")
     _add_pair_args(p)
     p.add_argument("--dict", required=True)
-    p.add_argument("--mode", choices=["plain", "weighted", "meemi"],
-                   required=True)
+    p.add_argument("--mode", choices=REFINE_MODES[1:], required=True)
     p.add_argument("--relative", action="store_true",
                    help="weight by relative corpus frequencies")
     p.add_argument("--out-src", required=True)
@@ -326,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-translate", help="word translation P@k")
     _add_pair_args(p)
     p.add_argument("--test", required=True)
-    p.add_argument("--ks", default="1,5,10")
+    p.add_argument("--ks", default=",".join(map(str, DEFAULT_KS)))
     p.add_argument("--retrieval", choices=RETRIEVAL_MODES, default=COSINE)
     p.add_argument("--oov-as-wrong", action="store_true")
     p.add_argument("--exclude-identical-test-pairs", action="store_true")
@@ -345,16 +305,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablation", help="token-class ablation grid")
     _add_pair_args(p)
     p.add_argument("--test", required=True)
-    p.add_argument("--ks", default="1,5,10")
+    p.add_argument("--ks", default=",".join(map(str, DEFAULT_KS)))
     p.add_argument("--retrieval", choices=RETRIEVAL_MODES, default=COSINE)
     p.add_argument("--normalize", default=",".join(DEFAULT_NORMALIZE))
     p.add_argument("--self-learn", action="store_true")
-    p.add_argument("--cutoff", type=int, default=20000)
+    p.add_argument(
+        "--cutoff", type=int, default=SelfLearnConfig.induce_vocab_cutoff
+    )
     p.add_argument("--sentiment-train", default=None)
     p.add_argument("--sentiment-test", default=None)
     p.add_argument("--no-lowercase", action="store_true")
     p.add_argument("--markdown", action="store_true")
-    p.set_defaults(func=cmd_ablation)
+    # self-learning runs with the library's max_iters and tol
+    p.set_defaults(
+        func=cmd_ablation, max_iters=SelfLearnConfig.max_iters, tol=SelfLearnConfig.tol
+    )
 
     p = sub.add_parser("pipeline", help="run a declarative config end to end")
     p.add_argument("--config", required=True)
@@ -371,17 +336,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PipelineError as exc:
-        error = {
-            "error": str(exc.cause),
-            "stage": exc.stage,
-            "type": type(exc.cause).__name__,
-            "partial_artifacts": exc.artifacts,
-        }
-        sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
-        return 1
     except Exception as exc:
-        error = {"error": str(exc), "type": type(exc).__name__}
+        cause = exc.cause if isinstance(exc, PipelineError) else exc
+        error = {"error": str(cause), "type": type(cause).__name__}
+        if isinstance(exc, PipelineError):
+            error.update(stage=exc.stage, partial_artifacts=exc.artifacts)
         sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
         return 1
 

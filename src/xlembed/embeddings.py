@@ -15,6 +15,7 @@ from .corpus import Vocabulary, classify_token, read_vocab_tsv, undecodable_line
 
 UNIT_ROWS = "unit"
 CENTER_COLUMNS = "center"
+NORMALIZE_STEPS = (UNIT_ROWS, CENTER_COLUMNS)
 DEFAULT_NORMALIZE = (UNIT_ROWS, CENTER_COLUMNS, UNIT_ROWS)
 # Rows per parse or format block of the word2vec-text reader and writer.
 BLOCK_ROWS = 512

@@ -48,13 +48,7 @@ def dictionary_from_pairs(
     Duplicate pairs are dropped; ordering is by descending min pair
     frequency with token tie-breaking, so construction is deterministic.
     """
-    uniq = []
-    seen = set()
-    for s, t in token_pairs:
-        if (s, t) in seen:
-            continue
-        seen.add((s, t))
-        uniq.append((s, t))
+    uniq = list(dict.fromkeys((s, t) for s, t in token_pairs))
     uniq.sort(
         key=lambda p: (
             -min(
@@ -130,36 +124,50 @@ def save_dictionary(dictionary: BilingualDictionary, path) -> None:
             )
 
 
-def load_dictionary(
-    path, src_vocab: Vocabulary, tgt_vocab: Vocabulary
-) -> BilingualDictionary:
-    """Read a UTF-8 dictionary file (first two whitespace-separated fields
-    per line are the token pair; extra fields are ignored). Pairs with
-    out-of-vocabulary tokens are skipped with a warning; an undecodable
-    byte is an error naming the line."""
-    pairs = []
-    skipped = 0
+def _read_pairs(path, exact: bool) -> list[tuple[str, str]]:
+    """The distinct `src tgt` pairs of a UTF-8 file of whitespace-separated
+    fields, in file order. A non-blank line has exactly two fields, or with
+    `exact` false at least two (the rest are ignored). Repeated pairs are
+    dropped with one warning giving their count; an undecodable byte is an
+    error naming the line."""
+    pairs: dict = {}
+    duplicates = 0
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
                 fields = line.split()
-                if len(fields) < 2:
+                if not fields:
+                    continue
+                if len(fields) < 2 or (exact and len(fields) != 2):
                     raise ValueError(
-                        f"{path}: line {lineno}: expected at least two fields"
+                        f"{path}: line {lineno}: expected "
+                        f"{'' if exact else 'at least '}two fields `src tgt`, "
+                        f"got {len(fields)}"
                     )
-                s, t = fields[0], fields[1]
-                if s in src_vocab.index and t in tgt_vocab.index:
-                    pairs.append((s, t))
-                else:
-                    skipped += 1
+                pair = (fields[0], fields[1])
+                if pair in pairs:
+                    duplicates += 1
+                pairs[pair] = None
     except UnicodeDecodeError as exc:
         raise ValueError(undecodable_line(path, exc)) from None
-    if skipped:
-        warnings.warn(f"{path}: skipped {skipped} out-of-vocabulary pairs")
-    return dictionary_from_pairs(pairs, src_vocab, tgt_vocab)
+    if duplicates:
+        warnings.warn(f"{path}: dropped {duplicates} duplicate `src tgt` line(s)")
+    return list(pairs)
+
+
+def load_dictionary(
+    path, src_vocab: Vocabulary, tgt_vocab: Vocabulary
+) -> BilingualDictionary:
+    """Read the pairs of a dictionary file (_read_pairs; fields after the
+    first two are ignored). Pairs with out-of-vocabulary tokens are skipped
+    with a warning."""
+    pairs = _read_pairs(path, exact=False)
+    kept = [(s, t) for s, t in pairs if s in src_vocab.index and t in tgt_vocab.index]
+    if len(kept) < len(pairs):
+        warnings.warn(
+            f"{path}: skipped {len(pairs) - len(kept)} out-of-vocabulary pairs"
+        )
+    return dictionary_from_pairs(kept, src_vocab, tgt_vocab)
 
 
 @dataclass
@@ -188,39 +196,12 @@ def load_test_dictionary(
     tgt_vocab: Vocabulary,
     synthetic: Optional[BilingualDictionary] = None,
 ) -> tuple[TestDictionary, CoverageStats]:
-    """Read UTF-8 `src<whitespace>tgt` lines, merging duplicate sources.
-
-    Repeated `src tgt` lines are dropped with one warning giving their
-    count; an undecodable byte is an error naming the line.
-    """
-    order: list[str] = []
+    """Read the pairs of a gold file (_read_pairs, exactly two fields a
+    line), merging the targets of each source into one entry."""
     golds: dict = {}
-    duplicates = 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                fields = line.split()
-                if len(fields) != 2:
-                    raise ValueError(
-                        f"{path}: line {lineno}: expected `src tgt`, "
-                        f"got {len(fields)} fields"
-                    )
-                s, t = fields
-                if s not in golds:
-                    golds[s] = []
-                    order.append(s)
-                if t in golds[s]:
-                    duplicates += 1
-                else:
-                    golds[s].append(t)
-    except UnicodeDecodeError as exc:
-        raise ValueError(undecodable_line(path, exc)) from None
-    if duplicates:
-        warnings.warn(f"{path}: dropped {duplicates} duplicate `src tgt` line(s)")
-    test = TestDictionary(entries=[(s, tuple(golds[s])) for s in order])
+    for s, t in _read_pairs(path, exact=True):
+        golds.setdefault(s, []).append(t)
+    test = TestDictionary(entries=[(s, tuple(ts)) for s, ts in golds.items()])
     stats = coverage_stats(test, src_vocab, tgt_vocab, synthetic)
     return test, stats
 

@@ -99,8 +99,8 @@ def solve_procrustes(
 ) -> AlignmentModel:
     """Closed-form orthogonal alignment on the dictionary pairs.
 
-    Duplicate pairs contribute once per occurrence, i.e. multiplicity acts
-    as a weight.
+    Every pair counts once: dictionary_from_pairs, which every dictionary
+    builder and loader goes through, keeps one copy of each pair.
     """
     _check_pair(src, tgt, dictionary)
     x = src.matrix[dictionary.src_indices]

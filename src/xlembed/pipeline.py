@@ -10,7 +10,7 @@ write-once: the runner refuses a non-empty directory.
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -18,6 +18,7 @@ from . import __version__
 from .corpus import TokenizerConfig, parse_classes
 from .embeddings import (
     DEFAULT_NORMALIZE,
+    NORMALIZE_STEPS,
     load_embeddings,
     normalize,
     save_embeddings,
@@ -53,8 +54,8 @@ from .reports import (
     translation_tsv,
 )
 from .scoring import COSINE, RETRIEVAL_MODES
-from .sentiment import eval_probe, load_sentiment_tsv, train_probe
-from .translate import precision_at_k
+from .sentiment import SCHEME_LABELS, eval_probe, load_sentiment_tsv, train_probe
+from .translate import DEFAULT_KS, precision_at_k
 
 DICT_MODES = ("identical", "external-seed", "file")
 MAPPER_METHODS = ("procrustes", "self-learn")
@@ -67,6 +68,117 @@ class PipelineError(Exception):
         self.stage = stage
         self.cause = cause
         self.artifacts = list(artifacts)
+
+
+# -- the config schema -----------------------------------------------------
+
+def _check(ok, expected: str):
+    """A check of a well-typed value: ValueError unless ok(value)."""
+    def check(value):
+        if not ok(value):
+            raise ValueError(f"must be {expected}, got {value!r}")
+    return check
+
+
+def _one_of(options):
+    return _check(lambda v: v in options, f"one of {options}")
+
+
+_POSITIVE = _check(lambda v: v >= 1, ">= 1")
+
+# JSON types: a bool is neither an integer nor a number, and a path is a
+# string naming an existing file, relative to the config's directory.
+_TYPES = {
+    "integer": lambda v: type(v) is int,
+    "number": lambda v: type(v) is int or type(v) is float and math.isfinite(v),
+    "boolean": lambda v: type(v) is bool,
+    "string": lambda v: type(v) is str,
+    "path": lambda v: type(v) is str,
+    "list of strings": lambda v: type(v) is list and all(type(x) is str for x in v),
+    "list of integers": lambda v: type(v) is list and all(type(x) is int for x in v),
+}
+
+REQUIRED = object()  # default of a key that must be given
+
+# Every key a config may set: dotted key -> (type, default, check). A key
+# whose default is None may also be null. A REQUIRED key must be given
+# whenever its section is, and the src and tgt sections always are.
+SCHEMA = {
+    "seed": ("integer", 0, _check(lambda v: v >= 0, ">= 0")),
+    "src.embeddings": ("path", REQUIRED, None),
+    "src.vocab": ("path", None, None),
+    "tgt.embeddings": ("path", REQUIRED, None),
+    "tgt.vocab": ("path", None, None),
+    "normalize": (
+        "list of strings",
+        DEFAULT_NORMALIZE,
+        _check(lambda v: set(v) <= set(NORMALIZE_STEPS), f"from {NORMALIZE_STEPS}"),
+    ),
+    "tokenizer.lowercase": ("boolean", True, None),
+    "dictionary.mode": ("string", "identical", _one_of(DICT_MODES)),
+    "dictionary.file": ("path", None, None),
+    "dictionary.k": ("integer", 100, _POSITIVE),
+    "dictionary.classes": ("list of strings", None, parse_classes),
+    "mapper.method": ("string", "procrustes", _one_of(MAPPER_METHODS)),
+    "mapper.retrieval": (
+        "string", SelfLearnConfig.retrieval, _one_of(RETRIEVAL_MODES)
+    ),
+    "mapper.max_iters": ("integer", SelfLearnConfig.max_iters, _POSITIVE),
+    "mapper.induce_vocab_cutoff": (
+        "integer", SelfLearnConfig.induce_vocab_cutoff, _POSITIVE
+    ),
+    "mapper.tol": ("number", SelfLearnConfig.tol, None),
+    "mapper.reweight_s": ("number", None, _check(lambda v: 0 <= v <= 1, "in [0, 1]")),
+    "refine.mode": ("string", "none", _one_of(REFINE_MODES)),
+    "refine.relative_frequencies": ("boolean", False, None),
+    "save_aligned_embeddings": ("boolean", True, None),
+    "eval.translation.test_dictionary": ("path", REQUIRED, None),
+    "eval.translation.ks": (
+        "list of integers",
+        DEFAULT_KS,
+        _check(lambda v: v and min(v) >= 1, "a non-empty list of k >= 1"),
+    ),
+    "eval.translation.retrieval": ("string", COSINE, _one_of(RETRIEVAL_MODES)),
+    "eval.translation.exclude_identical": ("boolean", False, None),
+    "eval.translation.oov_as_wrong": ("boolean", False, None),
+    "eval.sentiment.train": ("path", REQUIRED, None),
+    "eval.sentiment.test": ("path", REQUIRED, None),
+    "eval.sentiment.scheme": ("integer", None, _one_of(tuple(SCHEME_LABELS))),
+}
+# Every proper prefix of a key is a section, a JSON object. Each evaluation
+# section present adds a stage.
+SECTIONS = {key[:i] for key in SCHEMA for i, c in enumerate(key) if c == "."}
+_MISSING = object()
+
+
+def _lookup(raw: dict, dotted: str):
+    value = raw
+    for part in dotted.split("."):
+        if not isinstance(value, dict) or part not in value:
+            return _MISSING
+        value = value[part]
+    return value
+
+
+def _unknown_keys(block: dict, prefix: str = "") -> list:
+    """Problems with keys and sections that SCHEMA does not name."""
+    problems = []
+    for name, value in block.items():
+        dotted = prefix + name
+        if dotted in SECTIONS and isinstance(value, dict):
+            problems += _unknown_keys(value, dotted + ".")
+        elif dotted in SECTIONS:
+            problems.append(f"{dotted}: expected an object, got {value!r}")
+        elif dotted not in SCHEMA:
+            import difflib  # only on the error path: keeps it off startup
+
+            siblings = sorted(
+                {k[len(prefix):].split(".")[0] for k in SCHEMA if k.startswith(prefix)}
+            )
+            close = difflib.get_close_matches(name, siblings, n=1)
+            hint = f" (did you mean {close[0]!r}?)" if close else ""
+            problems.append(f"unknown key {dotted}{hint}")
+    return problems
 
 
 @dataclass
@@ -83,154 +195,131 @@ class PipelineConfig:
         cfg.validate()
         return cfg
 
-    def _path(self, value: str) -> Path:
+    def get(self, key: str):
+        """The value of a SCHEMA key, or its default."""
+        value = _lookup(self.raw, key)
+        return SCHEMA[key][1] if value is _MISSING else value
+
+    def has(self, section: str) -> bool:
+        return _lookup(self.raw, section) is not _MISSING
+
+    def path(self, key: str) -> Optional[Path]:
+        """A path key resolved against the config's directory."""
+        value = self.get(key)
+        if value is None:
+            return None
         p = Path(value)
         return p if p.is_absolute() else self.base_dir / p
-
-    # -- typed accessors with defaults --------------------------------
-    @property
-    def seed(self) -> int:
-        return int(self.raw.get("seed", 0))
-
-    @property
-    def normalize_steps(self) -> tuple:
-        return tuple(self.raw.get("normalize", list(DEFAULT_NORMALIZE)))
-
-    @property
-    def tokenizer(self) -> TokenizerConfig:
-        t = self.raw.get("tokenizer", {})
-        return TokenizerConfig(lowercase=bool(t.get("lowercase", True)))
-
-    @property
-    def dictionary(self) -> dict:
-        return self.raw.get("dictionary", {"mode": "identical"})
-
-    @property
-    def mapper(self) -> dict:
-        return self.raw.get("mapper", {})
-
-    @property
-    def refine(self) -> dict:
-        return self.raw.get("refine", {"mode": "none"})
-
-    @property
-    def eval(self) -> dict:
-        return self.raw.get("eval", {})
-
-    @property
-    def save_aligned(self) -> bool:
-        return bool(self.raw.get("save_aligned_embeddings", True))
 
     def config_hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
     def validate(self) -> None:
-        problems = []
-
-        def require_positive_int(name: str, value) -> None:
-            try:
-                ok = int(value) >= 1
-            except (TypeError, ValueError):
-                ok = False
-            if not ok:
-                problems.append(f"{name} must be an integer >= 1, got {value!r}")
-
-        def require_number(name: str, value, low=-math.inf, high=math.inf) -> None:
-            try:
-                number = float(value)
-            except (TypeError, ValueError):
-                number = math.nan
-            if isinstance(value, bool) or not (
-                math.isfinite(number) and low <= number <= high
-            ):
-                span = "" if math.isinf(low) else f" in [{low:g}, {high:g}]"
-                problems.append(f"{name} must be a finite number{span}, got {value!r}")
-
-        def require_retrieval(name: str, value) -> None:
-            if value not in RETRIEVAL_MODES:
-                problems.append(
-                    f"{name} must be one of {RETRIEVAL_MODES}, got {value!r}"
-                )
-
-        for side in ("src", "tgt"):
-            block = self.raw.get(side)
-            if not isinstance(block, dict) or "embeddings" not in block:
-                problems.append(f"missing required section {side}.embeddings")
-                continue
-            if not self._path(block["embeddings"]).exists():
-                problems.append(
-                    f"{side}.embeddings: no such file {block['embeddings']!r}"
-                )
-            vocab = block.get("vocab")
-            if vocab and not self._path(vocab).exists():
-                problems.append(f"{side}.vocab: no such file {vocab!r}")
-        d = self.dictionary
-        mode = d.get("mode")
-        if mode not in DICT_MODES:
-            problems.append(f"dictionary.mode must be one of {DICT_MODES}")
-        if mode in ("external-seed", "file"):
-            if "file" not in d:
-                problems.append(f"dictionary mode {mode!r} requires a file")
-            elif not self._path(d["file"]).exists():
-                problems.append(f"dictionary.file: no such file {d['file']!r}")
-        if "k" in d:
-            require_positive_int("dictionary.k", d["k"])
-        try:
-            parse_classes(d.get("classes") or [])
-        except ValueError as exc:
-            problems.append(f"dictionary.classes: {exc}")
-        m = self.mapper
-        method = m.get("method", "procrustes")
-        if method not in MAPPER_METHODS:
-            problems.append(f"mapper.method must be one of {MAPPER_METHODS}")
-        require_retrieval("mapper.retrieval", m.get("retrieval", COSINE))
-        for key in ("max_iters", "induce_vocab_cutoff"):
-            if key in m:
-                require_positive_int(f"mapper.{key}", m[key])
-        if "tol" in m:
-            require_number("mapper.tol", m["tol"])
-        if m.get("reweight_s") is not None:
-            require_number("mapper.reweight_s", m["reweight_s"], 0.0, 1.0)
-        r = self.refine
-        if r.get("mode", "none") not in REFINE_MODES:
-            problems.append(f"refine.mode must be one of {REFINE_MODES}")
-        rel = r.get("relative_frequencies", False)
-        if not isinstance(rel, bool):
-            problems.append(
-                f"refine.relative_frequencies must be true or false, got {rel!r}"
-            )
-        ev = self.eval
-        tr = ev.get("translation")
-        if tr is not None:
-            if "test_dictionary" not in tr:
-                problems.append("eval.translation requires test_dictionary")
-            elif not self._path(tr["test_dictionary"]).exists():
-                problems.append(
-                    f"eval.translation.test_dictionary: no such file "
-                    f"{tr['test_dictionary']!r}"
-                )
-            ks = tr.get("ks", [1])
-            if not ks:
-                problems.append("eval.translation.ks must not be empty")
-            for k in ks:
-                require_positive_int("eval.translation.ks entries", k)
-            require_retrieval(
-                "eval.translation.retrieval", tr.get("retrieval", COSINE)
-            )
-        se = ev.get("sentiment")
-        if se is not None:
-            for key in ("train", "test"):
-                if key not in se:
-                    problems.append(f"eval.sentiment requires {key}")
-                elif not self._path(se[key]).exists():
-                    problems.append(
-                        f"eval.sentiment.{key}: no such file {se[key]!r}"
-                    )
+        """Check the config against SCHEMA: one ValueError lists every
+        unknown key, missing or mistyped value, failed check and missing
+        file."""
+        if not isinstance(self.raw, dict):
+            raise ValueError("invalid pipeline config: expected a JSON object")
+        problems = _unknown_keys(self.raw)
+        for key, (kind, default, check) in SCHEMA.items():
+            value = _lookup(self.raw, key)
+            section = key.rpartition(".")[0]
+            if value is _MISSING:
+                required = section in ("src", "tgt") or self.has(section)
+                if default is REQUIRED and required:
+                    problems.append(f"missing required key {key}")
+            elif value is None and default is None:
+                pass
+            elif not _TYPES[kind](value):
+                problems.append(f"{key}: expected {kind}, got {value!r}")
+            else:
+                try:
+                    if check is not None:
+                        check(value)
+                    if kind == "path" and not self.path(key).exists():
+                        raise ValueError(f"no such file {value!r}")
+                except ValueError as exc:
+                    problems.append(f"{key}: {exc}")
+        mode = self.get("dictionary.mode")
+        if mode in ("external-seed", "file") and self.get("dictionary.file") is None:
+            problems.append(f"dictionary.file: required by dictionary.mode {mode!r}")
         if problems:
-            raise ValueError(
-                "invalid pipeline config:\n  " + "\n  ".join(problems)
-            )
+            raise ValueError("invalid pipeline config:\n  " + "\n  ".join(problems))
+
+
+# -- the stages, shared by run_pipeline, the CLI and the ablation grid ------
+
+def normalize_pair(src, tgt, steps):
+    """Apply the same normalization steps to both spaces."""
+    return (normalize(src, steps), normalize(tgt, steps)) if steps else (src, tgt)
+
+
+def build_dictionary(
+    src_vocab, tgt_vocab, mode, file=None, classes=None, k=None, seed=None
+):
+    """The seed dictionary of one of DICT_MODES, optionally restricted to
+    the named token classes."""
+    if mode == "identical":
+        dictionary = build_identical_dictionary(src_vocab, tgt_vocab)
+    elif mode == "file":
+        dictionary = load_dictionary(file, src_vocab, tgt_vocab)
+    else:  # external-seed
+        gold, _ = load_test_dictionary(file, src_vocab, tgt_vocab)
+        dictionary = sample_seed(gold, k, seed, src_vocab, tgt_vocab)
+    if classes:
+        dictionary = filter_by_class(dictionary, parse_classes(classes))
+    return dictionary
+
+
+def align(src, tgt, dictionary, self_learn_config=None, reweight_s=None):
+    """Procrustes, or self-learning when a config is given, then the
+    optional re-weighting. Returns the model and the mapped space."""
+    if self_learn_config is not None:
+        model = self_learn(src, tgt, dictionary, self_learn_config)
+    else:
+        model = solve_procrustes(src, tgt, dictionary)
+    if reweight_s is not None:
+        src_mapped, tgt_mapped = reweight(model, src, tgt, dictionary, reweight_s)
+    else:
+        src_mapped = apply_mapping(model, src, side="src")
+        tgt_mapped = apply_mapping(model, tgt, side="tgt")
+    return model, CrossLingualSpace(src=src_mapped, tgt=tgt_mapped)
+
+
+def refine_space(space, dictionary, mode, relative=False):
+    """Apply one of REFINE_MODES to an aligned space."""
+    if mode == "plain":
+        return average_plain(space, dictionary)
+    if mode == "weighted":
+        return average_weighted(space, dictionary, relative=relative)
+    if mode == "meemi":
+        return meemi_transform(space, dictionary)
+    return space
+
+
+def evaluate_translation(
+    space, test, ks, retrieval, exclude_identical=False, oov_as_wrong=False
+):
+    """P@k of a space on a test dictionary."""
+    if exclude_identical:
+        test = exclude_identical_entries(test)
+    return precision_at_k(
+        space, test, ks=ks, retrieval=retrieval, oov_as_wrong=oov_as_wrong
+    )
+
+
+def load_sentiment_pair(train, test, tokenizer, scheme=None):
+    """Train and test sets; the test set takes the train set's scheme."""
+    train_set = load_sentiment_tsv(train, tokenizer, scheme)
+    return train_set, load_sentiment_tsv(test, tokenizer, train_set.scheme)
+
+
+def evaluate_sentiment(space, train_set, test_set):
+    """Train the probe on the source side, evaluate it on the target side.
+    Returns the probe and its report."""
+    probe = train_probe(train_set, space.src)
+    return probe, eval_probe(probe, test_set, space.tgt)
 
 
 def run_pipeline(config: PipelineConfig, out_dir) -> dict:
@@ -245,7 +334,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
         raise ValueError(f"run directory {out} is not empty; runs are write-once")
 
     chash = config.config_hash()
-    seed = config.seed
+    seed = config.get("seed")
     artifacts: list[str] = []
     prov_records: list[dict] = []
 
@@ -277,19 +366,11 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
         record(stage, ["config.json"])
 
         stage = "load-embeddings"
-        src_block = config.raw["src"]
-        tgt_block = config.raw["tgt"]
         src = load_embeddings(
-            config._path(src_block["embeddings"]),
-            vocab_tsv=(
-                config._path(src_block["vocab"]) if src_block.get("vocab") else None
-            ),
+            config.path("src.embeddings"), vocab_tsv=config.path("src.vocab")
         )
         tgt = load_embeddings(
-            config._path(tgt_block["embeddings"]),
-            vocab_tsv=(
-                config._path(tgt_block["vocab"]) if tgt_block.get("vocab") else None
-            ),
+            config.path("tgt.embeddings"), vocab_tsv=config.path("tgt.vocab")
         )
         record(
             stage, [],
@@ -297,56 +378,34 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
         )
 
         stage = "normalize"
-        steps = config.normalize_steps
-        if steps:
-            src = normalize(src, steps)
-            tgt = normalize(tgt, steps)
+        steps = tuple(config.get("normalize"))
+        src, tgt = normalize_pair(src, tgt, steps)
         record(stage, [], steps=list(steps))
 
         stage = "dictionary"
-        d = config.dictionary
-        mode = d["mode"] if "mode" in d else "identical"
-        if mode == "identical":
-            dictionary = build_identical_dictionary(src.vocab, tgt.vocab)
-        elif mode == "file":
-            dictionary = load_dictionary(
-                config._path(d["file"]), src.vocab, tgt.vocab
-            )
-        else:  # external-seed
-            gold, _ = load_test_dictionary(
-                config._path(d["file"]), src.vocab, tgt.vocab
-            )
-            dictionary = sample_seed(
-                gold, int(d.get("k", 100)), seed, src.vocab, tgt.vocab
-            )
-        class_names = d.get("classes")
-        if class_names:
-            dictionary = filter_by_class(dictionary, parse_classes(class_names))
+        mode = config.get("dictionary.mode")
+        dictionary = build_dictionary(
+            src.vocab, tgt.vocab, mode,
+            file=config.path("dictionary.file"),
+            classes=config.get("dictionary.classes"),
+            k=config.get("dictionary.k"),
+            seed=seed,
+        )
         save_dictionary(dictionary, out / "dictionary.tsv")
         artifacts.append("dictionary.tsv")
         record(stage, ["dictionary.tsv"], mode=mode, pairs=len(dictionary))
 
         stage = "align"
-        m = config.mapper
-        method = m.get("method", "procrustes")
-        if method == "self-learn":
-            slc = SelfLearnConfig(
-                induce_vocab_cutoff=int(m.get("induce_vocab_cutoff", 20000)),
-                retrieval=m.get("retrieval", COSINE),
-                max_iters=int(m.get("max_iters", 50)),
-                tol=float(m.get("tol", 1e-6)),
-            )
-            model = self_learn(src, tgt, dictionary, slc)
-        else:
-            model = solve_procrustes(src, tgt, dictionary)
-        s = m.get("reweight_s")
-        if s is not None:
-            src_aligned, tgt_aligned = reweight(
-                model, src, tgt, dictionary, float(s)
-            )
-        else:
-            src_aligned = apply_mapping(model, src, side="src")
-            tgt_aligned = apply_mapping(model, tgt, side="tgt")
+        method = config.get("mapper.method")
+        slc = None
+        if method == "self-learn":  # each SelfLearnConfig field is a mapper key
+            slc = SelfLearnConfig(**{
+                f.name: config.get(f"mapper.{f.name}")
+                for f in fields(SelfLearnConfig)
+            })
+        s = config.get("mapper.reweight_s")
+        s = None if s is None else float(s)  # provenance records 1 as 1.0
+        model, space = align(src, tgt, dictionary, slc, s)
         save_model(model, out / "model.txt")
         artifacts.append("model.txt")
         record(
@@ -354,24 +413,17 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
             method=method,
             iterations=model.iterations,
             dict_cosines=[round(c, 6) for c in model.dict_cosines],
-            reweight_s=(None if s is None else float(s)),
+            reweight_s=s,
         )
 
         stage = "refine"
-        space = CrossLingualSpace(src=src_aligned, tgt=tgt_aligned)
-        rmode = config.refine.get("mode", "none")
-        if rmode == "plain":
-            space = average_plain(space, dictionary)
-        elif rmode == "weighted":
-            space = average_weighted(
-                space,
-                dictionary,
-                relative=bool(config.refine.get("relative_frequencies", False)),
-            )
-        elif rmode == "meemi":
-            space = meemi_transform(space, dictionary)
+        rmode = config.get("refine.mode")
+        space = refine_space(
+            space, dictionary, rmode,
+            relative=config.get("refine.relative_frequencies"),
+        )
         outputs = []
-        if config.save_aligned:
+        if config.get("save_aligned_embeddings"):
             save_embeddings(space.src, out / "src_aligned.vec")
             save_embeddings(space.tgt, out / "tgt_aligned.vec")
             outputs = ["src_aligned.vec", "tgt_aligned.vec"]
@@ -379,20 +431,17 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
         record(stage, outputs, mode=rmode, provenance=space.provenance)
 
         stage = "eval-translate"
-        tr = config.eval.get("translation")
-        if tr is not None:
+        if config.has("eval.translation"):
             test, coverage = load_test_dictionary(
-                config._path(tr["test_dictionary"]), src.vocab, tgt.vocab,
-                synthetic=dictionary,
+                config.path("eval.translation.test_dictionary"),
+                src.vocab, tgt.vocab, synthetic=dictionary,
             )
-            if tr.get("exclude_identical", False):
-                test = exclude_identical_entries(test)
-            report = precision_at_k(
-                space,
-                test,
-                ks=tuple(tr.get("ks", [1, 5, 10])),
-                retrieval=tr.get("retrieval", COSINE),
-                oov_as_wrong=bool(tr.get("oov_as_wrong", False)),
+            report = evaluate_translation(
+                space, test,
+                config.get("eval.translation.ks"),
+                config.get("eval.translation.retrieval"),
+                exclude_identical=config.get("eval.translation.exclude_identical"),
+                oov_as_wrong=config.get("eval.translation.oov_as_wrong"),
             )
             write_text(
                 "translation_report.tsv",
@@ -413,17 +462,14 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
             )
 
         stage = "eval-sentiment"
-        se = config.eval.get("sentiment")
-        if se is not None:
-            scheme = se.get("scheme")
-            train_set = load_sentiment_tsv(
-                config._path(se["train"]), config.tokenizer, scheme
+        if config.has("eval.sentiment"):
+            train_set, test_set = load_sentiment_pair(
+                config.path("eval.sentiment.train"),
+                config.path("eval.sentiment.test"),
+                TokenizerConfig(lowercase=config.get("tokenizer.lowercase")),
+                config.get("eval.sentiment.scheme"),
             )
-            test_set = load_sentiment_tsv(
-                config._path(se["test"]), config.tokenizer, train_set.scheme
-            )
-            probe = train_probe(train_set, space.src)
-            sreport = eval_probe(probe, test_set, space.tgt)
+            probe, sreport = evaluate_sentiment(space, train_set, test_set)
             write_text(
                 "sentiment_report.tsv",
                 sentiment_tsv(sreport, header=header(stage)),

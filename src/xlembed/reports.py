@@ -4,11 +4,13 @@ Every emitter is a pure function of its report object, so identical runs
 produce identical bytes.
 """
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .ablation import BASE, WEIGHTED, AblationTable
 from .sentiment import SentimentReport
 from .translate import TranslationReport
+
+if TYPE_CHECKING:  # ablation runs the pipeline, which writes reports
+    from .ablation import AblationTable
 
 
 def _fmt(value: Optional[float], digits: int = 2) -> str:
@@ -83,9 +85,9 @@ def sentiment_markdown(report: SentimentReport) -> str:
     return _aligned_table(headers, rows)
 
 
-def _ablation_cells(table: AblationTable, row) -> dict:
+def _ablation_cells(table: "AblationTable", row) -> dict:
     out = {}
-    for model in (BASE, WEIGHTED):
+    for model in table.models:
         cell = row.cells.get(model)
         if cell is None or cell.error is not None or cell.translation is None:
             out[model] = {f"P@{k}": "n/a" for k in table.ks}
@@ -101,37 +103,37 @@ def _ablation_cells(table: AblationTable, row) -> dict:
     return out
 
 
-def _ablation_columns(table: AblationTable) -> list:
+def _ablation_columns(table: "AblationTable") -> list:
     cols = [f"P@{k}" for k in table.ks]
     if table.has_sentiment:
         cols += ["acc", "F1"]
     return cols
 
 
-def ablation_tsv(table: AblationTable, header: str = "") -> str:
+def ablation_tsv(table: "AblationTable", header: str = "") -> str:
     cols = _ablation_columns(table)
     lines = [header] if header else []
     lines.append(
         "dictionary\tpairs\t"
-        + "\t".join(f"{m}:{c}" for m in (BASE, WEIGHTED) for c in cols)
+        + "\t".join(f"{m}:{c}" for m in table.models for c in cols)
     )
     for row in table.rows:
         cells = _ablation_cells(table, row)
-        values = [cells[m][c] for m in (BASE, WEIGHTED) for c in cols]
+        values = [cells[m][c] for m in table.models for c in cols]
         lines.append(f"{row.name}\t{row.n_pairs}\t" + "\t".join(values))
     return "\n".join(lines) + "\n"
 
 
-def ablation_markdown(table: AblationTable) -> str:
+def ablation_markdown(table: "AblationTable") -> str:
     cols = _ablation_columns(table)
     headers = ["dictionary", "pairs"] + [
-        f"{m} {c}" for m in (BASE, WEIGHTED) for c in cols
+        f"{m} {c}" for m in table.models for c in cols
     ]
     rows = []
     for row in table.rows:
         cells = _ablation_cells(table, row)
         rows.append(
             [row.name, str(row.n_pairs)]
-            + [cells[m][c] for m in (BASE, WEIGHTED) for c in cols]
+            + [cells[m][c] for m in table.models for c in cols]
         )
     return _aligned_table(headers, rows)

@@ -19,6 +19,8 @@ from .scoring import (
 # Read by perfbench/layertrace.py to size the largest score block.
 from .scoring import BLOCK_ROWS as _QUERY_CHUNK
 
+DEFAULT_KS = (1, 5, 10)
+
 
 @dataclass
 class TranslationReport:
@@ -69,7 +71,7 @@ def translate_topk(
 def precision_at_k(
     space: CrossLingualSpace,
     test: TestDictionary,
-    ks: tuple = (1, 5, 10),
+    ks: tuple = DEFAULT_KS,
     retrieval: str = COSINE,
     oov_as_wrong: bool = False,
     keep_per_query: bool = False,

@@ -386,6 +386,13 @@ def test_pipeline_bad_config_path_error(tmp_path, capsys):
         ("mapper", "tol", "x"),
         ("dictionary", "k", "abc"),
         ("refine", "relative_frequencies", "no"),
+        (None, "save_aligned_embeddings", "false"),
+        ("mapper", "max_iters", 2.7),
+        ("mapper", "max_iter", 5),
+        (None, "normalize", ["centre"]),
+        ("sentiment", "scheme", 4),
+        ("translation", "ks", [True]),
+        (None, "evaluation", {"translation": {}}),
     ],
 )
 def test_pipeline_bad_value_fails_before_any_stage(
@@ -395,7 +402,11 @@ def test_pipeline_bad_value_fails_before_any_stage(
     cfg["mapper"] = {"method": "self-learn"}
     # a second bad value: both must be reported in the one error
     cfg["refine"] = {"mode": "averaged"}
-    block = cfg["eval"]["translation"] if section == "translation" else cfg[section]
+    # section None is the top level; translation and sentiment live in eval
+    prefix = f"eval.{section}" if section in ("translation", "sentiment") else section
+    block = cfg
+    for part in prefix.split(".") if prefix else ():
+        block = block[part]
     block[key] = value
     path = fixture_dir / "bad.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -406,7 +417,70 @@ def test_pipeline_bad_value_fails_before_any_stage(
     assert code == 1
     payload = json.loads(err.splitlines()[-1])
     assert "stage" not in payload
-    prefix = "eval.translation" if section == "translation" else section
-    assert f"{prefix}.{key}" in payload["error"]
+    assert (f"{prefix}.{key}" if prefix else key) in payload["error"]
     assert "refine.mode" in payload["error"]
+    if key == "max_iter":
+        assert "did you mean 'max_iters'" in payload["error"]
     assert not run_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "align_args, mapper",
+    [
+        ([], {"method": "procrustes"}),
+        (
+            ["--self-learn", "--reweight-s", "0.5"],
+            {"method": "self-learn", "reweight_s": 0.5},
+        ),
+    ],
+)
+def test_cli_align_matches_pipeline_bytes(
+    fixture_dir, tmp_path, capsys, align_args, mapper
+):
+    # `xlembed dict` + `xlembed align` and a pipeline run on the same
+    # dictionary file go through the same stage code: identical bytes
+    fx = fixture_dir
+    d = tmp_path / "d.tsv"
+    vocabs = ["--src-vocab", str(fx / "src_vocab.tsv"),
+              "--tgt-vocab", str(fx / "tgt_vocab.tsv")]
+    assert _run(capsys, ["dict", *vocabs, "--out", str(d)])[0] == 0
+    cli = tmp_path / "cli"
+    cli.mkdir()
+    code, _, _ = _run(
+        capsys,
+        [
+            "align", "--src-emb", str(fx / "src.vec"),
+            "--tgt-emb", str(fx / "tgt.vec"), *vocabs, "--dict", str(d),
+            "--out-model", str(cli / "model.txt"),
+            "--out-src", str(cli / "src_aligned.vec"),
+            "--out-tgt", str(cli / "tgt_aligned.vec"),
+            *align_args,
+        ],
+    )
+    assert code == 0
+    cfg = json.loads((fx / "config.json").read_text(encoding="utf-8"))
+    cfg.pop("eval")
+    cfg["dictionary"] = {"mode": "file", "file": str(d)}
+    cfg["mapper"] = mapper
+    cfg["refine"] = {"mode": "none"}
+    path = fx / "agree.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    run_dir = tmp_path / "run"
+    code, _, _ = _run(capsys, ["pipeline", "--config", str(path), "--out", str(run_dir)])
+    assert code == 0
+    for name in ("model.txt", "src_aligned.vec", "tgt_aligned.vec"):
+        assert (cli / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+def test_readme_config_reference_matches_schema(fixture_dir):
+    # the README's example validates, and its key table names every key
+    from pathlib import Path
+
+    from xlembed.pipeline import SCHEMA, PipelineConfig
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Pipeline config", 1)[1].split("\n## ", 1)[0]
+    example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    PipelineConfig(raw=example, base_dir=fixture_dir).validate()
+    missing = [key for key in SCHEMA if f"| `{key}` |" not in section]
+    assert not missing

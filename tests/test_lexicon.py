@@ -146,6 +146,18 @@ def test_load_dictionary_skips_oov_with_warning(tmp_path):
     assert d.pairs() == [("hola", "hola")]
 
 
+def test_load_dictionary_warns_once_on_duplicate_pairs(tmp_path):
+    path = tmp_path / "d.tsv"
+    path.write_text("hola hola\nhola hola\n5 5\n", encoding="utf-8")
+    va = _vocab([("hola", 2), ("5", 1)])
+    with pytest.warns(UserWarning) as record:
+        d = load_dictionary(path, va, va)
+    assert len(d) == 2 and set(d.pairs()) == {("hola", "hola"), ("5", "5")}
+    assert [str(w.message) for w in record] == [
+        f"{path}: dropped 1 duplicate `src tgt` line(s)"
+    ]
+
+
 @pytest.mark.parametrize("load", [load_dictionary, load_test_dictionary])
 def test_dictionary_readers_reject_undecodable_bytes(tmp_path, load):
     # with errors="replace" both lines read as source `a\ufffd` and merged
