@@ -14,6 +14,7 @@ from .pipeline import (
     evaluate_translation,
     refine_space,
 )
+from .refine import CrossLingualSpace
 from .scoring import COSINE
 from .sentiment import SentimentDataset
 from .translate import DEFAULT_KS
@@ -53,9 +54,12 @@ class AblationTable:
     models = tuple(name for name, _ in MODELS)   # report column order
 
 
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _run_cell(
-    src: EmbeddingSpace,
-    tgt: EmbeddingSpace,
+    space: CrossLingualSpace,
     dictionary: BilingualDictionary,
     test: TestDictionary,
     refine_mode: str,
@@ -64,10 +68,8 @@ def _run_cell(
     oov_as_wrong: bool,
     sentiment_train: Optional[SentimentDataset],
     sentiment_test: Optional[SentimentDataset],
-    self_learn_config: Optional[SelfLearnConfig],
 ) -> AblationCell:
     try:
-        _, space = align(src, tgt, dictionary, self_learn_config)
         space = refine_space(space, dictionary, refine_mode)
         cell = AblationCell(
             translation=evaluate_translation(
@@ -80,7 +82,7 @@ def _run_cell(
             )
         return cell
     except Exception as exc:  # per-cell failures become markers, not aborts
-        return AblationCell(error=f"{type(exc).__name__}: {exc}")
+        return AblationCell(error=_error(exc))
 
 
 def run_ablation(
@@ -97,19 +99,26 @@ def run_ablation(
 ) -> AblationTable:
     """Run {All, Numerals, Emoji, Words} x {base, weighted} full pipelines.
 
-    Per-cell failures (for instance an empty class subset) are recorded in
-    the cell and do not abort the grid.
+    Each dictionary variant is aligned once and both cells of its row refine
+    and evaluate that mapped space. Per-cell failures (for instance an empty
+    class subset, which fails the alignment and so marks both cells) are
+    recorded in the cell and do not abort the grid.
     """
     has_sentiment = sentiment_train is not None and sentiment_test is not None
     rows = []
     for name, keep in VARIANTS:
         variant = dictionary if keep is None else filter_by_class(dictionary, keep)
         row = AblationRow(name=name, n_pairs=len(variant))
-        for model_name, refine_mode in MODELS:
-            row.cells[model_name] = _run_cell(
-                src, tgt, variant, test, refine_mode, ks, retrieval,
-                oov_as_wrong, sentiment_train, sentiment_test,
-                self_learn_config,
-            )
+        try:
+            _, space = align(src, tgt, variant, self_learn_config)
+        except Exception as exc:  # the whole row fails, the grid goes on
+            for model_name, _ in MODELS:
+                row.cells[model_name] = AblationCell(error=_error(exc))
+        else:
+            for model_name, refine_mode in MODELS:
+                row.cells[model_name] = _run_cell(
+                    space, variant, test, refine_mode, ks, retrieval,
+                    oov_as_wrong, sentiment_train, sentiment_test,
+                )
         rows.append(row)
     return AblationTable(rows=rows, ks=tuple(sorted(ks)), has_sentiment=has_sentiment)

@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: stats, vocab, dict, align, refine, eval-translate,
-eval-sentiment, ablation, pipeline. Exit code 0 on success; on failure a
-machine-readable JSON error object goes to stderr and the exit code is
-nonzero. Thread count is controlled only by the BLAS environment variable
-(OMP_NUM_THREADS); the tool reads no other environment.
+eval-sentiment, ablation, pipeline. Exit code 0 on success. A usage error
+(a bad flag or value, checked before any file is read) exits 2 with
+argparse's message; any other failure writes a machine-readable JSON error
+object to stderr and exits 1. Thread count is controlled only by the BLAS
+environment variable (OMP_NUM_THREADS); the tool reads no other
+environment.
 """
 
 import argparse
@@ -22,7 +24,12 @@ from .corpus import (
     scan_corpus,
     write_vocab_tsv,
 )
-from .embeddings import DEFAULT_NORMALIZE, load_embeddings, save_embeddings
+from .embeddings import (
+    DEFAULT_NORMALIZE,
+    NORMALIZE_STEPS,
+    load_embeddings,
+    save_embeddings,
+)
 from .lexicon import load_test_dictionary, save_dictionary
 from .mapper import SelfLearnConfig, save_model
 from .pipeline import (
@@ -57,8 +64,8 @@ def _tok_config(args) -> TokenizerConfig:
 def _load_pair(args, normalized=False):
     src = load_embeddings(args.src_emb, vocab_tsv=args.src_vocab)
     tgt = load_embeddings(args.tgt_emb, vocab_tsv=args.tgt_vocab)
-    if normalized and args.normalize:
-        return normalize_pair(src, tgt, args.normalize.split(","))
+    if normalized:
+        return normalize_pair(src, tgt, args.normalize)
     return src, tgt
 
 
@@ -75,6 +82,31 @@ def _self_learn_config(args):
         max_iters=args.max_iters,
         tol=args.tol,
     )
+
+
+def _normalize_steps(text: str) -> tuple:
+    """`--normalize`: comma-separated NORMALIZE_STEPS; empty for none."""
+    steps = tuple(text.split(",")) if text else ()
+    for step in steps:
+        if step not in NORMALIZE_STEPS:
+            raise argparse.ArgumentTypeError(
+                f"{step!r} is not one of {', '.join(NORMALIZE_STEPS)}"
+            )
+    return steps
+
+
+def _ks(text: str) -> tuple:
+    """`--ks`: comma-separated integers >= 1."""
+    ks = []
+    for item in text.split(","):
+        try:
+            k = int(item)
+        except ValueError:
+            k = 0
+        if k < 1:
+            raise argparse.ArgumentTypeError(f"{item!r} is not an integer >= 1")
+        ks.append(k)
+    return tuple(ks)
 
 
 def _write(text: str, out) -> None:
@@ -165,7 +197,7 @@ def cmd_eval_translate(args) -> int:
         args.test, space.src.vocab, space.tgt.vocab
     )
     report = evaluate_translation(
-        space, test, [int(k) for k in args.ks.split(",")], args.retrieval,
+        space, test, args.ks, args.retrieval,
         exclude_identical=args.exclude_identical_test_pairs,
         oov_as_wrong=args.oov_as_wrong,
     )
@@ -177,11 +209,12 @@ def cmd_eval_translate(args) -> int:
 
 
 def cmd_eval_sentiment(args) -> int:
-    space = _space(args)
+    # the majority baseline reads no embeddings
+    space = None if args.majority_baseline else _space(args)
     train_set, test_set = load_sentiment_pair(
         args.train, args.test, _tok_config(args)
     )
-    if args.majority_baseline:
+    if space is None:
         report = eval_majority(train_set, test_set)
     else:
         _, report = evaluate_sentiment(space, train_set, test_set)
@@ -204,7 +237,7 @@ def cmd_ablation(args) -> int:
         )
     table = run_ablation(
         src, tgt, dictionary, test,
-        ks=tuple(int(k) for k in args.ks.split(",")),
+        ks=args.ks,
         retrieval=args.retrieval,
         sentiment_train=sentiment_train,
         sentiment_test=sentiment_test,
@@ -262,7 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-src", default=None)
     p.add_argument("--out-tgt", default=None)
-    p.add_argument("--normalize", default=",".join(DEFAULT_NORMALIZE))
+    p.add_argument(
+        "--normalize", type=_normalize_steps, default=DEFAULT_NORMALIZE
+    )
     p.add_argument("--self-learn", action="store_true")
     p.add_argument(
         "--cutoff", type=int, default=SelfLearnConfig.induce_vocab_cutoff
@@ -286,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-translate", help="word translation P@k")
     _add_pair_args(p)
     p.add_argument("--test", required=True)
-    p.add_argument("--ks", default=",".join(map(str, DEFAULT_KS)))
+    p.add_argument("--ks", type=_ks, default=DEFAULT_KS)
     p.add_argument("--retrieval", choices=RETRIEVAL_MODES, default=COSINE)
     p.add_argument("--oov-as-wrong", action="store_true")
     p.add_argument("--exclude-identical-test-pairs", action="store_true")
@@ -305,9 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablation", help="token-class ablation grid")
     _add_pair_args(p)
     p.add_argument("--test", required=True)
-    p.add_argument("--ks", default=",".join(map(str, DEFAULT_KS)))
+    p.add_argument("--ks", type=_ks, default=DEFAULT_KS)
     p.add_argument("--retrieval", choices=RETRIEVAL_MODES, default=COSINE)
-    p.add_argument("--normalize", default=",".join(DEFAULT_NORMALIZE))
+    p.add_argument(
+        "--normalize", type=_normalize_steps, default=DEFAULT_NORMALIZE
+    )
     p.add_argument("--self-learn", action="store_true")
     p.add_argument(
         "--cutoff", type=int, default=SelfLearnConfig.induce_vocab_cutoff

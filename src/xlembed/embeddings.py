@@ -25,6 +25,22 @@ BLOCK_ROWS = 512
 _SAFE_NORM = (1e-150, 1e150)
 
 
+def _three_digit_words(point: bool) -> np.ndarray:
+    """The ASCII digits of 0..999 as one 4-byte word each: "." + "ddd" when
+    `point` is set, else "ddd" + NUL."""
+    digits = np.arange(1000)[:, None] // [100, 10, 1] % 10 + ord("0")
+    if point:
+        columns = [np.full((1000, 1), ord(".")), digits]
+    else:
+        columns = [digits, np.zeros((1000, 1), dtype=digits.dtype)]
+    return np.hstack(columns).astype(np.uint8).view(np.uint32).ravel()
+
+
+# The six fraction digits of a value are one gather from each table.
+_POINT_DIGITS3 = _three_digit_words(point=True)
+_DIGITS3 = _three_digit_words(point=False)
+
+
 class EmbeddingFormatError(ValueError):
     """Raised for malformed embedding files; message names the line."""
 
@@ -222,22 +238,103 @@ def _loadtxt(payloads):
 def save_embeddings(space: EmbeddingSpace, path) -> None:
     """Write word2vec text format with 6 decimal places.
 
-    Each block of BLOCK_ROWS rows is formatted by one `%` operation (the
-    same C formatter as `f"{v:.6f}"`, so `-0.000000` is kept) and written
-    at once.
+    The bytes are those of `f"{v:.6f}"` for every value (`-0.000000` kept).
+    Each block of BLOCK_ROWS rows is formatted by numpy (_format_block); a
+    block it cannot round exactly (a value on a rounding boundary, or a
+    matrix that is not float64) goes through one `%` operation, the same C
+    formatter as `f"{v:.6f}"`, instead.
     """
     n, d = space.matrix.shape
     row_format = "%s " + " ".join(["%.6f"] * d) + "\n"
     tokens = space.vocab.tokens
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{n} {d}\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{n} {d}\n".encode())
         for start in range(0, n, BLOCK_ROWS):
-            block = space.matrix[start : start + BLOCK_ROWS].tolist()
-            values = []
-            for tok, row in zip(tokens[start : start + len(block)], block):
-                values.append(tok)
-                values += row
-            fh.write(row_format * len(block) % tuple(values))
+            block = space.matrix[start : start + BLOCK_ROWS]
+            block_tokens = tokens[start : start + len(block)]
+            formatted = _format_block(block)
+            if formatted is None:
+                values = []
+                for tok, row in zip(block_tokens, block.tolist()):
+                    values.append(tok)
+                    values += row
+                text = row_format * len(block) % tuple(values)
+                fh.write(text.encode("utf-8"))
+                continue
+            body, ends = formatted
+            begin = 0
+            for tok, end in zip(block_tokens, ends.tolist()):
+                fh.write(f"{tok} ".encode("utf-8"))
+                fh.write(body[begin:end])
+                begin = end
+
+
+def _format_block(block: np.ndarray):
+    """The `%.6f` text of a (rows, d) block after each row's `token `, or None.
+
+    Returns the bytes of all rows (values joined by spaces, each row ended by
+    a newline) as one memoryview, plus the offset where each row ends; None
+    when _micros cannot round some value.
+    """
+    micros = _micros(block)
+    if micros is None:
+        return None
+    whole = micros // 10**6
+    micros -= whole * 10**6
+    frac = micros.astype(np.int32)
+    del micros
+    width = len(str(int(whole.max())))
+    # one fixed-width cell per value: sign, integer digits, NUL pads up to a
+    # 4-byte boundary, then the words ".ddd" and "ddd" + separator; the pads
+    # are deleted at the end
+    rows, d = block.shape
+    cells = np.zeros((rows, d, -(-(width + 1) // 4) * 4 + 8), dtype=np.uint8)
+    cells[..., 0] = np.signbit(block).view(np.uint8) * np.uint8(ord("-"))
+    rest = whole
+    for col in range(width, 0, -1):
+        higher = rest // 10
+        digit = rest - higher * 10 + ord("0")
+        if col < width:
+            digit *= rest > 0  # no leading zeros
+        cells[..., col] = digit
+        rest = higher
+    del whole, rest, higher, digit
+    words = cells.view(np.uint32)
+    high = frac // 1000
+    words[..., -2] = np.take(_POINT_DIGITS3, high)
+    frac -= high * 1000
+    words[..., -1] = np.take(_DIGITS3, frac)
+    cells[:, :-1, -1] = ord(" ")
+    cells[:, -1, -1] = ord("\n")
+    text = cells.tobytes().translate(None, b"\0")
+    ends = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n")) + 1
+    return memoryview(text), ends
+
+
+def _micros(block: np.ndarray):
+    """|x| * 10**6 rounded to the integer `%.6f` prints, as int64; None if
+    the block is empty, not float64, or holds a value this cannot round.
+
+    p = x * 1e6 is within half an ulp of the exact product, so rint(p) is
+    that integer unless p lies within an ulp of a half-integer (|p| * 2**-52
+    bounds the ulp from above). The test catches exact binary ties
+    (1/128 -> 0.007812), products that round onto a tie, every
+    |p| >= 2**51 and p = inf.
+    """
+    if block.dtype != np.float64 or not block.size:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = block * 1e6
+        rounded = np.rint(scaled)
+        ulp = np.abs(scaled)
+        ulp *= 2.0**-52
+        scaled -= rounded
+        np.abs(scaled, out=scaled)
+        # distance to the nearest half-integer; NaN (p = inf) fails the test
+        np.subtract(0.5, scaled, out=scaled)
+        if not (scaled > ulp).all():
+            return None
+    return np.abs(rounded, out=rounded).astype(np.int64)
 
 
 def normalize(space: EmbeddingSpace, steps=DEFAULT_NORMALIZE) -> EmbeddingSpace:

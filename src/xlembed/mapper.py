@@ -155,7 +155,15 @@ def _induce_pairs(
             seed_pairs,
         ]
     )
-    return np.unique(pairs, axis=0)
+    return _unique_pairs(pairs, n_tgt)
+
+
+def _unique_pairs(pairs: np.ndarray, n_tgt: int) -> np.ndarray:
+    """The rows of np.unique(pairs, axis=0), found by sorting one key
+    src * n_tgt + tgt per pair (every tgt is below n_tgt)."""
+    keys = np.unique(pairs[:, 0] * n_tgt + pairs[:, 1])
+    src = keys // n_tgt
+    return np.stack([src, keys - src * n_tgt], axis=1)
 
 
 def self_learn(

@@ -1,8 +1,20 @@
 import numpy as np
+import pytest
 
-from xlembed import TokenClass, build_identical_dictionary, run_ablation
-from xlembed.ablation import BASE, WEIGHTED
+from xlembed import TokenClass, build_identical_dictionary, pipeline, run_ablation
+from xlembed.ablation import (
+    BASE,
+    MODELS,
+    VARIANTS,
+    WEIGHTED,
+    AblationCell,
+    AblationRow,
+    AblationTable,
+)
 from xlembed.lexicon import filter_by_class
+from xlembed.mapper import SelfLearnConfig
+from xlembed.reports import ablation_markdown, ablation_tsv
+from xlembed.scoring import COSINE
 from synthetic import held_out_test, rotation_benchmark
 
 
@@ -86,3 +98,66 @@ def test_sentiment_columns_present_when_datasets_given():
     cell = table.rows[0].cells[WEIGHTED]
     assert cell.sentiment is not None
     assert 0.0 <= cell.sentiment.accuracy <= 100.0
+
+
+def _per_cell_table(src, tgt, d, test, ks, config, train, sentiment_test):
+    """The grid with every cell aligned on its own: the report oracle."""
+    rows = []
+    for name, keep in VARIANTS:
+        variant = d if keep is None else filter_by_class(d, keep)
+        row = AblationRow(name=name, n_pairs=len(variant))
+        for model_name, refine_mode in MODELS:
+            try:
+                _, space = pipeline.align(src, tgt, variant, config)
+                space = pipeline.refine_space(space, variant, refine_mode)
+                cell = AblationCell(
+                    translation=pipeline.evaluate_translation(space, test, ks, COSINE)
+                )
+                _, cell.sentiment = pipeline.evaluate_sentiment(
+                    space, train, sentiment_test
+                )
+            except Exception as exc:
+                cell = AblationCell(error=f"{type(exc).__name__}: {exc}")
+            row.cells[model_name] = cell
+        rows.append(row)
+    return AblationTable(rows=rows, ks=ks, has_sentiment=True)
+
+
+@pytest.mark.parametrize("with_classes", [True, False])
+def test_self_learning_grid_aligns_each_variant_once(monkeypatch, with_classes):
+    from xlembed import SentimentDataset
+
+    # without token classes the Numerals and Emoji variants are empty, so
+    # their alignment fails and both cells of the row carry its error
+    src, tgt, _ = rotation_benchmark(
+        n=300, d=12, noise=0.05, seed=4, with_classes=with_classes
+    )
+    d = build_identical_dictionary(src.vocab, tgt.vocab)
+    test = held_out_test(src.vocab.tokens, 150, 80)
+    train = SentimentDataset(
+        examples=[([src.vocab.tokens[i]], "positive") for i in range(10)]
+        + [([src.vocab.tokens[i]], "negative") for i in range(10, 20)],
+        scheme=2,
+    )
+    config = SelfLearnConfig(induce_vocab_cutoff=300, max_iters=3)
+    calls = []
+    self_learn = pipeline.self_learn
+
+    def counting_self_learn(*args, **kwargs):
+        calls.append(1)
+        return self_learn(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "self_learn", counting_self_learn)
+    table = run_ablation(
+        src, tgt, d, test, ks=(1, 5), self_learn_config=config,
+        sentiment_train=train, sentiment_test=train,
+    )
+    assert len(calls) == len(VARIANTS)
+    expected = _per_cell_table(src, tgt, d, test, (1, 5), config, train, train)
+    assert len(calls) == 3 * len(VARIANTS)
+    assert ablation_tsv(table) == ablation_tsv(expected)
+    assert ablation_markdown(table) == ablation_markdown(expected)
+    errors = [row for row in table.rows if row.cells[BASE].error]
+    assert bool(errors) != with_classes
+    for row in errors:
+        assert row.cells[WEIGHTED].error == row.cells[BASE].error

@@ -211,6 +211,52 @@ def test_eval_sentiment_and_majority(fixture_dir, capsys):
     assert acc == pytest.approx(50.0)  # balanced two-class test fixture
 
 
+def test_majority_baseline_reads_no_embeddings(fixture_dir, capsys):
+    fx = fixture_dir
+    code, out, err = _run(
+        capsys,
+        [
+            "eval-sentiment", "--majority-baseline",
+            "--src-emb", "nope.vec", "--tgt-emb", "nope.vec",
+            "--train", str(fx / "sent_train.tsv"),
+            "--test", str(fx / "sent_test.tsv"),
+        ],
+    )
+    assert code == 0, err
+    assert "accuracy\t50.0" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["align", "--dict", "d.tsv", "--out-model", "m.txt",
+          "--normalize", "unit,centre"],
+         "argument --normalize: 'centre' is not one of unit, center"),
+        (["ablation", "--test", "gold.txt", "--normalize", "unit,"],
+         "argument --normalize: '' is not one of unit, center"),
+        (["eval-translate", "--test", "gold.txt", "--ks", "1,x"],
+         "argument --ks: 'x' is not an integer >= 1"),
+        (["ablation", "--test", "gold.txt", "--ks", "5,0"],
+         "argument --ks: '0' is not an integer >= 1"),
+    ],
+    ids=["align-normalize", "ablation-empty-step", "eval-translate-ks",
+         "ablation-ks"],
+)
+def test_bad_normalize_and_ks_fail_before_any_file_is_read(
+    tmp_path, capsys, argv, message
+):
+    # the embedding files do not exist: a check made after loading would
+    # report the missing file instead
+    missing = ["--src-emb", str(tmp_path / "nope.vec"),
+               "--tgt-emb", str(tmp_path / "nope.vec")]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + missing)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "nope.vec" not in err
+
+
 def test_ablation_table_shape(fixture_dir, capsys):
     fx = fixture_dir
     code, out, _ = _run(

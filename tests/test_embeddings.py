@@ -145,7 +145,7 @@ def _per_value_bytes(space):
 
 
 _EDGE_VALUES = [0.0, -0.0, 4.9999995e-7, -4.9999995e-7, 5e-7, -5e-7,
-                1e15, -1e15, 1.7976931348623157e308]
+                1 / 128, 4.6e9, 1e15, -1e15, 1.7976931348623157e308]
 
 
 @settings(
@@ -184,6 +184,63 @@ def test_blocked_save_bytes_equal_per_value_writer(tmp_path, monkeypatch, case):
     back = load_embeddings(path)
     assert back.vocab.tokens == toks == tokens
     assert np.array_equal(back.matrix, ref.reshape(len(rows), d))
+
+
+# Rows of the byte-oracle file, two per block, and whether numpy formats the
+# block. The others hold a value whose x * 1e6 is within an ulp of a
+# half-integer: exact ties (1/128 -> 0.007812), products that round onto a
+# tie (2.5e-6, 9.9999995, where rint would give 10.000000) and everything
+# from 2**51 / 1e6 up, where x * 1e6 can be an ulp off the exact product
+# (9100000000.123457 would print ...456), so they take the `%` path.
+_ORACLE_BLOCKS = [
+    ([[0.25, -0.5, 0.125], [-1e-9, -0.0, 0.0]], True),
+    ([[1 / 128, 0.3, -0.7], [2.5e-6, -2.5e-6, 0.0]], False),
+    ([[4.9999995e-7, -4.9999995e-7, 2.4999995e-6],
+      [12.5, -123.456789, 98765.4321]], True),
+    ([[-1 / 128, 1.0, 2.0], [9.9999995, 1.0000005, 5e-7]], False),
+    ([[2.2e9, -1234567.000001, 1e-7], [5e-324, -5e-324, 2**51 / 1e6 - 0.25]],
+     True),
+    ([[4.5e9, 0.0, 0.0], [4.6e9, -4.6e9, 1e15]], False),
+    ([[9100000000.123457, -1e10 - 0.3, 0.0], [1.0, 2.0, 3.0]], False),
+    ([[0.1, 0.2, 0.3], [1.0, -2.0, 3.0]], True),
+]
+
+
+def test_save_bytes_equal_per_value_writer_across_fast_and_fallback_blocks(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(embeddings, "BLOCK_ROWS", 2)
+    format_block = embeddings._format_block
+    fast = []
+
+    def spy(block):
+        formatted = format_block(block)
+        fast.append(formatted is not None)
+        return formatted
+
+    monkeypatch.setattr(embeddings, "_format_block", spy)
+    tokens = ["a", "-1e-9", "ñandú", "😀", "東京", "x", "Ω", "b", "c", "d",
+              "ü", "🇪🇸", "e", "f", "g", "h"]
+    matrix = np.array([row for rows, _ in _ORACLE_BLOCKS for row in rows])
+    space = make_space(tokens, matrix)
+    path = tmp_path / "v.vec"
+    save_embeddings(space, path)
+    assert path.read_bytes() == _per_value_bytes(space)
+    assert fast == [kind for _, kind in _ORACLE_BLOCKS]
+
+
+def test_save_float32_space_bytes_equal_per_value_writer(tmp_path, monkeypatch):
+    # x * 1e6 in float32 drops digits once |x * 1e6| >= 2**22, so a float32
+    # space must not take the numpy path; one-row blocks, as a block with a
+    # product that lands on a half-integer would take the `%` path anyway
+    monkeypatch.setattr(embeddings, "BLOCK_ROWS", 1)
+    rng = np.random.default_rng(2)
+    matrix = rng.uniform(-100, 100, size=(300, 2)).astype(np.float32)
+    space = make_space([f"w{i}" for i in range(300)], matrix)
+    space = EmbeddingSpace(vocab=space.vocab, matrix=matrix)
+    path = tmp_path / "v.vec"
+    save_embeddings(space, path)
+    assert path.read_bytes() == _per_value_bytes(space)
 
 
 @pytest.mark.parametrize(

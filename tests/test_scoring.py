@@ -357,3 +357,19 @@ def test_csls_peak_memory_below_three_and_a_half_score_blocks():
         assert peak < 3.5 * block, (
             f"CSLS {name} peaked at {peak / block:.2f} score blocks"
         )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_unique_pairs_equals_row_unique(seed):
+    rng = np.random.default_rng(seed)
+    n_src, n_tgt = 300, 200
+    induced = np.stack(
+        [rng.integers(0, n_src, 2000), rng.integers(0, n_tgt, 2000)], axis=1
+    )
+    seeds = induced[rng.choice(len(induced), 50)]  # seeds repeat induced pairs
+    pairs = np.concatenate([induced, seeds, seeds[:10], [[n_src - 1, n_tgt - 1]]])
+    got = mapper._unique_pairs(pairs, n_tgt)
+    want = np.unique(pairs, axis=0)
+    assert len(want) < len(pairs)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
