@@ -34,10 +34,12 @@ from .lexicon import load_test_dictionary, save_dictionary
 from .mapper import SelfLearnConfig, save_model
 from .pipeline import (
     REFINE_MODES,
+    SCHEMA,
     PipelineConfig,
     PipelineError,
     align,
     build_dictionary,
+    check_value,
     evaluate_sentiment,
     evaluate_translation,
     load_sentiment_pair,
@@ -95,18 +97,41 @@ def _normalize_steps(text: str) -> tuple:
     return steps
 
 
+def _positive_int(text: str) -> int:
+    """`--min-count` and each item of `--ks`: an integer >= 1."""
+    try:
+        k = int(text)
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return k
+
+
 def _ks(text: str) -> tuple:
     """`--ks`: comma-separated integers >= 1."""
-    ks = []
-    for item in text.split(","):
+    return tuple(_positive_int(item) for item in text.split(","))
+
+
+def _add_schema_flag(p, flag: str, key: str) -> None:
+    """Add `flag`, which sets the config key `key`: it takes the key's
+    default, and its value is parsed to the key's SCHEMA kind and checked
+    by check_value, so a bad value exits 2 before any file is read."""
+    kind, default, _ = SCHEMA[key]
+    parse = {"integer": int, "number": float}[kind]
+
+    def value(text: str):
         try:
-            k = int(item)
+            v = parse(text)
         except ValueError:
-            k = 0
-        if k < 1:
-            raise argparse.ArgumentTypeError(f"{item!r} is not an integer >= 1")
-        ks.append(k)
-    return tuple(ks)
+            v = text  # check_value names the expected kind
+        try:
+            check_value(key, v)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return v
+
+    p.add_argument(flag, type=value, default=default)
 
 
 def _write(text: str, out) -> None:
@@ -121,6 +146,14 @@ def _add_pair_args(p) -> None:
     p.add_argument("--tgt-emb", required=True)
     p.add_argument("--src-vocab", default=None)
     p.add_argument("--tgt-vocab", default=None)
+
+
+def _add_self_learn_args(p) -> None:
+    p.add_argument(
+        "--normalize", type=_normalize_steps, default=DEFAULT_NORMALIZE
+    )
+    p.add_argument("--self-learn", action="store_true")
+    _add_schema_flag(p, "--cutoff", "mapper.induce_vocab_cutoff")
 
 
 def cmd_stats(args) -> int:
@@ -277,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vocab", help="build a vocabulary TSV from a corpus")
     p.add_argument("corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--min-count", type=int, default=5)
+    p.add_argument("--min-count", type=_positive_int, default=5)
     p.add_argument("--no-lowercase", action="store_true")
     p.set_defaults(func=cmd_vocab)
 
@@ -295,17 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-src", default=None)
     p.add_argument("--out-tgt", default=None)
-    p.add_argument(
-        "--normalize", type=_normalize_steps, default=DEFAULT_NORMALIZE
-    )
-    p.add_argument("--self-learn", action="store_true")
-    p.add_argument(
-        "--cutoff", type=int, default=SelfLearnConfig.induce_vocab_cutoff
-    )
-    p.add_argument("--max-iters", type=int, default=SelfLearnConfig.max_iters)
-    p.add_argument("--tol", type=float, default=SelfLearnConfig.tol)
+    _add_self_learn_args(p)
+    _add_schema_flag(p, "--max-iters", "mapper.max_iters")
+    _add_schema_flag(p, "--tol", "mapper.tol")
     p.add_argument("--retrieval", choices=RETRIEVAL_MODES, default=COSINE)
-    p.add_argument("--reweight-s", type=float, default=None)
+    _add_schema_flag(p, "--reweight-s", "mapper.reweight_s")
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("refine", help="averaging / regression refinement")
@@ -342,13 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--ks", type=_ks, default=DEFAULT_KS)
     p.add_argument("--retrieval", choices=RETRIEVAL_MODES, default=COSINE)
-    p.add_argument(
-        "--normalize", type=_normalize_steps, default=DEFAULT_NORMALIZE
-    )
-    p.add_argument("--self-learn", action="store_true")
-    p.add_argument(
-        "--cutoff", type=int, default=SelfLearnConfig.induce_vocab_cutoff
-    )
+    _add_self_learn_args(p)
     p.add_argument("--sentiment-train", default=None)
     p.add_argument("--sentiment-test", default=None)
     p.add_argument("--no-lowercase", action="store_true")

@@ -220,6 +220,8 @@ def scan_corpus(
     whitespace-delimited chunks, and each distinct chunk is tokenized once
     and its tokens counted once per occurrence.
     """
+    if min_count < 1:
+        raise ValueError("min_count must be >= 1")
     seen = set()
     chunks: Counter = Counter()
     n_tweets = 0

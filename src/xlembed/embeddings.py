@@ -49,8 +49,6 @@ class EmbeddingFormatError(ValueError):
 class EmbeddingSpace:
     vocab: Vocabulary
     matrix: np.ndarray
-    unit_rows: bool = False
-    mean_centered: bool = False
 
     def __post_init__(self):
         if self.matrix.ndim != 2:
@@ -346,20 +344,14 @@ def normalize(space: EmbeddingSpace, steps=DEFAULT_NORMALIZE) -> EmbeddingSpace:
     subtracts the column means.
     """
     matrix = space.matrix.copy()
-    unit_rows = space.unit_rows
-    mean_centered = space.mean_centered
     for step in steps:
         if step == UNIT_ROWS:
             _unit_rows(matrix, space.vocab.tokens)
-            unit_rows, mean_centered = True, False
         elif step == CENTER_COLUMNS:
             matrix -= matrix.mean(axis=0)
-            unit_rows, mean_centered = False, True
         else:
             raise ValueError(f"unknown normalization step {step!r}")
-    return replace(
-        space, matrix=matrix, unit_rows=unit_rows, mean_centered=mean_centered
-    )
+    return replace(space, matrix=matrix)
 
 
 def _unit_rows(matrix: np.ndarray, tokens) -> None:

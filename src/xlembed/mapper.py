@@ -7,7 +7,7 @@ correlation directions of the dictionary.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -35,24 +35,19 @@ class SelfLearnConfig:
 
 @dataclass
 class AlignmentModel:
-    """Orthogonal map W (applied to source rows as x @ W) plus optional
-    correlation re-weighting factors and self-learning diagnostics."""
+    """Two linear maps into the shared space: source rows map to
+    x @ src_map, target rows to y @ tgt_map (None is the identity). s is
+    the re-weighting exponent the maps were built with, 0 for none."""
 
-    w: np.ndarray
+    src_map: np.ndarray
+    tgt_map: Optional[np.ndarray] = None
     s: float = 0.0
-    singular_values: Optional[np.ndarray] = None
-    reweight_u: Optional[np.ndarray] = None
-    reweight_v: Optional[np.ndarray] = None
     iterations: int = 1
     dict_cosines: list = field(default_factory=list)
 
     @property
     def dim(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def reweighted(self) -> bool:
-        return self.singular_values is not None
+        return self.src_map.shape[0]
 
 
 def _fix_svd_signs(u: np.ndarray, vt: np.ndarray) -> None:
@@ -108,7 +103,7 @@ def solve_procrustes(
     u, _, vt = _svd_cross(x, y)
     w = u @ vt
     return AlignmentModel(
-        w=w, iterations=1, dict_cosines=[_mean_pair_cosine(x @ w, y)]
+        src_map=w, iterations=1, dict_cosines=[_mean_pair_cosine(x @ w, y)]
     )
 
 
@@ -180,6 +175,8 @@ def self_learn(
     check_retrieval(cfg.retrieval)
     if cfg.max_iters < 1:
         raise ValueError("max_iters must be >= 1")
+    if not np.isfinite(cfg.tol):
+        raise ValueError(f"tol must be finite, got {cfg.tol}")
     cutoff = min(cfg.induce_vocab_cutoff, len(src.vocab), len(tgt.vocab))
     src_top = src.matrix[:cutoff]
     tgt_top = tgt.matrix[:cutoff]
@@ -218,7 +215,7 @@ def self_learn(
         cur_tgt = induced[:, 1]
 
     return AlignmentModel(
-        w=best_w, iterations=iterations, dict_cosines=history
+        src_map=best_w, iterations=iterations, dict_cosines=history
     )
 
 
@@ -228,82 +225,57 @@ def reweight(
     tgt: EmbeddingSpace,
     dictionary: BilingualDictionary,
     s: float = 0.5,
-) -> tuple[EmbeddingSpace, EmbeddingSpace]:
-    """Rescale both sides along the dictionary correlation directions.
+) -> AlignmentModel:
+    """A new model that also rescales both sides along the dictionary
+    correlation directions; `model` is left unchanged.
 
-    With U Sig V^T the SVD of the cross-covariance of the aligned
-    dictionary rows, source rows map to x @ W @ U * sig**s and target rows
-    to y @ V * sig**s. s=0 applies a pure rotation (cross-space cosines
-    unchanged); s=1 amplifies components in proportion to their singular
-    value.
+    With U Sig V^T the SVD of the cross-covariance of the mapped
+    dictionary rows, the maps become src_map @ U * sig**s and
+    V * sig**s. s=0 adds a pure rotation (cross-space cosines unchanged);
+    s=1 amplifies components in proportion to their singular value.
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"re-weighting exponent s={s} outside [0, 1]")
+    if model.tgt_map is not None:
+        raise ValueError("model is already re-weighted")
     _check_pair(src, tgt, dictionary)
-    x = src.matrix[dictionary.src_indices] @ model.w
+    x = src.matrix[dictionary.src_indices] @ model.src_map
     y = tgt.matrix[dictionary.tgt_indices]
     u, sig, vt = _svd_cross(x, y)
-    model.s = s
-    model.singular_values = sig
-    model.reweight_u = u
-    model.reweight_v = vt.T
     scale = sig**s
-    src_matrix = src.matrix @ model.w @ (u * scale)
-    tgt_matrix = tgt.matrix @ (vt.T * scale)
-    src_out = EmbeddingSpace(vocab=src.vocab, matrix=src_matrix)
-    tgt_out = EmbeddingSpace(vocab=tgt.vocab, matrix=tgt_matrix)
-    return src_out, tgt_out
+    return replace(
+        model, src_map=model.src_map @ (u * scale), tgt_map=vt.T * scale, s=s
+    )
 
 
 def apply_mapping(
     model: AlignmentModel, space: EmbeddingSpace, side: str = "src"
 ) -> EmbeddingSpace:
-    """Map a whole space into the shared coordinates.
-
-    side="src" applies W (plus the re-weighting factors when enabled);
-    side="tgt" applies the target-side re-weighting factors, or is the
-    identity for a plain orthogonal model.
-    """
+    """Map a whole space into the shared coordinates with the map of its
+    side ("src" or "tgt"). An identity map returns `space` itself."""
     if space.dim != model.dim:
         raise ValueError(
             f"dimension mismatch: space d={space.dim}, model d={model.dim}"
         )
     if side not in ("src", "tgt"):
         raise ValueError(f"side must be 'src' or 'tgt', got {side!r}")
-    if model.reweighted:
-        if model.reweight_u is None or model.reweight_v is None:
-            raise ValueError(
-                "model carries singular values but no re-weighting factors; "
-                "re-weighted models cannot be applied after deserialization"
-            )
-        scale = model.singular_values**model.s
-        if side == "src":
-            m = model.w @ (model.reweight_u * scale)
-        else:
-            m = model.reweight_v * scale
-        return EmbeddingSpace(vocab=space.vocab, matrix=space.matrix @ m)
-    if side == "tgt":
+    m = model.src_map if side == "src" else model.tgt_map
+    if m is None:
         return space
-    return EmbeddingSpace(
-        vocab=space.vocab,
-        matrix=space.matrix @ model.w,
-        unit_rows=space.unit_rows,
-        mean_centered=space.mean_centered,
-    )
+    return EmbeddingSpace(vocab=space.vocab, matrix=space.matrix @ m)
 
 
 def save_model(model: AlignmentModel, path) -> None:
-    """Text format: header `d s`, d rows of W, then the d singular values
-    when re-weighting is enabled. The re-weighting factor matrices are not
-    persisted; saved models reproduce the orthogonal map only."""
+    """Text format: header `d s`, the d rows of the source map, then the
+    d rows of the target map unless it is the identity."""
     d = model.dim
     line = " ".join(["%.17g"] * d) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{d} {model.s:.17g}\n")
-        for row in model.w:
-            fh.write(line % tuple(row.tolist()))
-        if model.singular_values is not None:
-            fh.write(line % tuple(model.singular_values.tolist()))
+        for m in (model.src_map, model.tgt_map):
+            if m is not None:
+                for row in m:
+                    fh.write(line % tuple(row.tolist()))
 
 
 def _parse_floats(path, lineno: int, fields: list) -> list:
@@ -318,10 +290,24 @@ def _parse_floats(path, lineno: int, fields: list) -> list:
     return values
 
 
+def _read_map(path, lines: list, first: int, d: int) -> np.ndarray:
+    """The d rows of d floats on lines first .. first + d - 1."""
+    rows = []
+    for lineno in range(first, first + d):
+        fields = lines[lineno - 1].split() if lineno <= len(lines) else []
+        if len(fields) != d:
+            raise ValueError(
+                f"{path}: line {lineno}: expected {d} floats, got {len(fields)}"
+            )
+        rows.append(_parse_floats(path, lineno, fields))
+    return np.array(rows, dtype=np.float64)
+
+
 def load_model(path) -> AlignmentModel:
-    """Read a save_model file. A malformed header, a row or singular-value
-    line of the wrong length, a non-float value or a non-blank line after
-    the singular values is an error naming the file and the line."""
+    """Read a save_model file: d rows of the source map, then either only
+    blank lines or the d rows of the target map. A malformed header, a row
+    of the wrong length, a non-float value or a non-blank line after the
+    maps is an error naming the file and the line."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().split("\n")
@@ -338,30 +324,16 @@ def load_model(path) -> AlignmentModel:
             f"{path}: line 1: expected header `d s` with an integer d >= 1 "
             f"and a float s"
         )
-    rows = []
-    for lineno in range(2, d + 2):
-        fields = lines[lineno - 1].split() if lineno <= len(lines) else []
-        if len(fields) != d:
-            raise ValueError(
-                f"{path}: line {lineno}: expected {d} floats, got {len(fields)}"
-            )
-        rows.append(_parse_floats(path, lineno, fields))
-    sig = None
-    for lineno in range(d + 2, len(lines) + 1):
-        fields = lines[lineno - 1].split()
-        if not fields:
-            continue
-        if lineno != d + 2:
+    src_map = _read_map(path, lines, 2, d)
+    tgt_map = None
+    end = d + 2
+    if end <= len(lines) and lines[end - 1].strip():
+        tgt_map = _read_map(path, lines, end, d)
+        end += d
+    for lineno in range(end, len(lines) + 1):
+        if lines[lineno - 1].strip():
             raise ValueError(
                 f"{path}: line {lineno}: unexpected content after the "
-                f"{d} rows of W and the singular values"
+                f"{end - 2} rows of the model's maps"
             )
-        if len(fields) != d:
-            raise ValueError(
-                f"{path}: line {lineno}: expected {d} singular values, "
-                f"got {len(fields)}"
-            )
-        sig = np.array(_parse_floats(path, lineno, fields))
-    return AlignmentModel(
-        w=np.array(rows, dtype=np.float64), s=s, singular_values=sig
-    )
+    return AlignmentModel(src_map, tgt_map, s=s)

@@ -151,6 +151,18 @@ SECTIONS = {key[:i] for key in SCHEMA for i, c in enumerate(key) if c == "."}
 _MISSING = object()
 
 
+def check_value(key: str, value) -> None:
+    """ValueError unless `value` has the type of SCHEMA key `key` and
+    passes its check. A key whose default is None also takes None."""
+    kind, default, check = SCHEMA[key]
+    if value is None and default is None:
+        return
+    if not _TYPES[kind](value):
+        raise ValueError(f"expected {kind}, got {value!r}")
+    if check is not None:
+        check(value)
+
+
 def _lookup(raw: dict, dotted: str):
     value = raw
     for part in dotted.split("."):
@@ -222,25 +234,21 @@ class PipelineConfig:
         if not isinstance(self.raw, dict):
             raise ValueError("invalid pipeline config: expected a JSON object")
         problems = _unknown_keys(self.raw)
-        for key, (kind, default, check) in SCHEMA.items():
+        for key, (kind, default, _) in SCHEMA.items():
             value = _lookup(self.raw, key)
-            section = key.rpartition(".")[0]
             if value is _MISSING:
+                section = key.rpartition(".")[0]
                 required = section in ("src", "tgt") or self.has(section)
                 if default is REQUIRED and required:
                     problems.append(f"missing required key {key}")
-            elif value is None and default is None:
-                pass
-            elif not _TYPES[kind](value):
-                problems.append(f"{key}: expected {kind}, got {value!r}")
-            else:
-                try:
-                    if check is not None:
-                        check(value)
-                    if kind == "path" and not self.path(key).exists():
-                        raise ValueError(f"no such file {value!r}")
-                except ValueError as exc:
-                    problems.append(f"{key}: {exc}")
+                continue
+            try:
+                check_value(key, value)
+                is_path = kind == "path" and value is not None
+                if is_path and not self.path(key).exists():
+                    raise ValueError(f"no such file {value!r}")
+            except ValueError as exc:
+                problems.append(f"{key}: {exc}")
         mode = self.get("dictionary.mode")
         if mode in ("external-seed", "file") and self.get("dictionary.file") is None:
             problems.append(f"dictionary.file: required by dictionary.mode {mode!r}")
@@ -280,10 +288,9 @@ def align(src, tgt, dictionary, self_learn_config=None, reweight_s=None):
     else:
         model = solve_procrustes(src, tgt, dictionary)
     if reweight_s is not None:
-        src_mapped, tgt_mapped = reweight(model, src, tgt, dictionary, reweight_s)
-    else:
-        src_mapped = apply_mapping(model, src, side="src")
-        tgt_mapped = apply_mapping(model, tgt, side="tgt")
+        model = reweight(model, src, tgt, dictionary, reweight_s)
+    src_mapped = apply_mapping(model, src, side="src")
+    tgt_mapped = apply_mapping(model, tgt, side="tgt")
     return model, CrossLingualSpace(src=src_mapped, tgt=tgt_mapped)
 
 
@@ -406,6 +413,8 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
         s = config.get("mapper.reweight_s")
         s = None if s is None else float(s)  # provenance records 1 as 1.0
         model, space = align(src, tgt, dictionary, slc, s)
+        src_vocab, tgt_vocab = src.vocab, tgt.vocab
+        del src, tgt  # refine and evaluation need only the vocabularies
         save_model(model, out / "model.txt")
         artifacts.append("model.txt")
         record(
@@ -434,7 +443,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
         if config.has("eval.translation"):
             test, coverage = load_test_dictionary(
                 config.path("eval.translation.test_dictionary"),
-                src.vocab, tgt.vocab, synthetic=dictionary,
+                src_vocab, tgt_vocab, synthetic=dictionary,
             )
             report = evaluate_translation(
                 space, test,

@@ -28,7 +28,7 @@ def _space(tokens, matrix, freqs) -> EmbeddingSpace:
         freqs=np.asarray(freqs, dtype=np.int64),
         classes=[classify_token(t) for t in tokens],
     )
-    return EmbeddingSpace(vocab=vocab, matrix=matrix, unit_rows=True)
+    return EmbeddingSpace(vocab=vocab, matrix=matrix)
 
 
 def class_tokens(n_numeral: int, n_emoji: int, n_word: int) -> list:

@@ -86,7 +86,7 @@ def test_criterion_01_orthogonality_over_random_instances():
         tgt = _space(toks, unit_gaussian_rows(rng, n, d), np.arange(n, 0, -1))
         w = solve_procrustes(
             src, tgt, build_identical_dictionary(src.vocab, tgt.vocab)
-        ).w
+        ).src_map
         worst = max(worst, float(np.max(np.abs(w.T @ w - np.eye(d)))))
     elapsed = time.monotonic() - started
     ok = worst < 1e-6 and elapsed < 30.0
@@ -113,7 +113,7 @@ def test_criterion_02_grid_search_optimality_in_2d():
             _identity_dict(_space(toks, x, np.arange(n, 0, -1)),
                            _space(toks, y, np.arange(n, 0, -1)), toks),
         )
-        solver_err = float(np.linalg.norm(x @ model.w - y))
+        solver_err = float(np.linalg.norm(x @ model.src_map - y))
         oracle_err, _, _ = grid_oracle(x, y)
         worst_gap = max(worst_gap, solver_err - oracle_err)
     ok = worst_gap <= 1e-8

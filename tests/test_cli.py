@@ -238,9 +238,27 @@ def test_majority_baseline_reads_no_embeddings(fixture_dir, capsys):
          "argument --ks: 'x' is not an integer >= 1"),
         (["ablation", "--test", "gold.txt", "--ks", "5,0"],
          "argument --ks: '0' is not an integer >= 1"),
+        (["align", "--dict", "d.tsv", "--out-model", "m.txt", "--self-learn",
+          "--max-iters", "0"],
+         "argument --max-iters: must be >= 1, got 0"),
+        (["align", "--dict", "d.tsv", "--out-model", "m.txt", "--self-learn",
+          "--max-iters", "2.7"],
+         "argument --max-iters: expected integer, got '2.7'"),
+        (["align", "--dict", "d.tsv", "--out-model", "m.txt", "--self-learn",
+          "--reweight-s", "2"],
+         "argument --reweight-s: must be in [0, 1], got 2.0"),
+        (["align", "--dict", "d.tsv", "--out-model", "m.txt", "--self-learn",
+          "--cutoff", "0"],
+         "argument --cutoff: must be >= 1, got 0"),
+        (["align", "--dict", "d.tsv", "--out-model", "m.txt", "--self-learn",
+          "--tol", "nan"],
+         "argument --tol: expected number, got nan"),
+        (["ablation", "--test", "gold.txt", "--self-learn", "--cutoff", "-1"],
+         "argument --cutoff: must be >= 1, got -1"),
     ],
     ids=["align-normalize", "ablation-empty-step", "eval-translate-ks",
-         "ablation-ks"],
+         "ablation-ks", "align-max-iters", "align-max-iters-float",
+         "align-reweight-s", "align-cutoff", "align-tol-nan", "ablation-cutoff"],
 )
 def test_bad_normalize_and_ks_fail_before_any_file_is_read(
     tmp_path, capsys, argv, message
@@ -255,6 +273,20 @@ def test_bad_normalize_and_ks_fail_before_any_file_is_read(
     err = capsys.readouterr().err
     assert message in err
     assert "nope.vec" not in err
+
+
+@pytest.mark.parametrize("value", ["-3", "0"])
+def test_vocab_min_count_below_one_fails_before_the_corpus_is_read(
+    tmp_path, capsys, value
+):
+    corpus = str(tmp_path / "nope.txt")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["vocab", corpus, "--out", str(tmp_path / "v.tsv"),
+              "--min-count", value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --min-count: '{value}' is not an integer >= 1" in err
+    assert "nope.txt" not in err
 
 
 def test_ablation_table_shape(fixture_dir, capsys):

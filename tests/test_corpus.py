@@ -243,6 +243,16 @@ def test_scan_corpus_empty_file(tmp_path):
     assert len(vocab) == 0
 
 
+@pytest.mark.parametrize("min_count", [0, -3])
+def test_scan_corpus_rejects_min_count_below_one_before_the_scan(min_count):
+    def lines():
+        raise AssertionError("the corpus was read")
+        yield
+
+    with pytest.raises(ValueError, match="min_count must be >= 1"):
+        scan_corpus(lines(), min_count=min_count)
+
+
 def test_scan_corpus_token_totals():
     _, stats = scan_corpus(["a b c", "d e"], min_count=1)
     assert stats.n_tokens == 5

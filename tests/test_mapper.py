@@ -91,7 +91,7 @@ def test_identity_dictionary_gives_identity():
     x = unit_gaussian_rows(rng, 40, 6)
     src, tgt, d = _pair_spaces(x, x.copy())
     model = solve_procrustes(src, tgt, d)
-    assert np.max(np.abs(model.w - np.eye(6))) < 1e-6
+    assert np.max(np.abs(model.src_map - np.eye(6))) < 1e-6
 
 
 def test_recovers_30_degree_rotation():
@@ -101,14 +101,14 @@ def test_recovers_30_degree_rotation():
     src, tgt, d = _pair_spaces(x, y)
     model = solve_procrustes(src, tgt, d)
 
-    assert np.linalg.norm(x @ model.w - y) < 1e-8
-    assert np.max(np.abs(model.w - rot(30.0))) < 1e-10
+    assert np.linalg.norm(x @ model.src_map - y) < 1e-8
+    assert np.max(np.abs(model.src_map - rot(30.0))) < 1e-10
 
     best_err, best_angle, is_ref = grid_oracle(x, y)
     assert not is_ref
     assert circ_diff(best_angle, 30.0) <= 0.01
     # the closed-form solve is at least as good as the exhaustive grid
-    assert np.linalg.norm(x @ model.w - y) <= best_err + 1e-8
+    assert np.linalg.norm(x @ model.src_map - y) <= best_err + 1e-8
 
 
 def test_noisy_rotation_angle_within_half_degree():
@@ -122,9 +122,9 @@ def test_noisy_rotation_angle_within_half_degree():
     _, oracle_angle, is_ref = grid_oracle(x, y)
     assert not is_ref
     assert circ_diff(oracle_angle, theta) <= 0.5
-    assert circ_diff(angle_of(model.w), theta) <= 0.5
+    assert circ_diff(angle_of(model.src_map), theta) <= 0.5
     # solver agrees with the grid winner to within the grid resolution
-    assert circ_diff(angle_of(model.w), oracle_angle) <= 0.02
+    assert circ_diff(angle_of(model.src_map), oracle_angle) <= 0.02
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -135,7 +135,7 @@ def test_procrustes_optimal_on_2d_grid(seed):
     src, tgt, d = _pair_spaces(x, y)
     model = solve_procrustes(src, tgt, d)
     best_err, _, _ = grid_oracle(x, y)
-    assert np.linalg.norm(x @ model.w - y) <= best_err + 1e-8
+    assert np.linalg.norm(x @ model.src_map - y) <= best_err + 1e-8
 
 
 def test_procrustes_matches_polar_oracle():
@@ -144,7 +144,7 @@ def test_procrustes_matches_polar_oracle():
     y = unit_gaussian_rows(rng, 80, 7)
     src, tgt, d = _pair_spaces(x, y)
     model = solve_procrustes(src, tgt, d)
-    assert np.max(np.abs(model.w - polar_oracle(x.T @ y))) < 1e-10
+    assert np.max(np.abs(model.src_map - polar_oracle(x.T @ y))) < 1e-10
 
 
 def test_multi_pair_sources_weight_by_occurrence():
@@ -162,7 +162,7 @@ def test_multi_pair_sources_weight_by_occurrence():
     x = src.matrix[d.src_indices]
     y = tgt.matrix[d.tgt_indices]
     assert x.shape[0] == 20
-    assert np.max(np.abs(model.w - polar_oracle(x.T @ y))) < 1e-10
+    assert np.max(np.abs(model.src_map - polar_oracle(x.T @ y))) < 1e-10
 
 
 def test_orthogonality_over_random_instances():
@@ -173,15 +173,15 @@ def test_orthogonality_over_random_instances():
         x = unit_gaussian_rows(rng, n, d)
         y = unit_gaussian_rows(rng, n, d)
         src, tgt, dct = _pair_spaces(x, y)
-        w = solve_procrustes(src, tgt, dct).w
+        w = solve_procrustes(src, tgt, dct).src_map
         assert np.max(np.abs(w.T @ w - np.eye(d))) < 1e-6
 
 
 def test_procrustes_deterministic():
     src, tgt, _ = rotation_benchmark(n=100, d=8, seed=6)
     d = build_identical_dictionary(src.vocab, tgt.vocab)
-    w1 = solve_procrustes(src, tgt, d).w
-    w2 = solve_procrustes(src, tgt, d).w
+    w1 = solve_procrustes(src, tgt, d).src_map
+    w2 = solve_procrustes(src, tgt, d).src_map
     assert np.array_equal(w1, w2)
 
 
@@ -278,12 +278,20 @@ def test_self_learn_respects_max_iters():
         self_learn(src, tgt, seed_d, SelfLearnConfig(max_iters=0))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")])
+def test_self_learn_rejects_non_finite_tol(tol):
+    src, tgt, _ = rotation_benchmark(n=40, d=4, seed=32)
+    seed_d = build_identical_dictionary(src.vocab, tgt.vocab)
+    with pytest.raises(ValueError, match="tol must be finite"):
+        self_learn(src, tgt, seed_d, SelfLearnConfig(tol=tol))
+
+
 def test_self_learn_csls_mode_runs():
     src, tgt, _ = rotation_benchmark(n=150, d=8, noise=0.05, seed=31)
     full = build_identical_dictionary(src.vocab, tgt.vocab)
     seed_d = _take_pairs(full, src, tgt, 10)
     model = self_learn(src, tgt, seed_d, SelfLearnConfig(retrieval="csls"))
-    assert np.max(np.abs(model.w.T @ model.w - np.eye(8))) < 1e-6
+    assert np.max(np.abs(model.src_map.T @ model.src_map - np.eye(8))) < 1e-6
 
 
 # ----------------------------------------------------------- reweighting
@@ -295,9 +303,15 @@ def test_reweight_s0_preserves_cross_cosines():
 
     mapped = apply_mapping(model, src)
     before = _cross_cosines(mapped.matrix, tgt.matrix)
-    src2, tgt2 = reweight(model, src, tgt, d, s=0.0)
+    src2, tgt2 = _reweighted(model, src, tgt, d, s=0.0)
     after = _cross_cosines(src2.matrix, tgt2.matrix)
     assert np.max(np.abs(before - after)) < 1e-9
+
+
+def _reweighted(model, src, tgt, dictionary, s):
+    """Both spaces mapped by the re-weighted model."""
+    model = reweight(model, src, tgt, dictionary, s=s)
+    return apply_mapping(model, src), apply_mapping(model, tgt, side="tgt")
 
 
 def _cross_cosines(a, b):
@@ -313,7 +327,7 @@ def test_reweight_s1_identical_orthonormal_spaces_uniform():
     tgt = make_space([f"p{i:04d}" for i in range(8)], q.copy())
     d = build_identical_dictionary(src.vocab, tgt.vocab)
     model = solve_procrustes(src, tgt, d)
-    src2, tgt2 = reweight(model, src, tgt, d, s=1.0)
+    src2, tgt2 = _reweighted(model, src, tgt, d, s=1.0)
     # orthonormal rows: all singular values equal, so cosines survive
     before = _cross_cosines(q, q)
     after = _cross_cosines(src2.matrix, tgt2.matrix)
@@ -331,6 +345,22 @@ def test_reweight_s_out_of_range():
             reweight(model, src, tgt, d, s=bad)
 
 
+def test_reweight_returns_new_model_and_leaves_input_unchanged():
+    src, tgt, _ = rotation_benchmark(n=50, d=6, noise=0.05, seed=43)
+    d = build_identical_dictionary(src.vocab, tgt.vocab)
+    model = solve_procrustes(src, tgt, d)
+    w = model.src_map.copy()
+    out = reweight(model, src, tgt, d, s=0.5)
+    assert out is not model
+    assert np.array_equal(model.src_map, w) and model.src_map is not out.src_map
+    assert model.tgt_map is None and model.s == 0.0
+    assert out.tgt_map.shape == (6, 6) and out.s == 0.5
+    assert out.iterations == model.iterations
+    assert out.dict_cosines == model.dict_cosines
+    with pytest.raises(ValueError, match="already re-weighted"):
+        reweight(out, src, tgt, d, s=0.5)
+
+
 def test_reweight_half_close_to_plain_p1():
     """P@1(s=0.5) must stay within 1 point of P@1(s=0) across 5 seeds."""
     for trial in range(5):
@@ -340,13 +370,12 @@ def test_reweight_half_close_to_plain_p1():
         held = held_out_test(src.vocab.tokens, 350, 200)
 
         model = solve_procrustes(src, tgt, seed_d)
-        s0_src, s0_tgt = reweight(model, src, tgt, seed_d, s=0.0)
+        s0_src, s0_tgt = _reweighted(model, src, tgt, seed_d, s=0.0)
         p0 = precision_at_k(
             CrossLingualSpace(src=s0_src, tgt=s0_tgt), held, ks=(1,)
         ).p_at[1]
 
-        model2 = solve_procrustes(src, tgt, seed_d)
-        s5_src, s5_tgt = reweight(model2, src, tgt, seed_d, s=0.5)
+        s5_src, s5_tgt = _reweighted(model, src, tgt, seed_d, s=0.5)
         p5 = precision_at_k(
             CrossLingualSpace(src=s5_src, tgt=s5_tgt), held, ks=(1,)
         ).p_at[1]
@@ -360,7 +389,7 @@ def test_apply_identity_model():
     src, _, _ = rotation_benchmark(n=20, d=5, seed=60)
     from xlembed.mapper import AlignmentModel
 
-    model = AlignmentModel(w=np.eye(5))
+    model = AlignmentModel(np.eye(5))
     out = apply_mapping(model, src)
     assert np.allclose(out.matrix, src.matrix)
 
@@ -385,7 +414,7 @@ def test_apply_rotation_trig_check():
     from xlembed.mapper import AlignmentModel
 
     theta = 73.0
-    model = AlignmentModel(w=rot(theta))
+    model = AlignmentModel(rot(theta))
     out = apply_mapping(model, src)
     t = math.radians(theta)
     expected = np.stack(
@@ -403,7 +432,7 @@ def test_apply_dim_mismatch():
 
     src, _, _ = rotation_benchmark(n=10, d=4, seed=63)
     with pytest.raises(ValueError):
-        apply_mapping(AlignmentModel(w=np.eye(3)), src)
+        apply_mapping(AlignmentModel(np.eye(3)), src)
 
 
 def test_apply_tgt_side_identity_for_plain_model():
@@ -423,32 +452,39 @@ def test_model_save_load_round_trip(tmp_path):
     path = tmp_path / "model.txt"
     save_model(model, path)
     back = load_model(path)
-    assert np.array_equal(back.w, model.w)  # %.17g round-trips float64
+    assert np.array_equal(back.src_map, model.src_map)  # %.17g round-trips float64
     assert back.s == 0.0
 
 
-def test_reweighted_model_apply_after_reload_is_rejected(tmp_path):
+def test_reweighted_model_apply_after_reload_round_trips(tmp_path):
     src, tgt, _ = rotation_benchmark(n=50, d=6, seed=71)
     d = build_identical_dictionary(src.vocab, tgt.vocab)
-    model = solve_procrustes(src, tgt, d)
-    reweight(model, src, tgt, d, s=0.5)
+    model = reweight(solve_procrustes(src, tgt, d), src, tgt, d, s=0.5)
     path = tmp_path / "model.txt"
     save_model(model, path)
     back = load_model(path)
-    assert back.singular_values is not None
-    with pytest.raises(ValueError):
-        apply_mapping(back, src)
+    assert back.s == 0.5
+    for side, space in (("src", src), ("tgt", tgt)):
+        assert np.array_equal(
+            apply_mapping(back, space, side=side).matrix,
+            apply_mapping(model, space, side=side).matrix,
+        )
 
 
 def _per_value_model_bytes(model):
     """save_model as it was before whole-matrix formatting: one f-string
-    per value. The bytes must not change."""
+    per value. The bytes of a plain model file must not change."""
     out = [f"{model.dim} {model.s:.17g}\n"]
-    for row in model.w:
+    for row in model.src_map:
         out.append(" ".join(f"{v:.17g}" for v in row) + "\n")
-    if model.singular_values is not None:
-        out.append(" ".join(f"{v:.17g}" for v in model.singular_values) + "\n")
     return "".join(out).encode("utf-8")
+
+
+def _two_map_model_bytes(model):
+    """A re-weighted model file: the plain layout, then the rows of the
+    target map written the same way."""
+    rows = [" ".join(f"{v:.17g}" for v in row) + "\n" for row in model.tgt_map]
+    return _per_value_model_bytes(model) + "".join(rows).encode("utf-8")
 
 
 _MODEL_FLOATS = st.one_of(
@@ -462,31 +498,34 @@ _MODEL_FLOATS = st.one_of(
     st.integers(1, 6).flatmap(
         lambda d: st.tuples(
             hnp.arrays(np.float64, (d, d), elements=_MODEL_FLOATS),
-            st.none() | hnp.arrays(np.float64, d, elements=_MODEL_FLOATS),
+            st.none() | hnp.arrays(np.float64, (d, d), elements=_MODEL_FLOATS),
             _MODEL_FLOATS,
         )
     )
 )
 def test_save_model_bytes_equal_per_value_writer(tmp_path_factory, case):
-    w, sig, s = case
-    model = AlignmentModel(w=w, s=s, singular_values=sig)
+    src_map, tgt_map, s = case
+    model = AlignmentModel(src_map, tgt_map, s=s)
     path = tmp_path_factory.mktemp("model") / "model.txt"
     save_model(model, path)
-    assert path.read_bytes() == _per_value_model_bytes(model)
-    back = load_model(path)
-    assert np.array_equal(back.w, w)
-    assert back.s == s
-    if sig is None:
-        assert back.singular_values is None
+    if tgt_map is None:
+        assert path.read_bytes() == _per_value_model_bytes(model)
     else:
-        assert np.array_equal(back.singular_values, sig)
+        assert path.read_bytes() == _two_map_model_bytes(model)
+    back = load_model(path)
+    assert np.array_equal(back.src_map, src_map)
+    assert back.s == s
+    if tgt_map is None:
+        assert back.tgt_map is None
+    else:
+        assert np.array_equal(back.tgt_map, tgt_map)
 
 
 @pytest.mark.parametrize(
     "text, line, needle",
     [
-        ("2 0\n1 0\n0 1\n3 2 1\n", 4, "expected 2 singular values, got 3"),
-        ("2 0\n1 0\n0 1\n3 2\nextra junk\n", 5, "unexpected content"),
+        ("2 0\n1 0\n0 1\n3 2\n", 5, "expected 2 floats, got 0"),
+        ("2 0\n1 0\n0 1\n3 2\n2 3\nextra junk\n", 6, "unexpected content"),
         ("2 0\n1 0\n0 1\n\n3 2\n", 5, "unexpected content"),
         ("2 0\n1 x\n0 1\n", 2, "bad float value 'x'"),
         ("2 0\n1 0\n0 1\n3 y\n", 4, "bad float value 'y'"),
@@ -517,8 +556,12 @@ def test_load_model_rejects_undecodable_bytes(tmp_path):
 
 def test_load_model_accepts_trailing_blank_lines(tmp_path):
     path = tmp_path / "model.txt"
-    path.write_text("2 0.5\n1 0\n0 1\n3 2\n\n\n", encoding="utf-8")
+    path.write_text("2 0\n1 0\n0 1\n\n\n", encoding="utf-8")
     model = load_model(path)
-    assert model.w.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert model.src_map.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert model.tgt_map is None
+    path.write_text("2 0.5\n1 0\n0 1\n3 0\n0 2\n\n\n", encoding="utf-8")
+    model = load_model(path)
+    assert model.src_map.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert model.tgt_map.tolist() == [[3.0, 0.0], [0.0, 2.0]]
     assert model.s == 0.5
-    assert model.singular_values.tolist() == [3.0, 2.0]
