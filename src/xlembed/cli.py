@@ -10,8 +10,10 @@ environment.
 """
 
 import argparse
+import ctypes
 import json
 import sys
+from contextlib import suppress
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -392,6 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Fix glibc's mmap threshold (-3 is M_MMAP_THRESHOLD) at 4 MiB: left to
+    # itself it rises after the first large free, and peak RSS then moves
+    # with the layout of the heap.
+    with suppress(AttributeError, OSError, TypeError):  # not glibc
+        ctypes.CDLL(None).mallopt(-3, 4 << 20)
     try:
         return args.func(args)
     except Exception as exc:

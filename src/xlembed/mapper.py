@@ -278,18 +278,6 @@ def save_model(model: AlignmentModel, path) -> None:
                     fh.write(line % tuple(row.tolist()))
 
 
-def _parse_floats(path, lineno: int, fields: list) -> list:
-    values = []
-    for v in fields:
-        try:
-            values.append(float(v))
-        except ValueError:
-            raise ValueError(
-                f"{path}: line {lineno}: bad float value {v!r}"
-            ) from None
-    return values
-
-
 def _read_map(path, lines: list, first: int, d: int) -> np.ndarray:
     """The d rows of d floats on lines first .. first + d - 1."""
     rows = []
@@ -299,7 +287,15 @@ def _read_map(path, lines: list, first: int, d: int) -> np.ndarray:
             raise ValueError(
                 f"{path}: line {lineno}: expected {d} floats, got {len(fields)}"
             )
-        rows.append(_parse_floats(path, lineno, fields))
+        row = []
+        for v in fields:
+            try:
+                row.append(float(v))
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: bad float value {v!r}"
+                ) from None
+        rows.append(row)
     return np.array(rows, dtype=np.float64)
 
 

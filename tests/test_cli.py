@@ -1,4 +1,7 @@
+import ctypes
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -562,3 +565,44 @@ def test_readme_config_reference_matches_schema(fixture_dir):
     PipelineConfig(raw=example, base_dir=fixture_dir).validate()
     missing = [key for key in SCHEMA if f"| `{key}` |" not in section]
     assert not missing
+
+
+# --------------------------------------------------------------- memory
+
+_MMAP_PROBE = """
+import ctypes, sys
+import numpy as np
+from xlembed.cli import main
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(f, ctypes.c_size_t) for f in (
+        "arena ordblks smblks hblks hblkhd usmblks fsmblks uordblks "
+        "fordblks keepcost").split()]
+
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = MallInfo2
+np.ones(2 << 20).sum()  # freeing a 16 MiB block raises glibc's threshold
+assert main(["stats", sys.argv[1]]) == 0
+before = libc.mallinfo2().hblkhd
+block = np.ones(1 << 20)  # 8 MiB
+print(libc.mallinfo2().hblkhd - before)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux")
+    or not hasattr(ctypes.CDLL(None), "mallinfo2"),
+    reason="needs glibc >= 2.33",
+)
+def test_main_maps_large_blocks_after_a_large_free(tmp_path):
+    # after main, an 8 MiB array is a mapping of its own even though a
+    # freed 16 MiB block had raised glibc's mmap threshold above 8 MiB:
+    # otherwise such blocks share the heap and peak RSS moves with its layout
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("hola mundo\n", encoding="utf-8")
+    res = subprocess.run(
+        [sys.executable, "-c", _MMAP_PROBE, str(corpus)],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout.split()[-1]) >= 8 << 20
