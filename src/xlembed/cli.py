@@ -26,12 +26,7 @@ from .corpus import (
     scan_corpus,
     write_vocab_tsv,
 )
-from .embeddings import (
-    DEFAULT_NORMALIZE,
-    NORMALIZE_STEPS,
-    load_embeddings,
-    save_embeddings,
-)
+from .embeddings import load_embeddings, save_embeddings
 from .lexicon import load_test_dictionary, save_dictionary
 from .mapper import SelfLearnConfig, save_model
 from .pipeline import (
@@ -56,9 +51,7 @@ from .reports import (
     sentiment_tsv,
     translation_tsv,
 )
-from .scoring import COSINE, RETRIEVAL_MODES
 from .sentiment import eval_majority
-from .translate import DEFAULT_KS
 
 
 def _tok_config(args) -> TokenizerConfig:
@@ -88,19 +81,8 @@ def _self_learn_config(args):
     )
 
 
-def _normalize_steps(text: str) -> tuple:
-    """`--normalize`: comma-separated NORMALIZE_STEPS; empty for none."""
-    steps = tuple(text.split(",")) if text else ()
-    for step in steps:
-        if step not in NORMALIZE_STEPS:
-            raise argparse.ArgumentTypeError(
-                f"{step!r} is not one of {', '.join(NORMALIZE_STEPS)}"
-            )
-    return steps
-
-
 def _positive_int(text: str) -> int:
-    """`--min-count` and each item of `--ks`: an integer >= 1."""
+    """`--min-count`, which sets no config key: an integer >= 1."""
     try:
         k = int(text)
     except ValueError:
@@ -110,30 +92,34 @@ def _positive_int(text: str) -> int:
     return k
 
 
-def _ks(text: str) -> tuple:
-    """`--ks`: comma-separated integers >= 1."""
-    return tuple(_positive_int(item) for item in text.split(","))
-
-
 def _add_schema_flag(p, flag: str, key: str) -> None:
     """Add `flag`, which sets the config key `key`: it takes the key's
     default, and its value is parsed to the key's SCHEMA kind and checked
-    by check_value, so a bad value exits 2 before any file is read."""
+    by check_value, so a bad value exits 2 before any file is read. A list
+    is comma-separated; empty text is the empty list."""
     kind, default, _ = SCHEMA[key]
-    parse = {"integer": int, "number": float}[kind]
+    parse = {"integer": int, "number": float, "list of integers": int}.get(kind, str)
+
+    def item(text: str):
+        try:
+            return parse(text)
+        except ValueError:
+            return text  # check_value names the expected kind
 
     def value(text: str):
-        try:
-            v = parse(text)
-        except ValueError:
-            v = text  # check_value names the expected kind
+        if kind.startswith("list"):
+            v = [item(t) for t in text.split(",")] if text else []
+        else:
+            v = item(text)
         try:
             check_value(key, v)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return v
 
-    p.add_argument(flag, type=value, default=default)
+    shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+    p.add_argument(flag, type=value, default=default,
+                   help=f"config key {key} (default {shown})")
 
 
 def _write(text: str, out) -> None:
@@ -151,9 +137,7 @@ def _add_pair_args(p) -> None:
 
 
 def _add_self_learn_args(p) -> None:
-    p.add_argument(
-        "--normalize", type=_normalize_steps, default=DEFAULT_NORMALIZE
-    )
+    _add_schema_flag(p, "--normalize", "normalize")
     p.add_argument("--self-learn", action="store_true")
     _add_schema_flag(p, "--cutoff", "mapper.induce_vocab_cutoff")
 
@@ -188,7 +172,7 @@ def cmd_dict(args) -> int:
         read_vocab_tsv(args.src_vocab),
         read_vocab_tsv(args.tgt_vocab),
         "identical",
-        classes=args.classes.split(",") if args.classes else None,
+        classes=args.classes,
     )
     save_dictionary(dictionary, args.out)
     print(f"{len(dictionary)} pairs -> {args.out}")
@@ -320,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src-vocab", required=True)
     p.add_argument("--tgt-vocab", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", default=None,
-                   help="comma list of numeral,emoji,emoticon,word")
+    _add_schema_flag(p, "--classes", "dictionary.classes")
     p.set_defaults(func=cmd_dict)
 
     p = sub.add_parser("align", help="learn the orthogonal mapping")
@@ -333,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_self_learn_args(p)
     _add_schema_flag(p, "--max-iters", "mapper.max_iters")
     _add_schema_flag(p, "--tol", "mapper.tol")
-    p.add_argument("--retrieval", choices=RETRIEVAL_MODES, default=COSINE)
+    _add_schema_flag(p, "--retrieval", "mapper.retrieval")
     _add_schema_flag(p, "--reweight-s", "mapper.reweight_s")
     p.set_defaults(func=cmd_align)
 
@@ -350,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-translate", help="word translation P@k")
     _add_pair_args(p)
     p.add_argument("--test", required=True)
-    p.add_argument("--ks", type=_ks, default=DEFAULT_KS)
-    p.add_argument("--retrieval", choices=RETRIEVAL_MODES, default=COSINE)
+    _add_schema_flag(p, "--ks", "eval.translation.ks")
+    _add_schema_flag(p, "--retrieval", "eval.translation.retrieval")
     p.add_argument("--oov-as-wrong", action="store_true")
     p.add_argument("--exclude-identical-test-pairs", action="store_true")
     p.add_argument("--out", default=None)
@@ -369,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablation", help="token-class ablation grid")
     _add_pair_args(p)
     p.add_argument("--test", required=True)
-    p.add_argument("--ks", type=_ks, default=DEFAULT_KS)
-    p.add_argument("--retrieval", choices=RETRIEVAL_MODES, default=COSINE)
+    _add_schema_flag(p, "--ks", "eval.translation.ks")
+    _add_schema_flag(p, "--retrieval", "eval.translation.retrieval")
     _add_self_learn_args(p)
     p.add_argument("--sentiment-train", default=None)
     p.add_argument("--sentiment-test", default=None)

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .corpus import TokenizerConfig, parse_classes
+from .corpus import TokenizerConfig, parse_classes, undecodable_line
 from .embeddings import (
     DEFAULT_NORMALIZE,
     NORMALIZE_STEPS,
@@ -84,6 +84,17 @@ def _one_of(options):
     return _check(lambda v: v in options, f"one of {options}")
 
 
+def _each(ok, expected: str, empty=True):
+    """A check naming the first item of a list that fails ok(item)."""
+    def check(items):
+        if not (items or empty):
+            raise ValueError("must be a non-empty list, got []")
+        for item in items:
+            if not ok(item):
+                raise ValueError(f"{str(item)!r} is not {expected}")
+    return check
+
+
 _POSITIVE = _check(lambda v: v >= 1, ">= 1")
 
 # JSON types: a bool is neither an integer nor a number, and a path is a
@@ -95,7 +106,7 @@ _TYPES = {
     "string": lambda v: type(v) is str,
     "path": lambda v: type(v) is str,
     "list of strings": lambda v: type(v) is list and all(type(x) is str for x in v),
-    "list of integers": lambda v: type(v) is list and all(type(x) is int for x in v),
+    "list of integers": lambda v: type(v) is list,  # the check names a bad item
 }
 
 REQUIRED = object()  # default of a key that must be given
@@ -112,7 +123,7 @@ SCHEMA = {
     "normalize": (
         "list of strings",
         DEFAULT_NORMALIZE,
-        _check(lambda v: set(v) <= set(NORMALIZE_STEPS), f"from {NORMALIZE_STEPS}"),
+        _each(lambda v: v in NORMALIZE_STEPS, f"one of {', '.join(NORMALIZE_STEPS)}"),
     ),
     "tokenizer.lowercase": ("boolean", True, None),
     "dictionary.mode": ("string", "identical", _one_of(DICT_MODES)),
@@ -136,7 +147,7 @@ SCHEMA = {
     "eval.translation.ks": (
         "list of integers",
         DEFAULT_KS,
-        _check(lambda v: v and min(v) >= 1, "a non-empty list of k >= 1"),
+        _each(lambda k: type(k) is int and k >= 1, "an integer >= 1", empty=False),
     ),
     "eval.translation.retrieval": ("string", COSINE, _one_of(RETRIEVAL_MODES)),
     "eval.translation.exclude_identical": ("boolean", False, None),
@@ -201,8 +212,13 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
         path = Path(path)
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ValueError(undecodable_line(path, exc)) from None
+        except json.JSONDecodeError as exc:
+            where = f"line {exc.lineno}: {exc.msg} at column {exc.colno}"
+            raise ValueError(f"{path}: {where}") from None
         cfg = cls(raw=raw, base_dir=path.parent)
         cfg.validate()
         return cfg

@@ -63,11 +63,12 @@ def load_sentiment_tsv(
     """Read `label<TAB>raw text` lines; text goes through the tokenizer.
 
     The scheme is inferred from the labels present (3-class iff any
-    'neutral') unless given. Lines whose text tokenizes to nothing are
-    dropped with a warning. Invalid UTF-8 is read as iter_corpus_lines
-    reads it: one U+FFFD per sequence, and one warning with the count.
+    'neutral') unless given; a label outside it is an error naming its
+    line. Lines whose text tokenizes to nothing are dropped with a
+    warning. Invalid UTF-8 is read as iter_corpus_lines reads it: one
+    U+FFFD per sequence, and one warning with the count.
     """
-    rows = []
+    rows, linenos = [], []
     for lineno, line in enumerate(iter_corpus_lines(path), start=1):
         if not line.strip():
             continue
@@ -82,8 +83,16 @@ def load_sentiment_tsv(
             )
             continue
         rows.append((tokens, label))
+        linenos.append(lineno)
     if scheme is None:
         scheme = 3 if any(lbl == "neutral" for _, lbl in rows) else 2
+    allowed = SCHEME_LABELS.get(scheme)  # None: SentimentDataset names it
+    for lineno, (_, label) in zip(linenos, rows):
+        if allowed and label not in allowed:
+            raise ValueError(
+                f"{path}: line {lineno}: label {label!r} not in "
+                f"{scheme}-class scheme"
+            )
     return SentimentDataset(examples=rows, scheme=scheme)
 
 

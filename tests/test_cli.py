@@ -112,18 +112,26 @@ def test_dict_with_class_filter(tmp_path, capsys):
     assert numerals.read_text(encoding="utf-8").startswith("5\t5\t")
 
     bad = tmp_path / "bad.tsv"
-    code, _, err = _run(
-        capsys,
-        [
+    with pytest.raises(SystemExit) as exit_info:
+        main([
             "dict", "--src-vocab", str(va), "--tgt-vocab", str(vb),
             "--out", str(bad), "--classes", "numeral,emojii",
-        ],
-    )
-    assert code == 1 and not bad.exists()
-    payload = json.loads(err.splitlines()[-1])
-    assert payload["type"] == "ValueError"
-    assert "emojii" in payload["error"]
-    assert "numeral, emoji, emoticon, word" in payload["error"]
+        ])
+    assert exit_info.value.code == 2 and not bad.exists()
+    err = capsys.readouterr().err
+    assert "argument --classes: unknown token class(es) ['emojii']" in err
+    assert "numeral, emoji, emoticon, word" in err
+
+
+def test_dict_bad_class_fails_before_the_vocabularies_are_read(tmp_path, capsys):
+    missing = str(tmp_path / "nope.tsv")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["dict", "--src-vocab", missing, "--tgt-vocab", missing,
+              "--out", str(tmp_path / "d.tsv"), "--classes", "numeral,emojii"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "emojii" in err and "numeral, emoji, emoticon, word" in err
+    assert "nope.tsv" not in err
 
 
 # ------------------------------------------------- align/refine/eval chain
@@ -258,10 +266,18 @@ def test_majority_baseline_reads_no_embeddings(fixture_dir, capsys):
          "argument --tol: expected number, got nan"),
         (["ablation", "--test", "gold.txt", "--self-learn", "--cutoff", "-1"],
          "argument --cutoff: must be >= 1, got -1"),
+        (["align", "--dict", "d.tsv", "--out-model", "m.txt", "--self-learn",
+          "--retrieval", "dot"],
+         "argument --retrieval: must be one of ('cosine', 'csls'), got 'dot'"),
+        (["eval-translate", "--test", "gold.txt", "--retrieval", "dot"],
+         "argument --retrieval: must be one of ('cosine', 'csls'), got 'dot'"),
+        (["ablation", "--test", "gold.txt", "--retrieval", "dot"],
+         "argument --retrieval: must be one of ('cosine', 'csls'), got 'dot'"),
     ],
     ids=["align-normalize", "ablation-empty-step", "eval-translate-ks",
          "ablation-ks", "align-max-iters", "align-max-iters-float",
-         "align-reweight-s", "align-cutoff", "align-tol-nan", "ablation-cutoff"],
+         "align-reweight-s", "align-cutoff", "align-tol-nan", "ablation-cutoff",
+         "align-retrieval", "eval-translate-retrieval", "ablation-retrieval"],
 )
 def test_bad_normalize_and_ks_fail_before_any_file_is_read(
     tmp_path, capsys, argv, message
@@ -276,6 +292,22 @@ def test_bad_normalize_and_ks_fail_before_any_file_is_read(
     err = capsys.readouterr().err
     assert message in err
     assert "nope.vec" not in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["stats", "vocab", "dict", "align", "refine", "eval-translate",
+     "eval-sentiment", "ablation", "pipeline"],
+)
+def test_help_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    if command == "align":
+        assert ("--retrieval RETRIEVAL config key mapper.retrieval "
+                "(default cosine)") in out
+        assert "config key normalize (default unit,center,unit)" in out
 
 
 @pytest.mark.parametrize("value", ["-3", "0"])
@@ -452,6 +484,31 @@ def test_pipeline_bad_config_path_error(tmp_path, capsys):
     assert code == 1
     payload = json.loads(err.splitlines()[-1])
     assert "missing.vec" in payload["error"]
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"src":\n  {"embeddings": },\n}\n',
+         "line 2: Expecting value at column 18"),
+        (b'{"seed": 1,\n "x": "ab\xffc"}\n',
+         "line 2: invalid UTF-8 byte 0xff at column 10"),
+    ],
+    ids=["malformed-json", "not-utf-8"],
+)
+def test_pipeline_unreadable_config_names_file_and_line(
+    tmp_path, capsys, content, message
+):
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(content)
+    runs = tmp_path / "runs"
+    code, _, err = _run(
+        capsys, ["pipeline", "--config", str(cfg), "--runs-dir", str(runs)]
+    )
+    assert code == 1
+    payload = json.loads(err.splitlines()[-1])
+    assert payload["error"] == f"{cfg}: {message}"
+    assert not runs.exists()
 
 
 @pytest.mark.parametrize(

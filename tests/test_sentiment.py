@@ -326,6 +326,28 @@ def test_load_sentiment_tsv_rejects_missing_tab(tmp_path):
     assert "line 1" in str(err.value)
 
 
+def test_load_sentiment_tsv_names_the_line_of_a_bad_label(tmp_path):
+    p = tmp_path / "s.tsv"
+    p.write_text("negative\tmal\n\npos\tbien\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_sentiment_tsv(p)
+    assert str(err.value) == f"{p}: line 3: label 'pos' not in 2-class scheme"
+
+
+def test_test_set_label_outside_the_train_scheme_names_the_test_line(tmp_path):
+    from xlembed.corpus import DEFAULT_TOKENIZER
+    from xlembed.pipeline import load_sentiment_pair
+
+    train, test = tmp_path / "train.tsv", tmp_path / "test.tsv"
+    train.write_text("positive\tbien\nnegative\tmal\n", encoding="utf-8")
+    test.write_text("positive\tbueno\nneutral\tnormal\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_sentiment_pair(train, test, DEFAULT_TOKENIZER)
+    assert str(err.value) == (
+        f"{test}: line 2: label 'neutral' not in 2-class scheme"
+    )
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError):
         SentimentDataset(examples=[(["a"], "meh")], scheme=2)
