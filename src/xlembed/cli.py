@@ -13,6 +13,7 @@ import argparse
 import ctypes
 import json
 import sys
+import warnings
 from contextlib import suppress
 from datetime import datetime, timezone
 from pathlib import Path
@@ -382,6 +383,10 @@ def main(argv=None) -> int:
     # with the layout of the heap.
     with suppress(AttributeError, OSError, TypeError):  # not glibc
         ctypes.CDLL(None).mallopt(-3, 4 << 20)
+    # Warnings print as `<Category>: <message>`, without the library's source
+    # path and line, so a run's stderr is the same from any checkout.
+    default_format = warnings.formatwarning
+    warnings.formatwarning = lambda msg, category, *_: f"{category.__name__}: {msg}\n"
     try:
         return args.func(args)
     except Exception as exc:
@@ -391,6 +396,8 @@ def main(argv=None) -> int:
             error.update(stage=exc.stage, partial_artifacts=exc.artifacts)
         sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
         return 1
+    finally:
+        warnings.formatwarning = default_format
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from itertools import islice
 import numpy as np
 
 from .corpus import Vocabulary, classify_token, read_vocab_tsv, undecodable_line
+from .scoring import unit_rows
 
 UNIT_ROWS = "unit"
 CENTER_COLUMNS = "center"
@@ -19,10 +20,6 @@ NORMALIZE_STEPS = (UNIT_ROWS, CENTER_COLUMNS)
 DEFAULT_NORMALIZE = (UNIT_ROWS, CENTER_COLUMNS, UNIT_ROWS)
 # Rows per parse or format block of the word2vec-text reader and writer.
 BLOCK_ROWS = 512
-# Row norms inside this range are computed exactly enough by the plain
-# sqrt-of-sum-of-squares (no squared entry overflows, and subnormal squares
-# are negligible); rows outside it are rescaled by their largest entry first.
-_SAFE_NORM = (1e-150, 1e150)
 
 
 def _three_digit_words(point: bool) -> np.ndarray:
@@ -336,41 +333,24 @@ def _micros(block: np.ndarray):
 
 
 def normalize(space: EmbeddingSpace, steps=DEFAULT_NORMALIZE) -> EmbeddingSpace:
-    """Apply normalization steps in order; returns a new space.
+    """Apply normalization steps in order to one copy; returns a new space.
 
-    Steps: "unit" scales every row to Euclidean norm 1 (all-zero rows are an
-    error naming the token; rows of tiny or huge values are scaled by their
-    largest entry first, so they neither underflow nor overflow); "center"
-    subtracts the column means.
+    Steps: "unit" scales every row to Euclidean norm 1 in place with
+    scoring.unit_rows (an all-zero row is an error naming the token);
+    "center" subtracts the column means.
     """
     matrix = space.matrix.copy()
     for step in steps:
         if step == UNIT_ROWS:
-            _unit_rows(matrix, space.vocab.tokens)
+            zero = np.flatnonzero(~matrix.any(axis=1))
+            if zero.size:
+                raise ValueError(
+                    f"cannot unit-normalize: zero-norm row for token "
+                    f"{space.vocab.tokens[int(zero[0])]!r}"
+                )
+            unit_rows(matrix, out=matrix)
         elif step == CENTER_COLUMNS:
             matrix -= matrix.mean(axis=0)
         else:
             raise ValueError(f"unknown normalization step {step!r}")
     return replace(space, matrix=matrix)
-
-
-def _unit_rows(matrix: np.ndarray, tokens) -> None:
-    """Scale every row of `matrix` in place to Euclidean norm 1."""
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(matrix, axis=1)
-    lo, hi = _SAFE_NORM
-    unsafe = np.flatnonzero(~((norms > lo) & (norms < hi)))
-    if unsafe.size:
-        rows = matrix[unsafe]
-        scale = np.abs(rows).max(axis=1)
-        zero = unsafe[scale == 0.0]
-        if zero.size:
-            raise ValueError(
-                f"cannot unit-normalize: zero-norm row for token "
-                f"{tokens[int(zero[0])]!r}"
-            )
-        rows /= scale[:, None]
-        rows /= np.linalg.norm(rows, axis=1)[:, None]
-        norms[unsafe] = 1.0
-        matrix[unsafe] = rows
-    matrix /= norms[:, None]

@@ -201,8 +201,9 @@ def self_learn(
         iterations += 1
         u, _, vt = _svd_cross(src.matrix[cur_src], tgt.matrix[cur_tgt])
         w = u @ vt
+        mapped = src_top @ w
         induced = _induce_pairs(
-            unit_rows(src_top @ w), tgt_unit, cfg.retrieval, seed_pairs
+            unit_rows(mapped, out=mapped), tgt_unit, cfg.retrieval, seed_pairs
         )
         score = _mean_pair_cosine(src_top[induced[:, 0]] @ w, tgt_top[induced[:, 1]])
         history.append(score)

@@ -167,24 +167,15 @@ def average_weighted(
 
 
 def _fit_side(x: np.ndarray, targets: np.ndarray, d: int, side: str) -> np.ndarray:
-    if x.shape[0] < d:
-        warnings.warn(
-            f"{side}: {x.shape[0]} pairs for dimension {d}; "
-            f"least squares underdetermined, using ridge (lambda={RIDGE_LAMBDA})"
-        )
-        return np.linalg.solve(
-            x.T @ x + RIDGE_LAMBDA * np.eye(d), x.T @ targets
-        )
-    m, _, rank, _ = np.linalg.lstsq(x, targets, rcond=None)
-    if rank < d:
-        warnings.warn(
-            f"{side}: rank-deficient pair matrix (rank {rank} < {d}); "
-            f"using ridge (lambda={RIDGE_LAMBDA})"
-        )
-        return np.linalg.solve(
-            x.T @ x + RIDGE_LAMBDA * np.eye(d), x.T @ targets
-        )
-    return m
+    if len(x) < d:
+        reason = f"{len(x)} pairs for dimension {d}; least squares underdetermined,"
+    else:
+        m, _, rank, _ = np.linalg.lstsq(x, targets, rcond=None)
+        if rank == d:
+            return m
+        reason = f"rank-deficient pair matrix (rank {rank} < {d});"
+    warnings.warn(f"{side}: {reason} using ridge (lambda={RIDGE_LAMBDA})")
+    return np.linalg.solve(x.T @ x + RIDGE_LAMBDA * np.eye(d), x.T @ targets)
 
 
 def meemi_transform(

@@ -20,6 +20,9 @@ RETRIEVAL_MODES = (COSINE, CSLS)
 CSLS_K = 10
 
 BLOCK_ROWS = 256
+# Row norms inside this range are exact enough from the plain sum of squares
+# (no square overflows, and subnormal squares are negligible).
+_SAFE_NORM = (1e-150, 1e150)
 
 
 def check_retrieval(retrieval: str) -> None:
@@ -27,11 +30,29 @@ def check_retrieval(retrieval: str) -> None:
         raise ValueError(f"unknown retrieval mode {retrieval!r}")
 
 
-def unit_rows(matrix: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit norm; zero rows stay zero (score 0 everywhere)."""
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return matrix / norms
+def unit_rows(matrix: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Rows scaled to Euclidean norm 1, written to `out` (a new array when
+    None; `matrix` itself works in place). All-zero rows stay zero, so they
+    score 0 everywhere. Norms are taken BLOCK_ROWS rows at a time (each row
+    reduces on its own, so the block size changes no bit); a row whose norm
+    lies outside _SAFE_NORM is divided by its largest entry first."""
+    if out is None:
+        out = np.empty(matrix.shape)
+    lo, hi = _SAFE_NORM
+    for rows in _blocks(matrix.shape[0]):
+        block = matrix[rows]
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(block, axis=1)
+        unsafe = np.flatnonzero(~((norms > lo) & (norms < hi)))
+        norms[unsafe] = 1.0  # all-zero rows stay zero; the others are redone
+        np.divide(block, norms[:, None], out=out[rows])
+        if unsafe.size:
+            x = out[rows][unsafe]  # divided by 1: the input rows
+            scale = np.abs(x).max(axis=1)
+            nonzero = np.flatnonzero(scale)
+            x = x[nonzero] / scale[nonzero, None]
+            out[rows][unsafe[nonzero]] = x / np.linalg.norm(x, axis=1)[:, None]
+    return out
 
 
 def topk_mean(scores: np.ndarray, k: int) -> np.ndarray:

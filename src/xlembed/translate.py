@@ -38,17 +38,18 @@ class TranslationReport:
 
 
 def _retrieve(
-    space: CrossLingualSpace, query_rows: np.ndarray, k: int, retrieval: str
+    space: CrossLingualSpace, query_idx: np.ndarray, k: int, retrieval: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k target indices and scores for raw source rows. CSLS r_S is
-    taken over the whole source space, not just the queries."""
+    """Top-k target indices and scores for the source rows at query_idx.
+    CSLS r_S is taken over the whole source space, not just the queries."""
     tgt_unit = unit_rows(space.tgt.matrix)
     r_src = (
         neighbourhood_mean(tgt_unit, unit_rows(space.src.matrix))
         if retrieval == CSLS
         else None
     )
-    return topk(unit_rows(query_rows), tgt_unit, k, r_src)
+    queries = space.src.matrix[query_idx]  # a gathered copy, normalized in place
+    return topk(unit_rows(queries, out=queries), tgt_unit, k, r_src)
 
 
 def translate_topk(
@@ -60,8 +61,7 @@ def translate_topk(
     check_retrieval(retrieval)
     if query not in space.src.vocab.index:
         raise KeyError(f"query token {query!r} not in source vocabulary")
-    row = space.src.matrix[space.src.vocab.index[query]][None, :]
-    top, scores = _retrieve(space, row, k, retrieval)
+    top, scores = _retrieve(space, [space.src.vocab.index[query]], k, retrieval)
     return [
         (space.tgt.vocab.tokens[int(j)], float(v))
         for j, v in zip(top[0], scores[0])
@@ -119,7 +119,7 @@ def precision_at_k(
         [src_vocab.index[s] for s, _ in covered_entries], dtype=np.int64
     )
 
-    top, scores = _retrieve(space, space.src.matrix[query_idx], kmax, retrieval)
+    top, scores = _retrieve(space, query_idx, kmax, retrieval)
     hits = {k: 0 for k in ks}
     for qi, golds in enumerate(gold_idx):
         found = np.flatnonzero(np.isin(top[qi], golds))

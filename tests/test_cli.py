@@ -1,11 +1,15 @@
 import ctypes
 import json
+import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xlembed
 from xlembed.cli import main
 from synthetic import write_pipeline_fixture
 
@@ -17,6 +21,29 @@ def _run(capsys, argv):
 
 
 # ---------------------------------------------------------------- stats
+
+def test_cli_warning_prints_category_and_message_only(tmp_path):
+    corpus = tmp_path / "bad.txt"
+    corpus.write_bytes(b"hola \xff mundo\n")
+    src_dir = str(Path(xlembed.__file__).resolve().parents[1])
+    res = subprocess.run(
+        [sys.executable, "-m", "xlembed.cli", "stats", str(corpus)],
+        env={**os.environ, "PYTHONPATH": src_dir},
+        capture_output=True,
+        text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.splitlines() == [
+        f"UserWarning: {corpus}: 1 invalid UTF-8 byte sequence(s) replaced by U+FFFD"
+    ]
+    assert ".py:" not in res.stderr
+    # in-process, the warning is still raised, and library callers get
+    # Python's default format back once main returns
+    default_format = warnings.formatwarning
+    with pytest.warns(UserWarning, match="invalid UTF-8"):
+        assert main(["stats", str(corpus)]) == 0
+    assert warnings.formatwarning is default_format
+
 
 def test_stats_empty_corpus(tmp_path, capsys):
     p = tmp_path / "empty.txt"
@@ -202,6 +229,26 @@ def test_align_refine_eval_chain(fixture_dir, tmp_path, capsys):
     text = report.read_text(encoding="utf-8")
     assert "P@1\t" in text and "P@10\t" in text
     assert "identical-pair rate" in err
+
+
+@pytest.mark.parametrize("retrieval", ["cosine", "csls"])
+def test_eval_translate_huge_row_ranks_by_direction(tmp_path, capsys, retrieval):
+    # the squared norm of c overflows; a plain norm zeroed the row, so it
+    # ranked x (index order) first and P@1 read 66.67
+    (tmp_path / "src.vec").write_text("3 2\na 0 1\nb 1 0\nc 1e200 1e200\n")
+    (tmp_path / "tgt.vec").write_text("3 2\nx 0 1\ny 1 0\nz 0.7 0.7\n")
+    (tmp_path / "gold.txt").write_text("a x\nb y\nc z\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = _run(capsys, [
+            "eval-translate",
+            "--src-emb", str(tmp_path / "src.vec"),
+            "--tgt-emb", str(tmp_path / "tgt.vec"),
+            "--test", str(tmp_path / "gold.txt"),
+            "--retrieval", retrieval,
+        ])
+    assert code == 0, err
+    assert "P@1\t100.00" in out.splitlines()
 
 
 def test_eval_sentiment_and_majority(fixture_dir, capsys):
@@ -629,6 +676,7 @@ def test_readme_config_reference_matches_schema(fixture_dir):
 _MMAP_PROBE = """
 import ctypes, sys
 import numpy as np
+import xlembed
 from xlembed.cli import main
 
 class MallInfo2(ctypes.Structure):

@@ -355,15 +355,15 @@ def test_unit_zero_row_error_names_token():
     assert "dead" in str(err.value)
 
 
-@pytest.mark.parametrize(
-    "row",
-    [
-        [1.77e-161, 0.0],   # squared sum underflows: used to give norm 1.0033
-        [1e-170, 0.0],      # squared sum is 0: used to be a false zero row
-        [1e200, 1e200],     # squared sum overflows: used to become zeros
-        [5e-324, -5e-324],  # subnormal entries
-    ],
-)
+TINY_AND_HUGE_ROWS = [
+    [1.77e-161, 0.0],   # squared sum underflows: used to give norm 1.0033
+    [1e-170, 0.0],      # squared sum is 0: used to be a false zero row
+    [1e200, 1e200],     # squared sum overflows: used to become zeros
+    [5e-324, -5e-324],  # subnormal entries
+]
+
+
+@pytest.mark.parametrize("row", TINY_AND_HUGE_ROWS)
 def test_unit_step_tiny_and_huge_rows(row):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow RuntimeWarning
@@ -379,6 +379,24 @@ def test_unit_step_keeps_ordinary_rows_bit_exact():
     out = normalize(make_space([f"t{i}" for i in range(50)], matrix), steps=(UNIT_ROWS,))
     plain = matrix / np.linalg.norm(matrix, axis=1)[:, None]
     assert np.array_equal(out.matrix, plain)
+
+
+def test_normalize_peak_memory_is_one_copy():
+    """normalize holds one copy of the matrix: the unit step takes norms per
+    block and divides in place, and its zero-row check allocates no float
+    matrix. The run is made once untraced first, so one-time lazy imports
+    inside numpy are not counted."""
+    rng = np.random.default_rng(3)
+    space = make_space([f"t{i}" for i in range(5000)], rng.normal(size=(5000, 50)))
+    normalize(space, DEFAULT_NORMALIZE)
+    tracemalloc.start()
+    try:
+        normalize(space, DEFAULT_NORMALIZE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ratio = peak / space.matrix.nbytes
+    assert ratio < 1.25, f"normalize peaked at {ratio:.2f} matrices"
 
 
 def test_unknown_step_rejected():

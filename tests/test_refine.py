@@ -10,6 +10,7 @@ from xlembed import (
     make_space,
     meemi_transform,
 )
+from xlembed.refine import RIDGE_LAMBDA
 from synthetic import unit_gaussian_rows
 
 
@@ -268,9 +269,35 @@ def test_meemi_underdetermined_falls_back_to_ridge():
         toks, rng.normal(size=(2, 5)), toks, rng.normal(size=(2, 5))
     )
     d = build_identical_dictionary(space.src.vocab, space.tgt.vocab)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         out = meemi_transform(space, d)
     assert np.isfinite(out.src.matrix).all()
+    assert str(record[0].message) == (
+        "source side: 2 pairs for dimension 5; least squares underdetermined, "
+        f"using ridge (lambda={RIDGE_LAMBDA})"
+    )
+
+
+def test_meemi_rank_deficient_falls_back_to_ridge():
+    rng = np.random.default_rng(10)
+    n, d_dim = 30, 6
+    toks = [f"t{i:02d}" for i in range(n)]
+    x = rng.normal(size=(n, d_dim))
+    x[:, 5] = x[:, 2]  # a repeated column: rank 5 with 30 >= 6 pairs
+    y = rng.normal(size=(n, d_dim))
+    space = _space_pair(toks, x, toks, y)
+    d = build_identical_dictionary(space.src.vocab, space.tgt.vocab)
+    with pytest.warns(UserWarning) as record:
+        out = meemi_transform(space, d)
+    assert [str(w.message) for w in record] == [
+        "source side: rank-deficient pair matrix (rank 5 < 6); "
+        f"using ridge (lambda={RIDGE_LAMBDA})"
+    ]
+
+    xs = x[d.src_indices]
+    mid = (xs + y[d.tgt_indices]) / 2
+    ridge = np.linalg.solve(xs.T @ xs + RIDGE_LAMBDA * np.eye(d_dim), xs.T @ mid)
+    assert np.array_equal(out.src.matrix, x @ ridge)
 
 
 def test_meemi_empty_dictionary_rejected():

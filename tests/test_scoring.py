@@ -4,7 +4,9 @@ The block size is shrunk to 7 rows so the small fixtures cross many block
 boundaries, including a ragged last block.
 """
 
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from xlembed import (
     translate_topk,
 )
 from synthetic import rotation_benchmark
+from test_embeddings import TINY_AND_HUGE_ROWS
 from test_translate import _random_space, brute_force_topk, csls_oracle
 
 MODES = ("cosine", "csls")
@@ -373,3 +376,76 @@ def test_unique_pairs_equals_row_unique(seed):
     assert len(want) < len(pairs)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+# ------------------------------------------------------------- unit rows
+
+def _ragged_rows():
+    """50 rows of norms from 1e-140 to 1e140: seven 7-row blocks and a
+    ragged last block of one row."""
+    rng = np.random.default_rng(8)
+    return rng.normal(size=(50, 7)) * np.logspace(-140, 140, 50)[:, None]
+
+
+def test_unit_rows_blocked_matches_plain_division(small_blocks):
+    matrix = _ragged_rows()
+    assert matrix.shape[0] % scoring.BLOCK_ROWS
+    plain = matrix / np.linalg.norm(matrix, axis=1)[:, None]
+    assert np.array_equal(scoring.unit_rows(matrix), plain)
+
+
+def test_unit_rows_in_place_equals_copy(small_blocks):
+    matrix = _ragged_rows()
+    matrix[[3, 20]] = 0.0
+    matrix[[10, 49]] = 1e200
+    matrix[30, 0] = 5e-324
+    matrix[30, 1:] = 0.0
+    copy = scoring.unit_rows(matrix)
+    assert scoring.unit_rows(matrix, out=matrix) is matrix
+    assert np.array_equal(matrix, copy)
+
+
+@pytest.mark.parametrize("in_place", [False, True])
+def test_unit_rows_zero_rows_stay_zero(small_blocks, in_place):
+    matrix = _ragged_rows()
+    zero = [0, 6, 7, 49]  # either side of a block boundary, and the last row
+    matrix[zero] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no 0/0 RuntimeWarning
+        out = scoring.unit_rows(matrix, out=matrix if in_place else None)
+    assert not out[zero].any()
+    assert np.allclose(np.linalg.norm(np.delete(out, zero, axis=0), axis=1), 1.0)
+
+
+@pytest.mark.parametrize("row", TINY_AND_HUGE_ROWS)
+def test_unit_rows_tiny_and_huge_rows(small_blocks, row):
+    matrix = np.tile([3.0, 4.0], (9, 1))
+    matrix[7] = row  # first row of the ragged second block
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning
+        out = scoring.unit_rows(matrix)
+    expected = np.sign(row) / math.sqrt(np.count_nonzero(row))
+    assert np.allclose(out[7], expected, rtol=1e-15, atol=0)
+    assert np.delete(out, 7, axis=0).tolist() == [[0.6, 0.8]] * 8
+
+
+def _huge_row_space():
+    """Source row c is (1e200, 1e200): its squared norm overflows, and a
+    plain norm turned it into zeros, which scored 0 against every target
+    and ranked x (index order) first instead of z."""
+    src = make_space(["a", "b", "c"], [[0.0, 1.0], [1.0, 0.0], [1e200, 1e200]])
+    tgt = make_space(["x", "y", "z"], [[0.0, 1.0], [1.0, 0.0], [0.7, 0.7]])
+    return CrossLingualSpace(src=src, tgt=tgt)
+
+
+@pytest.mark.parametrize("retrieval", MODES)
+def test_huge_source_row_retrieves_its_direction(retrieval):
+    space = _huge_row_space()
+    test = TestDictionary(entries=[("a", ("x",)), ("b", ("y",)), ("c", ("z",))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = precision_at_k(space, test, ks=(1,), retrieval=retrieval)
+        top = translate_topk(space, "c", 1, retrieval)
+    assert report.p_at[1] == 100.0
+    assert top[0][0] == "z"
+    assert space.src.matrix[2].tolist() == [1e200, 1e200]  # queries are copies
