@@ -287,11 +287,16 @@ def read_vocab_tsv(path: str) -> Vocabulary:
                 first_line[tok] = lineno
                 tokens.append(tok)
                 try:
-                    freqs.append(int(parts[1]))
+                    count = int(parts[1])
                 except ValueError:
                     raise ValueError(
                         f"{path}: line {lineno}: bad count field {parts[1]!r}"
                     ) from None
+                if count < 0:
+                    raise ValueError(
+                        f"{path}: line {lineno}: negative count field {parts[1]!r}"
+                    )
+                freqs.append(count)
                 try:
                     classes.append(TokenClass(parts[2]))
                 except ValueError:

@@ -206,8 +206,13 @@ def _unknown_keys(block: dict, prefix: str = "") -> list:
 
 @dataclass
 class PipelineConfig:
+    """A validated run config: construction raises on any SCHEMA problem."""
+
     raw: dict
     base_dir: Path = field(default_factory=Path)
+
+    def __post_init__(self):
+        self.validate()
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
@@ -219,9 +224,7 @@ class PipelineConfig:
         except json.JSONDecodeError as exc:
             where = f"line {exc.lineno}: {exc.msg} at column {exc.colno}"
             raise ValueError(f"{path}: {where}") from None
-        cfg = cls(raw=raw, base_dir=path.parent)
-        cfg.validate()
-        return cfg
+        return cls(raw=raw, base_dir=path.parent)
 
     def get(self, key: str):
         """The value of a SCHEMA key, or its default."""
@@ -507,8 +510,6 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
                 macro_f1=round(sreport.macro_f1, 4),
                 final_loss=round(probe.loss_history[-1], 8),
             )
-    except PipelineError:
-        raise
     except Exception as exc:
         _write_provenance(out, prov_records, artifacts)
         _write_manifest(out, chash, artifacts, status="error",

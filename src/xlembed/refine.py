@@ -2,7 +2,9 @@
 
 Averaging replaces both members of every dictionary pair with one shared
 vector (their plain or frequency-weighted mean), leaving all other rows
-untouched, so paired tokens become exact cross-lingual anchors. The
+untouched, so paired tokens become exact cross-lingual anchors. A token
+in several pairs becomes the mean of its own row and the rows of every
+token it is paired with, all read before the update. The
 regression transform instead fits one linear map per side onto the pair
 midpoints and moves every row.
 """
@@ -14,6 +16,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSpace
 from .lexicon import BilingualDictionary
+from .scoring import BLOCK_ROWS
 
 RIDGE_LAMBDA = 1e-3
 
@@ -45,21 +48,33 @@ class CrossLingualSpace:
         )
 
 
-def _pair_weights(
-    dictionary: BilingualDictionary, weighted: bool, relative: bool,
-    src_total: int, tgt_total: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    if not weighted:
-        n = len(dictionary)
-        return np.ones(n), np.ones(n)
-    f_src = dictionary.f_src.astype(np.float64)
-    f_tgt = dictionary.f_tgt.astype(np.float64)
-    if relative:
-        if src_total <= 0 or tgt_total <= 0:
-            raise ValueError("relative weighting needs positive corpus totals")
-        f_src = f_src / src_total
-        f_tgt = f_tgt / tgt_total
-    return f_src, f_tgt
+def _neighbourhood_sums(terms, w, s, t) -> np.ndarray:
+    """Overwrite each row i of the weighted rows `terms` with its
+    neighbourhood sum and return the neighbourhood's total weight w. The
+    neighbourhood of id i is i and every id paired with it in (s, t), each
+    once; its terms are added in ascending id order, from the first. Groups
+    go BLOCK_ROWS at a time: scratch beyond the sums is one block."""
+    n = len(terms)
+    # (owner, member): each pair end with itself and with its other end, once
+    owner, member = np.divmod(
+        np.unique(np.concatenate([a * n + b for a in (s, t) for b in (s, t)])), n
+    )
+    size = np.bincount(owner, minlength=n)
+    order = np.argsort(-size, kind="stable")  # so each rank's groups are a prefix
+    start = (np.cumsum(size) - size)[order]
+    size = size[order]
+    total = w[member[start]]
+    sums = np.empty_like(terms)
+    for lo in range(0, n, BLOCK_ROWS):
+        blk = slice(lo, lo + BLOCK_ROWS)
+        acc = np.take(terms, member[start[blk]], axis=0, out=sums[blk], mode="clip")
+        for r in range(1, size[lo]):  # the r-th term of every group
+            c = np.count_nonzero(size[blk] > r)
+            m = member[start[lo : lo + c] + r]
+            total[lo : lo + c] += w[m]
+            acc[:c] += np.take(terms, m, axis=0, mode="clip")
+    terms[order] = sums
+    return total[np.argsort(order)]
 
 
 def _average(
@@ -68,80 +83,50 @@ def _average(
     weighted: bool,
     relative: bool,
 ) -> CrossLingualSpace:
-    n_pairs = len(dictionary)
-    src_m = space.src.matrix
-    tgt_m = space.tgt.matrix
-    if n_pairs and (
-        dictionary.src_indices.max() >= src_m.shape[0]
-        or dictionary.tgt_indices.max() >= tgt_m.shape[0]
+    # One id per paired token: sources by index, then targets by index.
+    # A token's weight comes from the first pair holding it.
+    (src_tok, src_first, s), (tgt_tok, tgt_first, t) = (
+        np.unique(indices, return_index=True, return_inverse=True)
+        for indices in (dictionary.src_indices, dictionary.tgt_indices)
+    )
+    k = len(src_tok)
+    if k and not (
+        0 <= src_tok[0] and src_tok[-1] < len(space.src.matrix)
+        and 0 <= tgt_tok[0] and tgt_tok[-1] < len(space.tgt.matrix)
     ):
-        raise ValueError("dictionary indices exceed vocabulary size")
-
-    w_src, w_tgt = _pair_weights(
-        dictionary, weighted, relative,
-        space.src.vocab.total_tokens, space.tgt.vocab.total_tokens,
-    )
+        raise ValueError("dictionary indices outside the vocabulary")
+    w = np.ones(k + len(tgt_tok))
     if weighted:
-        zero = np.flatnonzero(w_src + w_tgt == 0.0)
-        if zero.size:
-            i = int(zero[0])
-            raise ValueError(
-                "zero total frequency for pair "
-                f"({dictionary.src_tokens[i]!r}, {dictionary.tgt_tokens[i]!r})"
-            )
+        totals = (space.src.vocab.total_tokens, space.tgt.vocab.total_tokens)
+        if relative and min(totals) <= 0:
+            raise ValueError("relative weighting needs positive corpus totals")
+        src_total, tgt_total = totals if relative else (1, 1)
+        w = np.concatenate([
+            dictionary.f_src[src_first] / src_total,
+            dictionary.f_tgt[tgt_first] / tgt_total,
+        ])
 
-    # Most tokens appear in exactly one pair; those are vectorized. Tokens
-    # shared by several pairs get the full-neighborhood average below.
-    src_count = np.bincount(dictionary.src_indices, minlength=src_m.shape[0])
-    tgt_count = np.bincount(dictionary.tgt_indices, minlength=tgt_m.shape[0])
-    simple = (src_count[dictionary.src_indices] == 1) & (
-        tgt_count[dictionary.tgt_indices] == 1
-    )
-
-    new_src = src_m.copy()
-    new_tgt = tgt_m.copy()
-
-    si = dictionary.src_indices[simple]
-    ti = dictionary.tgt_indices[simple]
-    ws = w_src[simple][:, None]
-    wt = w_tgt[simple][:, None]
-    mu = (ws * src_m[si] + wt * tgt_m[ti]) / (ws + wt)
-    new_src[si] = mu
-    new_tgt[ti] = mu
-
-    rest = np.flatnonzero(~simple)
-    if rest.size:
-        # neighborhood: own vector plus every paired counterpart, weights
-        # taken from the dictionary, contributions in canonical order
-        neigh: dict = {}
-        weight_of: dict = {}
-        for k in rest:
-            a = (0, int(dictionary.src_indices[k]))
-            b = (1, int(dictionary.tgt_indices[k]))
-            neigh.setdefault(a, {a}).add(b)
-            neigh.setdefault(b, {b}).add(a)
-            weight_of.setdefault(a, float(w_src[k]))
-            weight_of.setdefault(b, float(w_tgt[k]))
-        for key in neigh:
-            members = sorted(neigh[key])
-            weights = np.array([weight_of[m] for m in members])
-            if weights.sum() == 0.0:
-                raise ValueError(
-                    f"zero total frequency in the pair neighborhood of "
-                    f"{'source' if key[0] == 0 else 'target'} index {key[1]}"
-                )
-            stacked = np.stack(
-                [src_m[i] if side == 0 else tgt_m[i] for side, i in members]
-            )
-            vec = (weights[:, None] * stacked).sum(axis=0) / weights.sum()
-            if key[0] == 0:
-                new_src[key[1]] = vec
-            else:
-                new_tgt[key[1]] = vec
+    # weighted input rows; "clip" avoids a buffered copy (indices checked)
+    rows = np.empty((len(w), space.dim))
+    np.take(space.src.matrix, src_tok, axis=0, out=rows[:k], mode="clip")
+    np.take(space.tgt.matrix, tgt_tok, axis=0, out=rows[k:], mode="clip")
+    rows *= w[:, None]
+    total = _neighbourhood_sums(rows, w, s, t + k)
+    zero = np.flatnonzero(total == 0.0)
+    if zero.size:
+        i = int(zero[0])
+        where = (f"source token {space.src.vocab.tokens[src_tok[i]]!r}" if i < k
+                 else f"target token {space.tgt.vocab.tokens[tgt_tok[i - k]]!r}")
+        raise ValueError(f"zero total frequency in the pair neighbourhood of {where}")
+    rows /= total[:, None]  # a token in one pair: (ws*a + wt*b) / (ws + wt)
+    new_src = space.src.matrix.copy()
+    new_tgt = space.tgt.matrix.copy()
+    new_src[src_tok] = rows[:k]
+    new_tgt[tgt_tok] = rows[k:]
 
     record = {
         "transform": "average_weighted" if weighted else "average_plain",
-        "pairs": int(n_pairs),
+        "pairs": len(dictionary),
     }
     if weighted:
         record["relative_frequencies"] = bool(relative)

@@ -7,7 +7,6 @@ same condition. Thresholds are fixed here and must not be loosened.
 """
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -24,6 +23,7 @@ from synthetic import (
     unit_gaussian_rows,
     write_pipeline_fixture,
 )
+from test_cli import child_env
 from test_mapper import grid_oracle
 from test_sentiment import finite_difference_grads
 
@@ -447,7 +447,7 @@ def test_criterion_10_pipeline_byte_determinism_across_threads(tmp_path):
                 sys.executable, "-m", "xlembed.cli", "pipeline",
                 "--config", str(config), "--out", str(tmp_path / name),
             ],
-            env={**os.environ, "OMP_NUM_THREADS": threads},
+            env=child_env(OMP_NUM_THREADS=threads),
             capture_output=True,
             text=True,
         )

@@ -9,9 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import xlembed
 from xlembed.cli import main
 from synthetic import write_pipeline_fixture
+
+
+def child_env(**extra) -> dict:
+    """The environment for a `python` child that imports xlembed from this
+    checkout: its src directory is put first on PYTHONPATH, so the child
+    needs neither an installed package nor a PYTHONPATH from the caller."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def _run(capsys, argv):
@@ -25,10 +33,9 @@ def _run(capsys, argv):
 def test_cli_warning_prints_category_and_message_only(tmp_path):
     corpus = tmp_path / "bad.txt"
     corpus.write_bytes(b"hola \xff mundo\n")
-    src_dir = str(Path(xlembed.__file__).resolve().parents[1])
     res = subprocess.run(
         [sys.executable, "-m", "xlembed.cli", "stats", str(corpus)],
-        env={**os.environ, "PYTHONPATH": src_dir},
+        env=child_env(),
         capture_output=True,
         text=True,
     )
@@ -609,6 +616,20 @@ def test_pipeline_bad_value_fails_before_any_stage(
     assert not run_dir.exists()
 
 
+def test_pipeline_config_is_validated_when_built(fixture_dir, tmp_path):
+    from xlembed import PipelineConfig, run_pipeline
+
+    raw = json.loads((fixture_dir / "config.json").read_text(encoding="utf-8"))
+    raw["mapper"] = {"method": "selflearn"}
+    raw["refine"] = {"mode": "weigthed"}
+    run_dir = tmp_path / "run"
+    with pytest.raises(ValueError) as err:
+        run_pipeline(PipelineConfig(raw=raw, base_dir=fixture_dir), run_dir)
+    assert "mapper.method" in str(err.value)
+    assert "refine.mode" in str(err.value)
+    assert not run_dir.exists()
+
+
 @pytest.mark.parametrize(
     "align_args, mapper",
     [
@@ -707,7 +728,7 @@ def test_main_maps_large_blocks_after_a_large_free(tmp_path):
     corpus.write_text("hola mundo\n", encoding="utf-8")
     res = subprocess.run(
         [sys.executable, "-c", _MMAP_PROBE, str(corpus)],
-        capture_output=True, text=True,
+        env=child_env(), capture_output=True, text=True,
     )
     assert res.returncode == 0, res.stderr
     assert int(res.stdout.split()[-1]) >= 8 << 20

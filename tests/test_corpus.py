@@ -415,3 +415,17 @@ def test_read_vocab_tsv_duplicate_names_file_and_lines(tmp_path):
     msg = str(err.value)
     assert str(path) in msg and "line 3" in msg and "line 1" in msg
     assert "'si'" in msg
+
+
+def test_read_vocab_tsv_rejects_negative_count_keeps_zero(tmp_path):
+    # a negative count would become a negative averaging weight through a
+    # sidecar and a negative corpus total
+    path = tmp_path / "neg.tsv"
+    path.write_text("mundo\t3\tword\nhola\t-5\tword\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_vocab_tsv(path)
+    assert str(err.value) == f"{path}: line 2: negative count field '-5'"
+    path.write_text("mundo\t3\tword\nhola\t0\tword\n", encoding="utf-8")
+    vocab = read_vocab_tsv(path)
+    assert vocab.freqs.tolist() == [3, 0]
+    assert vocab.total_tokens == 3

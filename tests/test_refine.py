@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xlembed import (
     CrossLingualSpace,
@@ -10,6 +12,7 @@ from xlembed import (
     make_space,
     meemi_transform,
 )
+from xlembed.lexicon import BilingualDictionary
 from xlembed.refine import RIDGE_LAMBDA
 from synthetic import unit_gaussian_rows
 
@@ -184,11 +187,186 @@ def test_multi_pair_token_full_neighborhood():
     assert np.allclose(out.tgt.matrix[1], [0.5, -0.5])
 
 
+def reference_average(space, dictionary, weighted, relative):
+    """Per-token Python oracle: each paired token becomes the weighted mean
+    of its neighbourhood (itself plus every token it is paired with, each
+    once), weights from the first pair holding a token, terms summed one by
+    one in (side, index) order starting from the first term."""
+    src_total = space.src.vocab.total_tokens if relative else 1
+    tgt_total = space.tgt.vocab.total_tokens if relative else 1
+    neigh, weight = {}, {}
+    for k in range(len(dictionary)):
+        a = (0, int(dictionary.src_indices[k]))
+        b = (1, int(dictionary.tgt_indices[k]))
+        for key in (a, b):
+            neigh.setdefault(key, {key}).update((a, b))
+        weight.setdefault(a, float(dictionary.f_src[k]) / src_total if weighted else 1.0)
+        weight.setdefault(b, float(dictionary.f_tgt[k]) / tgt_total if weighted else 1.0)
+    matrices = (space.src.matrix, space.tgt.matrix)
+    out = (space.src.matrix.copy(), space.tgt.matrix.copy())
+    for (side, i), members in neigh.items():
+        members = sorted(members)
+        total = weight[members[0]]
+        acc = [total * float(x) for x in matrices[members[0][0]][members[0][1]]]
+        for m in members[1:]:
+            total += weight[m]
+            acc = [s + weight[m] * float(x) for s, x in zip(acc, matrices[m[0]][m[1]])]
+        out[side][i] = [s / total for s in acc]
+    return out
+
+
+def _bit_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+ENTRIES = st.one_of(
+    st.just(-0.0), st.just(0.0), st.floats(-1e3, 1e3, allow_subnormal=False)
+)
+
+
+@st.composite
+def many_to_many(draw):
+    dim = draw(st.sampled_from([1, 2, 7]))
+    n_src = draw(st.integers(1, 10))
+    n_tgt = draw(st.integers(1, 10))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n_src - 1), st.integers(0, n_tgt - 1)),
+        min_size=1, max_size=40,
+    ))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=5))  # repeats
+    rows = st.lists(ENTRIES, min_size=dim, max_size=dim)
+    src = make_space(
+        [f"s{i}" for i in range(n_src)],
+        draw(st.lists(rows, min_size=n_src, max_size=n_src)),
+    )
+    tgt = make_space(
+        [f"t{j}" for j in range(n_tgt)],
+        draw(st.lists(rows, min_size=n_tgt, max_size=n_tgt)),
+    )
+    src.vocab.total_tokens = draw(st.integers(1, 10**9))
+    tgt.vocab.total_tokens = draw(st.integers(1, 10**9))
+    freqs = st.lists(
+        st.integers(1, 10**6), min_size=len(pairs), max_size=len(pairs)
+    )
+    dictionary = BilingualDictionary(
+        src_tokens=[f"s{i}" for i, _ in pairs],
+        tgt_tokens=[f"t{j}" for _, j in pairs],
+        src_indices=[i for i, _ in pairs],
+        tgt_indices=[j for _, j in pairs],
+        classes=[None] * len(pairs),
+        f_src=draw(freqs),
+        f_tgt=draw(freqs),
+    )
+    return CrossLingualSpace(src=src, tgt=tgt), dictionary
+
+
+@settings(max_examples=150, deadline=None)
+@given(many_to_many(), st.sampled_from(["plain", "weighted", "relative"]))
+def test_average_matches_per_token_reference_bit_for_bit(case, weights):
+    space, d = case
+    if weights == "plain":
+        out = average_plain(space, d)
+    else:
+        out = average_weighted(space, d, relative=weights == "relative")
+    exp_src, exp_tgt = reference_average(
+        space, d, weighted=weights != "plain", relative=weights == "relative"
+    )
+    # tobytes equality also pins the sign of every zero
+    assert _bit_equal(out.src.matrix, exp_src)
+    assert _bit_equal(out.tgt.matrix, exp_tgt)
+
+
+def test_average_matches_reference_across_blocks():
+    # more paired tokens than one block of groups, with hubs of every size
+    rng = np.random.default_rng(12)
+    n, dim, n_pairs = 400, 3, 1500
+    src = make_space(
+        [f"s{i}" for i in range(n)], rng.normal(size=(n, dim)),
+        freqs=rng.integers(1, 100, size=n),
+    )
+    tgt = make_space(
+        [f"t{i}" for i in range(n)], rng.normal(size=(n, dim)),
+        freqs=rng.integers(1, 100, size=n),
+    )
+    space = CrossLingualSpace(src=src, tgt=tgt)
+    si = rng.integers(0, n, size=n_pairs) ** 2 // n  # skewed: low indices are hubs
+    ti = rng.integers(0, n, size=n_pairs)
+    d = dictionary_from_pairs(
+        [(f"s{i}", f"t{j}") for i, j in zip(si, ti)], src.vocab, tgt.vocab
+    )
+    out = average_weighted(space, d)
+    exp_src, exp_tgt = reference_average(space, d, weighted=True, relative=False)
+    assert _bit_equal(out.src.matrix, exp_src)
+    assert _bit_equal(out.tgt.matrix, exp_tgt)
+
+
+@pytest.mark.parametrize("weights", ["plain", "weighted", "relative"])
+def test_one_to_one_is_the_pair_formula(weights):
+    rng = np.random.default_rng(11)
+    n, dim = 300, 5
+    src = make_space(
+        [f"s{i}" for i in range(n)], rng.normal(size=(n, dim)),
+        freqs=rng.integers(1, 10_000, size=n),
+    )
+    tgt = make_space(
+        [f"t{i}" for i in range(n)], rng.normal(size=(n, dim)),
+        freqs=rng.integers(1, 10_000, size=n),
+    )
+    space = CrossLingualSpace(src=src, tgt=tgt)
+    si, ti = rng.permutation(n)[:200], rng.permutation(n)[:200]
+    src.matrix[si[0]] = -0.0
+    tgt.matrix[ti[0]] = -0.0
+    d = dictionary_from_pairs(
+        [(f"s{i}", f"t{j}") for i, j in zip(si, ti)], src.vocab, tgt.vocab
+    )
+    if weights == "plain":
+        out = average_plain(space, d)
+        ws = wt = np.ones((len(d), 1))
+    else:
+        relative = weights == "relative"
+        out = average_weighted(space, d, relative=relative)
+        ws = d.f_src[:, None] / (src.vocab.total_tokens if relative else 1)
+        wt = d.f_tgt[:, None] / (tgt.vocab.total_tokens if relative else 1)
+    a = src.matrix[d.src_indices]
+    b = tgt.matrix[d.tgt_indices]
+    mu = (ws * a + wt * b) / (ws + wt)
+    assert _bit_equal(out.src.matrix[d.src_indices], mu)
+    assert _bit_equal(out.tgt.matrix[d.tgt_indices], mu)
+    assert np.signbit(out.src.matrix[si[0]]).all()  # -0.0 survives
+
+
+@pytest.mark.parametrize(
+    "f_src, f_tgt, token",
+    [([0, 0], [0, 0], "source token 's'"), ([0, 0], [5, 0], "target token 'u'")],
+)
+def test_multi_pair_zero_total_names_token(f_src, f_tgt, token):
+    # s pairs with t and u; the first neighbourhood that weighs nothing is
+    # named: that of s (all weights zero) or that of u (only t weighs)
+    src = make_space(["s"], [[1.0, 0.0]])
+    tgt = make_space(["t", "u"], [[0.0, 1.0], [1.0, 1.0]])
+    space = CrossLingualSpace(src=src, tgt=tgt)
+    d = dictionary_from_pairs([("s", "t"), ("s", "u")], src.vocab, tgt.vocab)
+    d.f_src = np.array(f_src)
+    d.f_tgt = np.array(f_tgt)
+    with pytest.raises(ValueError) as err:
+        average_weighted(space, d)
+    assert token in str(err.value)
+
+
 def test_average_invalid_index_rejected():
     space = _space_pair(["w"], [[1.0, 0.0]], ["w"], [[0.0, 1.0]])
     d = dictionary_from_pairs([("w", "w")], space.src.vocab, space.tgt.vocab)
     d.src_indices = np.array([5])
     with pytest.raises(ValueError):
+        average_plain(space, d)
+
+
+def test_average_negative_index_rejected():
+    # a negative index would wrap to the last row instead of failing
+    space = _space_pair(["w"], [[1.0, 0.0]], ["w"], [[0.0, 1.0]])
+    d = dictionary_from_pairs([("w", "w")], space.src.vocab, space.tgt.vocab)
+    d.tgt_indices = np.array([-1])
+    with pytest.raises(ValueError, match="outside the vocabulary"):
         average_plain(space, d)
 
 
