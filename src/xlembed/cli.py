@@ -186,6 +186,7 @@ def cmd_align(args) -> int:
     model, space = align(
         src, tgt, dictionary, _self_learn_config(args), args.reweight_s
     )
+    del src, tgt  # the saves need only the mapped space
     save_model(model, args.out_model)
     if args.out_src:
         save_embeddings(space.src, args.out_src)
@@ -247,6 +248,7 @@ def cmd_ablation(args) -> int:
         raise ValueError(
             "--sentiment-train and --sentiment-test must be given together"
         )
+    # src and tgt stay alive: the grid aligns each of its variants
     src, tgt = _load_pair(args, normalized=True)
     dictionary = build_dictionary(src.vocab, tgt.vocab, "identical")
     test, _ = load_test_dictionary(args.test, src.vocab, tgt.vocab)

@@ -18,6 +18,7 @@ from .lexicon import BilingualDictionary
 from .scoring import (
     COSINE,
     CSLS,
+    _blocks,
     check_retrieval,
     neighbourhood_mean,
     score_blocks,
@@ -82,11 +83,28 @@ def _check_pair(src: EmbeddingSpace, tgt: EmbeddingSpace, dictionary) -> None:
         raise ValueError("seed dictionary is empty")
 
 
-def _mean_pair_cosine(x: np.ndarray, y: np.ndarray) -> float:
-    num = np.einsum("ij,ij->i", x, y)
-    den = np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
-    den[den == 0.0] = 1.0
-    return float(np.mean(num / den))
+def _mean_pair_cosine(
+    src: np.ndarray,
+    tgt: np.ndarray,
+    w: np.ndarray,
+    src_idx: np.ndarray,
+    tgt_idx: np.ndarray,
+) -> float:
+    """Mean cosine of the pairs (src[i] @ w, tgt[j]) over zip(src_idx,
+    tgt_idx). The mapped rows come from one product (row blocks of it may
+    round differently); the target rows, norms and ratios are taken
+    BLOCK_ROWS pairs at a time into one vector, so the mean sums the
+    ratios in one fixed order."""
+    x = src[src_idx] @ w
+    ratio = np.empty(len(x))
+    for rows in _blocks(len(x)):
+        xb = x[rows]
+        y = tgt[tgt_idx[rows]]
+        num = np.einsum("ij,ij->i", xb, y)
+        den = np.linalg.norm(xb, axis=1) * np.linalg.norm(y, axis=1)
+        den[den == 0.0] = 1.0
+        ratio[rows] = num / den
+    return float(np.mean(ratio))
 
 
 def solve_procrustes(
@@ -98,13 +116,11 @@ def solve_procrustes(
     builder and loader goes through, keeps one copy of each pair.
     """
     _check_pair(src, tgt, dictionary)
-    x = src.matrix[dictionary.src_indices]
-    y = tgt.matrix[dictionary.tgt_indices]
-    u, _, vt = _svd_cross(x, y)
+    s_idx, t_idx = dictionary.src_indices, dictionary.tgt_indices
+    u, _, vt = _svd_cross(src.matrix[s_idx], tgt.matrix[t_idx])
     w = u @ vt
-    return AlignmentModel(
-        src_map=w, iterations=1, dict_cosines=[_mean_pair_cosine(x @ w, y)]
-    )
+    cos = _mean_pair_cosine(src.matrix, tgt.matrix, w, s_idx, t_idx)
+    return AlignmentModel(src_map=w, iterations=1, dict_cosines=[cos])
 
 
 def _merge_column_max(
@@ -114,11 +130,14 @@ def _merge_column_max(
     per-column max `best` and its source index `bwd`. A strict > keeps the
     earlier block on ties, and the first True of `scores == max` the lowest
     row within a block, as a column-wise argmax over the full matrix would.
-    Only the improved columns are gathered: no transposed copy of the block."""
+    Only the improved columns are gathered, and none when every column
+    improves (as in the first block, against -inf): no copy of the block."""
     val = scores.max(axis=0)
     better = np.flatnonzero(val > best)
+    if better.size < best.size:
+        scores = scores[:, better]
     best[better] = val[better]
-    bwd[better] = np.argmax(scores[:, better] == val[better], axis=0) + start
+    bwd[better] = np.argmax(scores == val[better], axis=0) + start
 
 
 def _induce_pairs(
@@ -205,7 +224,10 @@ def self_learn(
         induced = _induce_pairs(
             unit_rows(mapped, out=mapped), tgt_unit, cfg.retrieval, seed_pairs
         )
-        score = _mean_pair_cosine(src_top[induced[:, 0]] @ w, tgt_top[induced[:, 1]])
+        del mapped
+        score = _mean_pair_cosine(
+            src_top, tgt_top, w, induced[:, 0], induced[:, 1]
+        )
         history.append(score)
         if score > best_score:
             best_score = score

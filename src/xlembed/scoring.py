@@ -1,13 +1,16 @@
 """Blocked similarity kernels shared by dictionary induction and retrieval.
 
-Queries are scored against every target BLOCK_ROWS query rows at a time,
-so scratch memory is O(BLOCK_ROWS x n_targets): no n_queries x n_targets
-matrix is ever allocated, and each pass reuses its one or two block
-buffers instead of allocating per block. CSLS (Conneau et al. 2018)
-scores a pair as 2*cos(x, y) - r_T(x) - r_S(y), where r_T(x) is the mean
-cosine of x's CSLS_K nearest targets and r_S(y) the mean cosine of y's
-CSLS_K nearest sources; both neighbourhood means are row-wise passes over
-blocks.
+Queries are scored against every target a block of query rows at a time,
+so no n_queries x n_targets matrix is ever allocated. A block has at most
+BLOCK_ROWS rows and at most BLOCK_BYTES bytes of scores (at least one row),
+so its size stays constant as the number of targets grows. Each pass
+allocates its one block buffer once and reuses it for every block; the
+only other scratch is a copy of SUB_ROWS rows of the block, which the
+row-wise top-k steps partition. CSLS (Conneau et al. 2018) scores a pair
+as 2*cos(x, y) - r_T(x) - r_S(y), where r_T(x) is the mean cosine of x's
+CSLS_K nearest targets and r_S(y) the mean cosine of y's CSLS_K nearest
+sources; both neighbourhood means are row-wise passes over blocks, and
+the CSLS scores overwrite the cosine block in place.
 """
 
 from typing import Iterator, Optional
@@ -20,6 +23,10 @@ RETRIEVAL_MODES = (COSINE, CSLS)
 CSLS_K = 10
 
 BLOCK_ROWS = 256
+# Score bytes per block: 256 rows up to 5000 targets, 128 rows at 10000.
+BLOCK_BYTES = 256 * 5000 * 8
+# Rows per partitioned copy inside a block.
+SUB_ROWS = 16
 # Row norms inside this range are exact enough from the plain sum of squares
 # (no square overflows, and subnormal squares are negligible).
 _SAFE_NORM = (1e-150, 1e150)
@@ -67,9 +74,26 @@ def topk_mean(scores: np.ndarray, k: int) -> np.ndarray:
     return scores[:, n - k :].mean(axis=1)
 
 
-def _blocks(n_rows: int) -> Iterator[slice]:
-    for start in range(0, n_rows, BLOCK_ROWS):
-        yield slice(start, min(start + BLOCK_ROWS, n_rows))
+def _blocks(n_rows: int, size: Optional[int] = None) -> Iterator[slice]:
+    size = size or BLOCK_ROWS
+    for start in range(0, n_rows, size):
+        yield slice(start, min(start + size, n_rows))
+
+
+def block_rows(n_targets: int) -> int:
+    """Query rows per score block against n_targets targets: BLOCK_ROWS,
+    or fewer when the block would exceed BLOCK_BYTES, but at least one."""
+    return max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 * max(1, n_targets))))
+
+
+def _row_copies(block: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield (rows, copy of block[rows]) for consecutive SUB_ROWS-row
+    slices; every copy is a view of one reused buffer."""
+    buf = np.empty((min(SUB_ROWS, block.shape[0]), block.shape[1]))
+    for rows in _blocks(block.shape[0], SUB_ROWS):
+        copy = buf[: rows.stop - rows.start]
+        np.copyto(copy, block[rows])
+        yield rows, copy
 
 
 def neighbourhood_mean(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -91,36 +115,40 @@ def score_blocks(
 
     A yielded block is a view of a buffer that the next block overwrites,
     so copy whatever is kept beyond the current iteration."""
-    shape = (min(BLOCK_ROWS, queries.shape[0]), targets.shape[0])
-    buf = np.empty(shape)
-    csls = None if r_src is None else np.empty(shape)
-    for rows in _blocks(queries.shape[0]):
+    step = block_rows(targets.shape[0])
+    buf = np.empty((min(step, queries.shape[0]), targets.shape[0]))
+    for rows in _blocks(queries.shape[0], step):
         m = rows.stop - rows.start
-        cos = np.matmul(queries[rows], targets.T, out=buf[:m])
-        if r_src is None:
-            yield rows, cos
-        else:
-            # 2*cos - r_T - r_S in place; 2*cos is taken before topk_mean
-            # reorders cos.
-            scores = np.multiply(cos, 2.0, out=csls[:m])
-            scores -= topk_mean(cos, CSLS_K)[:, None]
-            scores -= r_src[None, :]
-            yield rows, scores
+        scores = np.matmul(queries[rows], targets.T, out=buf[:m])
+        if r_src is not None:
+            # 2*cos - r_T - r_S in place, SUB_ROWS rows at a time; r_T
+            # partitions a copy of the rows, so cos is still in order.
+            for sub, cos in _row_copies(scores):
+                r_tgt = topk_mean(cos, CSLS_K)
+                part = scores[sub]
+                part *= 2.0
+                part -= r_tgt[:, None]
+                part -= r_src[None, :]
+        yield rows, scores
 
 
 def ranked_topk(scores: np.ndarray, k: int) -> np.ndarray:
     """Top-k column indices per row: descending score, ties to the lower
-    index. argpartition finds the k-th score; every entry tied with it
-    stays a candidate, so the exact (-score, index) sort of the candidates
-    breaks ties at the boundary the same way a stable full sort would."""
+    index. The k-th score of each row comes from partitioning a copy of
+    SUB_ROWS rows at a time; every entry tied with it stays a candidate,
+    so the exact (-score, index) sort of the candidates breaks ties at the
+    boundary the same way a stable full sort would."""
     n_rows, n = scores.shape
     k = min(k, n)
-    cand = np.argpartition(scores, n - k, axis=1)[:, n - k :]
-    kth = np.take_along_axis(scores, cand, axis=1).min(axis=1)
-    rows, cols = np.nonzero(scores >= kth[:, None])
-    order = np.lexsort((cols, -scores[rows, cols], rows))
-    starts = np.searchsorted(rows[order], np.arange(n_rows))
-    return cols[order][starts[:, None] + np.arange(k)]
+    out = np.empty((n_rows, k), dtype=np.int64)
+    for sub, part in _row_copies(scores):
+        part.partition(n - k, axis=1)
+        block = scores[sub]
+        rows, cols = np.nonzero(block >= part[:, n - k, None])
+        order = np.lexsort((cols, -block[rows, cols], rows))
+        starts = np.searchsorted(rows[order], np.arange(len(part)))
+        out[sub] = cols[order][starts[:, None] + np.arange(k)]
+    return out
 
 
 def topk(

@@ -16,7 +16,9 @@ from .scoring import (
     unit_rows,
 )
 
-# Read by perfbench/layertrace.py to size the largest score block.
+# Read by perfbench/layertrace.py to size the largest score block. It is
+# the row cap: against more than 5000 targets the byte budget
+# (scoring.BLOCK_BYTES) makes the block smaller, e.g. 128 rows at 10000.
 from .scoring import BLOCK_ROWS as _QUERY_CHUNK
 
 DEFAULT_KS = (1, 5, 10)

@@ -25,6 +25,7 @@ from xlembed import (
     make_space,
     precision_at_k,
     self_learn,
+    solve_procrustes,
     translate_topk,
 )
 from synthetic import rotation_benchmark
@@ -90,6 +91,61 @@ def test_ranked_topk_ties_at_kth_position_go_to_lower_index():
             [np.lexsort((np.arange(6), -row))[: min(k, 6)] for row in scores]
         )
         assert np.array_equal(scoring.ranked_topk(scores, k), want)
+
+
+def _argpartition_ranked_topk(scores, k):
+    """ranked_topk as it was before sub-blocking: the k-th score of each
+    row from one argpartition of the whole block."""
+    n_rows, n = scores.shape
+    k = min(k, n)
+    cand = np.argpartition(scores, n - k, axis=1)[:, n - k :]
+    kth = np.take_along_axis(scores, cand, axis=1).min(axis=1)
+    rows, cols = np.nonzero(scores >= kth[:, None])
+    order = np.lexsort((cols, -scores[rows, cols], rows))
+    starts = np.searchsorted(rows[order], np.arange(n_rows))
+    return cols[order][starts[:, None] + np.arange(k)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+        elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]),
+    ),
+    st.integers(1, 15),
+    st.integers(1, 5),
+)
+def test_sub_blocked_ranked_topk_matches_argpartition(scores, k, sub_rows):
+    """Few distinct values, so rows tie at the k-th value within and
+    across sub-blocks; k runs past the number of columns."""
+    before = scores.copy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scoring, "SUB_ROWS", sub_rows)
+        got = scoring.ranked_topk(scores, k)
+    assert np.array_equal(got, _argpartition_ranked_topk(scores, k))
+    assert np.array_equal(scores, before) and np.array_equal(
+        np.signbit(scores), np.signbit(before)
+    )
+
+
+def test_ranked_topk_ties_at_kth_value_across_sub_blocks(monkeypatch):
+    monkeypatch.setattr(scoring, "SUB_ROWS", 2)
+    scores = np.array(
+        [
+            [0.5, 0.9, 0.5, 0.1, 0.5],
+            [0.0, -0.0, 0.0, 1.0, -0.0],  # rows 1 and 2 straddle a boundary
+            [0.0, -0.0, 0.0, 1.0, -0.0],
+            [0.5, 0.5, 0.5, 0.5, 0.5],
+            [-0.0, -0.0, -0.0, -0.0, 0.0],
+        ]
+    )
+    for k in (1, 2, 3, 4, 5, 6):
+        want = np.array(
+            [np.lexsort((np.arange(5), -row))[: min(k, 5)] for row in scores]
+        )
+        assert np.array_equal(scoring.ranked_topk(scores, k), want)
+        assert np.array_equal(_argpartition_ranked_topk(scores, k), want)
 
 
 def test_cosine_topk_blocked_matches_brute_force(small_blocks):
@@ -310,6 +366,113 @@ def test_self_learn_blocked_induced_pairs_match_dense(
         assert np.array_equal(got, want)
 
 
+# ------------------------------------------------- block byte budget
+
+# Score block rows against 600 targets, and the overrides that shrink the
+# blocks below the 256-row default to them: ragged 5-row score blocks with
+# 7-row pair blocks and 3-row sub-blocks, the 128 rows of a pass over 10000
+# targets, and one-row blocks by the byte budget and by the row cap.
+BUDGETS = {
+    "ragged": (5, {"BLOCK_ROWS": 7, "BLOCK_BYTES": 5 * 600 * 8, "SUB_ROWS": 3}),
+    "half": (128, {"BLOCK_ROWS": 128}),
+    "one-row-budget": (1, {"BLOCK_BYTES": 1, "SUB_ROWS": 1}),
+    "one-row-cap": (1, {"BLOCK_ROWS": 1}),
+}
+
+
+def _score_outputs(src_matrix, tgt_matrix, retrieval, seed_pairs):
+    src_unit = scoring.unit_rows(src_matrix)
+    tgt_unit = scoring.unit_rows(tgt_matrix)
+    r_src = scoring.neighbourhood_mean(tgt_unit, src_unit)
+    r = r_src if retrieval == "csls" else None
+    idx, val = scoring.topk(src_unit, tgt_unit, 10, r)
+    return {
+        "neighbourhood_mean": r_src,
+        "score_blocks": np.concatenate(
+            [b.copy() for _, b in scoring.score_blocks(src_unit, tgt_unit, r)]
+        ),
+        "topk_idx": idx,
+        "topk_val": val,
+        "induce_pairs": mapper._induce_pairs(src_unit, tgt_unit, retrieval, seed_pairs),
+    }
+
+
+def _blocked_outputs(retrieval, one_row):
+    """Every blocked kernel on a 600 x 32 rotation benchmark (600 targets:
+    two 256-row blocks and a ragged one by default), and the score kernels
+    on the exact-valued _axis_space. numpy computes a one-row block with
+    GEMV, which OpenBLAS rounds differently from GEMM at any block size, so
+    there the benchmark's scores are compared by their indices only."""
+    src, tgt, _ = rotation_benchmark(n=600, d=32, noise=0.1, seed=7)
+    full = build_identical_dictionary(src.vocab, tgt.vocab)
+    seed = dictionary_from_pairs(full.pairs()[:30], src.vocab, tgt.vocab)
+    seed_pairs = np.stack([seed.src_indices, seed.tgt_indices], axis=1)
+    model = self_learn(
+        src, tgt, seed,
+        SelfLearnConfig(induce_vocab_cutoff=512, retrieval=retrieval, max_iters=3),
+    )
+    out = {
+        "self_learn_map": model.src_map,
+        "self_learn_cosines": np.array(model.dict_cosines),
+        "procrustes_cosines": np.array(solve_procrustes(src, tgt, seed).dict_cosines),
+    }
+    scores = _score_outputs(src.matrix, tgt.matrix, retrieval, seed_pairs)
+    for key in ("topk_idx", "induce_pairs") if one_row else scores:
+        out[key] = scores[key]
+    axis = _axis_space()
+    exact = _score_outputs(
+        axis.src.matrix, axis.tgt.matrix, retrieval, np.array([[0, 1], [3, 2]])
+    )
+    out.update({f"exact {key}": value for key, value in exact.items()})
+    return out
+
+
+@pytest.mark.parametrize("retrieval", MODES)
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_block_budget_changes_no_bit(monkeypatch, retrieval, budget):
+    """Row-blocked GEMMs need not be bit-equal under every BLAS; this
+    checks every blocked kernel against its 256-row result."""
+    rows, overrides = BUDGETS[budget]
+    assert scoring.block_rows(600) == 256
+    want = _blocked_outputs(retrieval, one_row=rows == 1)
+    for name, value in overrides.items():
+        monkeypatch.setattr(scoring, name, value)
+    assert scoring.block_rows(600) == rows
+    got = _blocked_outputs(retrieval, one_row=rows == 1)
+    for key in want:
+        assert np.array_equal(got[key], want[key]), key
+
+
+def _one_product_pair_cosine(x, y):
+    """The mean pair cosine as one expression over all mapped pairs."""
+    num = np.einsum("ij,ij->i", x, y)
+    den = np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
+    den[den == 0.0] = 1.0
+    return float(np.mean(num / den))
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 256])
+def test_blocked_pair_cosine_equals_one_expression(monkeypatch, block_rows):
+    monkeypatch.setattr(scoring, "BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(4)
+    src = rng.normal(size=(90, 12))
+    tgt = rng.normal(size=(80, 12))
+    src[5] = 0.0  # a zero row scores 0
+    w = np.linalg.qr(rng.normal(size=(12, 12)))[0]
+    s_idx = rng.integers(0, 90, 300)
+    t_idx = rng.integers(0, 80, 300)
+    s_idx[:3] = 5
+    got = mapper._mean_pair_cosine(src, tgt, w, s_idx, t_idx)
+    assert got == _one_product_pair_cosine(src[s_idx] @ w, tgt[t_idx])
+
+
+def test_block_rows_follow_the_byte_budget():
+    assert scoring.block_rows(5000) == 256
+    assert scoring.block_rows(10000) == 128
+    assert scoring.block_rows(10**9) == 1
+    assert scoring.block_rows(1) == scoring.BLOCK_ROWS
+
+
 # ----------------------------------------------------------- memory
 
 V = 3000
@@ -358,6 +521,21 @@ def test_csls_peak_memory_below_three_and_a_half_score_blocks():
         run()
         peak = _peak_bytes(run)
         assert peak < 3.5 * block, (
+            f"CSLS {name} peaked at {peak / block:.2f} score blocks"
+        )
+
+
+def test_csls_peak_memory_below_two_score_blocks():
+    """One reused score block plus copies of SUB_ROWS of its rows: a
+    second block buffer, an argpartition index block or a gather of a
+    whole block in _merge_column_max each pushes the peak past 2 blocks.
+    Each run is made once untraced first, as above."""
+    block = scoring.block_rows(V) * V * 8
+    run_p_at_k, run_self_learn = _csls_memory_case()
+    for name, run in (("P@k", run_p_at_k), ("self_learn", run_self_learn)):
+        run()
+        peak = _peak_bytes(run)
+        assert peak < 2.0 * block, (
             f"CSLS {name} peaked at {peak / block:.2f} score blocks"
         )
 
