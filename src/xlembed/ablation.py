@@ -65,16 +65,13 @@ def _run_cell(
     refine_mode: str,
     ks: tuple,
     retrieval: str,
-    oov_as_wrong: bool,
     sentiment_train: Optional[SentimentDataset],
     sentiment_test: Optional[SentimentDataset],
 ) -> AblationCell:
     try:
         space = refine_space(space, dictionary, refine_mode)
         cell = AblationCell(
-            translation=evaluate_translation(
-                space, test, ks, retrieval, oov_as_wrong=oov_as_wrong
-            )
+            translation=evaluate_translation(space, test, ks, retrieval)
         )
         if sentiment_train is not None and sentiment_test is not None:
             _, cell.sentiment = evaluate_sentiment(
@@ -92,7 +89,6 @@ def run_ablation(
     test: TestDictionary,
     ks: tuple = DEFAULT_KS,
     retrieval: str = COSINE,
-    oov_as_wrong: bool = False,
     sentiment_train: Optional[SentimentDataset] = None,
     sentiment_test: Optional[SentimentDataset] = None,
     self_learn_config: Optional[SelfLearnConfig] = None,
@@ -118,7 +114,7 @@ def run_ablation(
             for model_name, refine_mode in MODELS:
                 row.cells[model_name] = _run_cell(
                     space, variant, test, refine_mode, ks, retrieval,
-                    oov_as_wrong, sentiment_train, sentiment_test,
+                    sentiment_train, sentiment_test,
                 )
         rows.append(row)
     return AblationTable(rows=rows, ks=tuple(sorted(ks)), has_sentiment=has_sentiment)

@@ -94,7 +94,6 @@ EMOJI_CLUSTER_PATTERN = (
     f"|{_UNIT}(?:{ZWJ}{_UNIT})*)"
 )
 
-EMOJI_CLUSTER_RE = re.compile(EMOJI_CLUSTER_PATTERN)
 EMOJI_TOKEN_RE = re.compile(f"(?:{EMOJI_CLUSTER_PATTERN})+\\Z")
 
 

@@ -13,8 +13,8 @@ if TYPE_CHECKING:  # ablation runs the pipeline, which writes reports
     from .ablation import AblationTable
 
 
-def _fmt(value: Optional[float], digits: int = 2) -> str:
-    return "n/a" if value is None else f"{value:.{digits}f}"
+def _fmt(value: Optional[float]) -> str:
+    return "n/a" if value is None else f"{value:.2f}"
 
 
 def provenance_header(stage: str, config_hash: str, seed: int, version: str) -> str:
@@ -110,13 +110,12 @@ def _ablation_columns(table: "AblationTable") -> list:
     return cols
 
 
-def ablation_tsv(table: "AblationTable", header: str = "") -> str:
+def ablation_tsv(table: "AblationTable") -> str:
     cols = _ablation_columns(table)
-    lines = [header] if header else []
-    lines.append(
+    lines = [
         "dictionary\tpairs\t"
         + "\t".join(f"{m}:{c}" for m in table.models for c in cols)
-    )
+    ]
     for row in table.rows:
         cells = _ablation_cells(table, row)
         values = [cells[m][c] for m in table.models for c in cols]

@@ -164,9 +164,6 @@ def probe_loss_grad(
 def train_probe(
     train: SentimentDataset,
     space: EmbeddingSpace,
-    epochs: int = EPOCHS,
-    lr: float = LEARNING_RATE,
-    l2: float = L2_PENALTY,
 ) -> ProbeModel:
     """Full-batch gradient descent from zero init; embeddings are frozen
     (never written); deterministic given the dataset and space."""
@@ -179,16 +176,16 @@ def train_probe(
     weights = np.zeros((space.dim, n_classes), dtype=np.float64)
     bias = np.zeros(n_classes, dtype=np.float64)
     losses = []
-    for epoch in range(epochs):
-        loss, grad_w, grad_b = probe_loss_grad(weights, bias, x, y, l2)
+    for epoch in range(EPOCHS):
+        loss, grad_w, grad_b = probe_loss_grad(weights, bias, x, y)
         if not np.isfinite(loss):
             raise RuntimeError(
                 f"non-finite loss at epoch {epoch}; "
-                f"|W|={np.abs(weights).max():.3e}, lr={lr}"
+                f"|W|={np.abs(weights).max():.3e}, lr={LEARNING_RATE}"
             )
         losses.append(loss)
-        weights -= lr * grad_w
-        bias -= lr * grad_b
+        weights -= LEARNING_RATE * grad_w
+        bias -= LEARNING_RATE * grad_b
     return ProbeModel(
         weights=weights, bias=bias, scheme=train.scheme, loss_history=losses
     )

@@ -1,7 +1,6 @@
 """Word-translation evaluation: exhaustive top-k retrieval and P@k."""
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,11 +31,6 @@ class TranslationReport:
     total: int
     retrieval: str
     oov_as_wrong: bool
-    per_query: Optional[list] = None   # (src, [(tgt, score), ...]) when requested
-
-    @property
-    def defined(self) -> bool:
-        return all(v is not None for v in self.p_at.values())
 
 
 def _retrieve(
@@ -55,19 +49,26 @@ def _retrieve(
 
 
 def translate_topk(
-    space: CrossLingualSpace, query: str, k: int, retrieval: str = COSINE
-) -> list[tuple[str, float]]:
-    """Rank all target tokens for one source token."""
+    space: CrossLingualSpace, query: str | list[str], k: int, retrieval: str = COSINE
+) -> list:
+    """Rank all target tokens for one source token, or for each token of a
+    list in one pass (one CSLS r_S for all of them). A str query returns its
+    [(tgt, score), ...]; a list returns one such list per token, in order.
+    Every token is checked before any scoring."""
     if k < 1:
         raise ValueError("k must be >= 1")
     check_retrieval(retrieval)
-    if query not in space.src.vocab.index:
-        raise KeyError(f"query token {query!r} not in source vocabulary")
-    top, scores = _retrieve(space, [space.src.vocab.index[query]], k, retrieval)
-    return [
-        (space.tgt.vocab.tokens[int(j)], float(v))
-        for j, v in zip(top[0], scores[0])
+    queries = [query] if isinstance(query, str) else list(query)
+    for tok in queries:
+        if tok not in space.src.vocab.index:
+            raise KeyError(f"query token {tok!r} not in source vocabulary")
+    query_idx = [space.src.vocab.index[tok] for tok in queries]
+    top, scores = _retrieve(space, query_idx, k, retrieval)
+    ranked = [
+        [(space.tgt.vocab.tokens[int(j)], float(v)) for j, v in zip(row, vals)]
+        for row, vals in zip(top, scores)
     ]
+    return ranked[0] if isinstance(query, str) else ranked
 
 
 def precision_at_k(
@@ -76,7 +77,6 @@ def precision_at_k(
     ks: tuple = DEFAULT_KS,
     retrieval: str = COSINE,
     oov_as_wrong: bool = False,
-    keep_per_query: bool = False,
 ) -> TranslationReport:
     """P@k over a gold dictionary.
 
@@ -106,7 +106,6 @@ def precision_at_k(
             total=len(test),
             retrieval=retrieval,
             oov_as_wrong=oov_as_wrong,
-            per_query=[] if keep_per_query else None,
         )
 
     kmax = max(ks)
@@ -121,26 +120,13 @@ def precision_at_k(
         [src_vocab.index[s] for s, _ in covered_entries], dtype=np.int64
     )
 
-    top, scores = _retrieve(space, query_idx, kmax, retrieval)
+    top, _ = _retrieve(space, query_idx, kmax, retrieval)
     hits = {k: 0 for k in ks}
     for qi, golds in enumerate(gold_idx):
         found = np.flatnonzero(np.isin(top[qi], golds))
         if found.size:
             for k in ks:
                 hits[k] += int(found[0] < k)
-
-    per_query = None
-    if keep_per_query:
-        per_query = [
-            (
-                src_tok,
-                [
-                    (tgt_vocab.tokens[int(j)], float(v))
-                    for j, v in zip(top[qi], scores[qi])
-                ],
-            )
-            for qi, (src_tok, _) in enumerate(covered_entries)
-        ]
 
     p_at = {k: 100.0 * hits[k] / denominator for k in ks}
     return TranslationReport(
@@ -150,5 +136,4 @@ def precision_at_k(
         total=len(test),
         retrieval=retrieval,
         oov_as_wrong=oov_as_wrong,
-        per_query=per_query,
     )

@@ -74,6 +74,10 @@ def _axis_space():
 
 
 SPACES = {"random": lambda: _random_space(4), "exact-ties": _axis_space}
+# one translate_topk call per token, or ("-batched") one call for all tokens
+CALLS = [pytest.param(m, False, id=m) for m in MODES] + [
+    pytest.param(m, True, id=f"{m}-batched") for m in MODES
+]
 
 
 # ------------------------------------------------------------ top-k
@@ -158,15 +162,21 @@ def test_cosine_topk_blocked_matches_brute_force(small_blocks):
             assert abs(a - b) < 1e-12
 
 
-@pytest.mark.parametrize("retrieval", MODES)
+@pytest.mark.parametrize("retrieval, batched", CALLS)
 @pytest.mark.parametrize("space_name", SPACES)
-def test_topk_blocked_matches_dense_oracle(small_blocks, retrieval, space_name):
+def test_topk_blocked_matches_dense_oracle(
+    small_blocks, retrieval, batched, space_name
+):
     space = SPACES[space_name]()
+    src_toks = space.src.vocab.tokens
     n_tgt = len(space.tgt.vocab)
     for k in (1, 3, 5, n_tgt, n_tgt + 5):
         scores, ranking = _oracle_ranking(space, retrieval, k)
-        for i, tok in enumerate(space.src.vocab.tokens):
-            got = translate_topk(space, tok, k=k, retrieval=retrieval)
+        if batched:
+            lists = translate_topk(space, src_toks, k=k, retrieval=retrieval)
+        else:
+            lists = [translate_topk(space, t, k, retrieval) for t in src_toks]
+        for i, got in enumerate(lists):
             want = [space.tgt.vocab.tokens[int(j)] for j in ranking[i]]
             assert [t for t, _ in got] == want
             for (_, a), j in zip(got, ranking[i]):
@@ -187,12 +197,13 @@ def test_precision_at_k_blocked_matches_dense_oracle(
     ]
     ks = (1, 3, 5, n_tgt + 2)
     report = precision_at_k(
-        space, TestDictionary(entries=entries), ks=ks, retrieval=retrieval,
-        keep_per_query=True,
+        space, TestDictionary(entries=entries), ks=ks, retrieval=retrieval
     )
+    # the same query list as P@k, so the same score blocks
+    lists = translate_topk(space, src_toks, max(ks), retrieval)
     scores, ranking = _oracle_ranking(space, retrieval, max(ks))
-    for i, (src_tok, ranked) in enumerate(report.per_query):
-        assert src_tok == src_toks[i]
+    assert len(lists) == len(src_toks)
+    for i, ranked in enumerate(lists):
         assert [t for t, _ in ranked] == [tgt_toks[int(j)] for j in ranking[i]]
     for k in ks:
         hits = sum(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xlembed.translate as translate
 from xlembed import (
     CrossLingualSpace,
     TestDictionary,
@@ -110,6 +111,46 @@ def test_topk_oov_query_and_bad_args():
         translate_topk(space, "s000", k=1, retrieval="dot")
 
 
+def test_topk_list_unknown_token_raises_before_scoring(monkeypatch):
+    space = _random_space(2)
+    scored = []
+    monkeypatch.setattr(translate, "_retrieve", lambda *a: scored.append(a))
+    for queries in (["missing", "s000"], ["s000", "s001", "missing"]):
+        with pytest.raises(KeyError, match="'missing'"):
+            translate_topk(space, queries, k=1, retrieval="csls")
+    assert scored == []
+
+
+@pytest.mark.parametrize("retrieval", ["cosine", "csls"])
+def test_topk_list_matches_single_token_calls(retrieval):
+    src, tgt, _ = rotation_benchmark(n=300, d=20, noise=0.2, seed=16)
+    space = CrossLingualSpace(src=src, tgt=tgt)
+    tokens = src.vocab.tokens
+    lists = translate_topk(space, tokens, k=5, retrieval=retrieval)
+    assert len(lists) == len(tokens)
+    for tok, got in zip(tokens, lists):
+        want = translate_topk(space, tok, k=5, retrieval=retrieval)
+        assert [t for t, _ in got] == [t for t, _ in want]
+        # a lone query row is scored by GEMV, a block by GEMM: the last
+        # bits may differ, the ranking may not
+        for (_, a), (_, b) in zip(got, want):
+            assert abs(a - b) <= 1e-12
+
+
+def test_topk_csls_list_takes_one_neighbourhood_pass(monkeypatch):
+    space = _random_space(3, n_src=30, n_tgt=40)
+    calls = []
+    real = translate.neighbourhood_mean
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(translate, "neighbourhood_mean", spy)
+    lists = translate_topk(space, space.src.vocab.tokens, k=3, retrieval="csls")
+    assert len(lists) == 30 and len(calls) == 1
+
+
 def test_topk_k_larger_than_vocab():
     space = _random_space(3, n_tgt=4)
     top = translate_topk(space, "s000", k=50)
@@ -183,7 +224,7 @@ def test_p_at_k_empty_covered_set():
     )
     assert report.covered == 0
     assert report.p_at[1] is None and report.p_at[5] is None
-    assert not report.defined
+    assert all(v is None for v in report.p_at.values())
 
 
 def test_p_at_k_empty_test_dictionary():
@@ -227,15 +268,13 @@ def test_p_at_k_target_permutation_invariant():
     assert base.p_at == permuted.p_at  # generic rows: no ties in play
 
 
-def test_p_at_k_per_query_lists():
+def test_topk_list_returns_one_ranked_list_per_token():
     space = _random_space(14, n_src=6, n_tgt=8)
-    entries = [(f"s{i:03d}", (f"t{i:03d}",)) for i in range(6)]
-    report = precision_at_k(
-        space, TestDictionary(entries=entries), ks=(1, 5), keep_per_query=True
-    )
-    assert len(report.per_query) == 6
-    src_tok, ranked = report.per_query[0]
-    assert src_tok == "s000"
+    lists = translate_topk(space, [f"s{i:03d}" for i in range(6)], k=5)
+    assert len(lists) == 6
+    ranked = lists[0]
+    single = translate_topk(space, "s000", k=5)  # the list is s000's
+    assert [t for t, _ in ranked] == [t for t, _ in single]
     assert len(ranked) == 5
     scores = [s for _, s in ranked]
     assert scores == sorted(scores, reverse=True)
