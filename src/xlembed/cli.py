@@ -19,40 +19,22 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .ablation import run_ablation
+from .config import (
+    REFINE_MODES,
+    SCHEMA,
+    PipelineConfig,
+    PipelineError,
+    SelfLearnConfig,
+    check_value,
+)
 from .corpus import (
     TokenizerConfig,
+    count_corpus,
     iter_corpus_lines,
     read_vocab_tsv,
     scan_corpus,
     write_vocab_tsv,
 )
-from .embeddings import load_embeddings, save_embeddings
-from .lexicon import load_test_dictionary, save_dictionary
-from .mapper import SelfLearnConfig, save_model
-from .pipeline import (
-    REFINE_MODES,
-    SCHEMA,
-    PipelineConfig,
-    PipelineError,
-    align,
-    build_dictionary,
-    check_value,
-    evaluate_sentiment,
-    evaluate_translation,
-    load_sentiment_pair,
-    normalize_pair,
-    refine_space,
-    run_pipeline,
-)
-from .refine import CrossLingualSpace
-from .reports import (
-    ablation_markdown,
-    ablation_tsv,
-    sentiment_tsv,
-    translation_tsv,
-)
-from .sentiment import eval_majority
 
 
 def _tok_config(args) -> TokenizerConfig:
@@ -60,6 +42,9 @@ def _tok_config(args) -> TokenizerConfig:
 
 
 def _load_pair(args, normalized=False):
+    from .embeddings import load_embeddings
+    from .pipeline import normalize_pair
+
     src = load_embeddings(args.src_emb, vocab_tsv=args.src_vocab)
     tgt = load_embeddings(args.tgt_emb, vocab_tsv=args.tgt_vocab)
     if normalized:
@@ -67,7 +52,9 @@ def _load_pair(args, normalized=False):
     return src, tgt
 
 
-def _space(args) -> CrossLingualSpace:
+def _space(args):
+    from .refine import CrossLingualSpace
+
     return CrossLingualSpace(*_load_pair(args))
 
 
@@ -147,7 +134,7 @@ def cmd_stats(args) -> int:
     cfg = _tok_config(args)
     print("corpus\ttweets\tduplicates\ttokens\tunique")
     for path in args.corpus:
-        _, stats = scan_corpus(iter_corpus_lines(path), cfg, min_count=1)
+        _, stats = count_corpus(iter_corpus_lines(path), cfg)
         print(
             f"{path}\t{stats.n_tweets}\t{stats.n_duplicates}"
             f"\t{stats.n_tokens}\t{stats.n_unique}"
@@ -169,6 +156,9 @@ def cmd_vocab(args) -> int:
 
 
 def cmd_dict(args) -> int:
+    from .lexicon import save_dictionary
+    from .pipeline import build_dictionary
+
     dictionary = build_dictionary(
         read_vocab_tsv(args.src_vocab),
         read_vocab_tsv(args.tgt_vocab),
@@ -181,6 +171,10 @@ def cmd_dict(args) -> int:
 
 
 def cmd_align(args) -> int:
+    from .embeddings import save_embeddings
+    from .mapper import save_model
+    from .pipeline import align, build_dictionary
+
     src, tgt = _load_pair(args, normalized=True)
     dictionary = build_dictionary(src.vocab, tgt.vocab, "file", file=args.dict)
     model, space = align(
@@ -201,6 +195,9 @@ def cmd_align(args) -> int:
 
 
 def cmd_refine(args) -> int:
+    from .embeddings import save_embeddings
+    from .pipeline import build_dictionary, refine_space
+
     space = _space(args)
     dictionary = build_dictionary(
         space.src.vocab, space.tgt.vocab, "file", file=args.dict
@@ -213,6 +210,10 @@ def cmd_refine(args) -> int:
 
 
 def cmd_eval_translate(args) -> int:
+    from .lexicon import load_test_dictionary
+    from .pipeline import evaluate_translation
+    from .reports import translation_tsv
+
     space = _space(args)
     test, coverage = load_test_dictionary(
         args.test, space.src.vocab, space.tgt.vocab
@@ -230,6 +231,10 @@ def cmd_eval_translate(args) -> int:
 
 
 def cmd_eval_sentiment(args) -> int:
+    from .pipeline import evaluate_sentiment, load_sentiment_pair
+    from .reports import sentiment_tsv
+    from .sentiment import eval_majority
+
     # the majority baseline reads no embeddings
     space = None if args.majority_baseline else _space(args)
     train_set, test_set = load_sentiment_pair(
@@ -244,6 +249,11 @@ def cmd_eval_sentiment(args) -> int:
 
 
 def cmd_ablation(args) -> int:
+    from .ablation import run_ablation
+    from .lexicon import load_test_dictionary
+    from .pipeline import build_dictionary, load_sentiment_pair
+    from .reports import ablation_markdown, ablation_tsv
+
     if bool(args.sentiment_train) != bool(args.sentiment_test):
         raise ValueError(
             "--sentiment-train and --sentiment-test must be given together"
@@ -270,6 +280,8 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    from .pipeline import run_pipeline
+
     config = PipelineConfig.from_file(args.config)
     if args.out:
         out_dir = Path(args.out)
@@ -377,9 +389,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Commands that do no arithmetic: they run without numpy.
+_TEXT_COMMANDS = (cmd_stats, cmd_vocab)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.func not in _TEXT_COMMANDS:
+        # numpy and the numeric modules load here, before the mmap threshold
+        # is fixed, so their import-time allocations are placed under
+        # glibc's default threshold.
+        from . import ablation  # noqa: F401  (imports every numeric module)
     # Fix glibc's mmap threshold (-3 is M_MMAP_THRESHOLD) at 4 MiB: left to
     # itself it rises after the first large free, and peak RSS then moves
     # with the layout of the heap.

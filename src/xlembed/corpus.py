@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .emoji_data import (
     EMOJI_CLUSTER_PATTERN,
     EMOTICON_PATTERN,
@@ -111,7 +109,7 @@ class Vocabulary:
     """
 
     tokens: list[str]
-    freqs: np.ndarray
+    freqs: list[int]
     classes: list[TokenClass]
     total_tokens: int = 0   # stream total before any min-count cutoff
     n_unique: int = 0       # distinct tokens before the cutoff
@@ -120,12 +118,12 @@ class Vocabulary:
     def __post_init__(self):
         if not (len(self.tokens) == len(self.freqs) == len(self.classes)):
             raise ValueError("vocabulary fields have mismatched lengths")
-        self.freqs = np.asarray(self.freqs, dtype=np.int64)
+        self.freqs = list(map(int, self.freqs))
         self.index = {tok: i for i, tok in enumerate(self.tokens)}
         if len(self.index) != len(self.tokens):
             raise ValueError("vocabulary contains duplicate tokens")
         if self.total_tokens == 0:
-            self.total_tokens = int(self.freqs.sum())
+            self.total_tokens = sum(self.freqs)
         if self.n_unique == 0:
             self.n_unique = len(self.tokens)
 
@@ -162,7 +160,7 @@ def vocabulary_from_counts(counts: Counter, min_count: int = 5) -> Vocabulary:
         warnings.warn("vocabulary is empty after min-count cutoff")
     return Vocabulary(
         tokens=kept,
-        freqs=np.array([counts[t] for t in kept], dtype=np.int64),
+        freqs=[counts[t] for t in kept],
         classes=[classify_token(t) for t in kept],
         total_tokens=total,
         n_unique=len(counts),
@@ -207,12 +205,11 @@ def iter_corpus_lines(path: str) -> Iterator[str]:
             )
 
 
-def scan_corpus(
-    lines: Iterable[str],
-    config: TokenizerConfig = DEFAULT_TOKENIZER,
-    min_count: int = 5,
-) -> tuple[Vocabulary, CorpusStats]:
-    """Deduplicate tweets, tokenize, and count.
+def count_corpus(
+    lines: Iterable[str], config: TokenizerConfig = DEFAULT_TOKENIZER
+) -> tuple[Counter, CorpusStats]:
+    """Deduplicate tweets, tokenize, and count: the token counts and the
+    corpus statistics.
 
     Duplicate tweet lines (exact match after trimming surrounding
     whitespace) are dropped before counting. No token spans whitespace and
@@ -220,8 +217,6 @@ def scan_corpus(
     whitespace-delimited chunks, and each distinct chunk is tokenized once
     and its tokens counted once per occurrence.
     """
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
     seen = set()
     chunks: Counter = Counter()
     n_tweets = 0
@@ -241,14 +236,27 @@ def scan_corpus(
         n_tokens += len(toks) * count
         for tok in toks:
             counts[tok] += count
-    vocab = vocabulary_from_counts(counts, min_count) if counts else Vocabulary(
-        tokens=[], freqs=np.zeros(0, dtype=np.int64), classes=[]
-    )
     stats = CorpusStats(
         n_tweets=n_tweets,
         n_duplicates=n_duplicates,
         n_tokens=n_tokens,
         n_unique=len(counts),
+    )
+    return counts, stats
+
+
+def scan_corpus(
+    lines: Iterable[str],
+    config: TokenizerConfig = DEFAULT_TOKENIZER,
+    min_count: int = 5,
+) -> tuple[Vocabulary, CorpusStats]:
+    """count_corpus, then the Vocabulary of the tokens seen at least
+    min_count times."""
+    if min_count < 1:
+        raise ValueError("min_count must be >= 1")
+    counts, stats = count_corpus(lines, config)
+    vocab = vocabulary_from_counts(counts, min_count) if counts else Vocabulary(
+        tokens=[], freqs=[], classes=[]
     )
     return vocab, stats
 
@@ -256,7 +264,7 @@ def scan_corpus(
 def write_vocab_tsv(vocab: Vocabulary, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for tok, freq, cls in zip(vocab.tokens, vocab.freqs, vocab.classes):
-            fh.write(f"{tok}\t{int(freq)}\t{cls.value}\n")
+            fh.write(f"{tok}\t{freq}\t{cls.value}\n")
 
 
 def read_vocab_tsv(path: str) -> Vocabulary:
@@ -305,11 +313,7 @@ def read_vocab_tsv(path: str) -> Vocabulary:
                     ) from None
     except UnicodeDecodeError as exc:
         raise ValueError(undecodable_line(path, exc)) from None
-    return Vocabulary(
-        tokens=tokens,
-        freqs=np.array(freqs, dtype=np.int64),
-        classes=classes,
-    )
+    return Vocabulary(tokens=tokens, freqs=freqs, classes=classes)
 
 
 def undecodable_line(path, exc: UnicodeDecodeError) -> str:

@@ -11,13 +11,15 @@ from itertools import islice
 
 import numpy as np
 
+from .config import (  # noqa: F401  (NORMALIZE_STEPS stays importable here)
+    CENTER_COLUMNS,
+    DEFAULT_NORMALIZE,
+    NORMALIZE_STEPS,
+    UNIT_ROWS,
+)
 from .corpus import Vocabulary, classify_token, read_vocab_tsv, undecodable_line
 from .scoring import unit_rows
 
-UNIT_ROWS = "unit"
-CENTER_COLUMNS = "center"
-NORMALIZE_STEPS = (UNIT_ROWS, CENTER_COLUMNS)
-DEFAULT_NORMALIZE = (UNIT_ROWS, CENTER_COLUMNS, UNIT_ROWS)
 # Rows per parse or format block of the word2vec-text reader and writer.
 BLOCK_ROWS = 512
 
@@ -69,12 +71,11 @@ class EmbeddingSpace:
 def make_space(tokens, matrix, freqs=None) -> EmbeddingSpace:
     """Convenience constructor; frequencies default to a descending proxy."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    n = len(tokens)
     if freqs is None:
-        freqs = np.arange(n, 0, -1, dtype=np.int64)
+        freqs = range(len(tokens), 0, -1)
     vocab = Vocabulary(
         tokens=list(tokens),
-        freqs=np.asarray(freqs, dtype=np.int64),
+        freqs=freqs,
         classes=[classify_token(t) for t in tokens],
     )
     return EmbeddingSpace(vocab=vocab, matrix=matrix)
@@ -103,16 +104,13 @@ def load_embeddings(path, expected_dim=None, vocab_tsv=None) -> EmbeddingSpace:
                 f"{vocab_tsv}: {missing} of {len(tokens)} embedding tokens are "
                 f"missing from the sidecar vocabulary; their frequency is 0"
             )
-        freqs = np.array(
-            [side.freqs[side.index[t]] if t in side.index else 0 for t in tokens],
-            dtype=np.int64,
-        )
+        freqs = [side.freqs[side.index[t]] if t in side.index else 0 for t in tokens]
         classes = [
             side.classes[side.index[t]] if t in side.index else classify_token(t)
             for t in tokens
         ]
     else:
-        freqs = np.arange(len(tokens), 0, -1, dtype=np.int64)
+        freqs = range(len(tokens), 0, -1)
         classes = [classify_token(t) for t in tokens]
     vocab = Vocabulary(tokens=tokens, freqs=freqs, classes=classes)
     return EmbeddingSpace(vocab=vocab, matrix=matrix)

@@ -52,8 +52,8 @@ def dictionary_from_pairs(
     uniq.sort(
         key=lambda p: (
             -min(
-                int(src_vocab.freqs[src_vocab.index[p[0]]]),
-                int(tgt_vocab.freqs[tgt_vocab.index[p[1]]]),
+                src_vocab.freqs[src_vocab.index[p[0]]],
+                tgt_vocab.freqs[tgt_vocab.index[p[1]]],
             ),
             p[0],
             p[1],
@@ -61,16 +61,16 @@ def dictionary_from_pairs(
     )
     src_tokens = [s for s, _ in uniq]
     tgt_tokens = [t for _, t in uniq]
-    src_idx = np.array([src_vocab.index[s] for s in src_tokens], dtype=np.int64)
-    tgt_idx = np.array([tgt_vocab.index[t] for t in tgt_tokens], dtype=np.int64)
+    src_idx = [src_vocab.index[s] for s in src_tokens]
+    tgt_idx = [tgt_vocab.index[t] for t in tgt_tokens]
     return BilingualDictionary(
         src_tokens=src_tokens,
         tgt_tokens=tgt_tokens,
         src_indices=src_idx,
         tgt_indices=tgt_idx,
         classes=[classify_token(s) for s in src_tokens],
-        f_src=src_vocab.freqs[src_idx] if len(src_idx) else np.zeros(0, np.int64),
-        f_tgt=tgt_vocab.freqs[tgt_idx] if len(tgt_idx) else np.zeros(0, np.int64),
+        f_src=[src_vocab.freqs[i] for i in src_idx],
+        f_tgt=[tgt_vocab.freqs[i] for i in tgt_idx],
     )
 
 

@@ -12,26 +12,17 @@ from typing import Optional
 
 import numpy as np
 
+from .config import CSLS, SelfLearnConfig
 from .corpus import undecodable_line
 from .embeddings import EmbeddingSpace
 from .lexicon import BilingualDictionary
 from .scoring import (
-    COSINE,
-    CSLS,
     _blocks,
     check_retrieval,
     neighbourhood_mean,
     score_blocks,
     unit_rows,
 )
-
-
-@dataclass
-class SelfLearnConfig:
-    induce_vocab_cutoff: int = 20000
-    retrieval: str = COSINE
-    max_iters: int = 50
-    tol: float = 1e-6
 
 
 @dataclass

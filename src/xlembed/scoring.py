@@ -17,9 +17,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-COSINE = "cosine"
-CSLS = "csls"
-RETRIEVAL_MODES = (COSINE, CSLS)
+from .config import COSINE, CSLS, RETRIEVAL_MODES  # noqa: F401  (importable here)
+
 CSLS_K = 10
 
 BLOCK_ROWS = 256

@@ -12,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 
+from .config import SCHEME_LABELS
 from .corpus import (
     DEFAULT_TOKENIZER,
     TokenizerConfig,
@@ -19,11 +20,6 @@ from .corpus import (
     tokenize,
 )
 from .embeddings import EmbeddingSpace
-
-SCHEME_LABELS = {
-    2: ("negative", "positive"),
-    3: ("negative", "neutral", "positive"),
-}
 
 EPOCHS = 500
 LEARNING_RATE = 0.1
@@ -147,16 +143,16 @@ def probe_loss_grad(
     bias: np.ndarray,
     x: np.ndarray,
     y: np.ndarray,
-    l2: float = L2_PENALTY,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean cross-entropy with L2 on the weights (bias unregularized),
-    and its analytic gradient."""
+    """Mean cross-entropy with an L2_PENALTY on the weights (bias
+    unregularized), and its analytic gradient."""
     n = x.shape[0]
     probs = _softmax(x @ weights + bias)
-    loss = -np.log(probs[np.arange(n), y]).mean() + 0.5 * l2 * (weights**2).sum()
+    penalty = 0.5 * L2_PENALTY * (weights**2).sum()
+    loss = -np.log(probs[np.arange(n), y]).mean() + penalty
     delta = probs
     delta[np.arange(n), y] -= 1.0
-    grad_w = x.T @ delta / n + l2 * weights
+    grad_w = x.T @ delta / n + L2_PENALTY * weights
     grad_b = delta.mean(axis=0)
     return float(loss), grad_w, grad_b
 

@@ -4,11 +4,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import COSINE, CSLS, DEFAULT_KS
 from .lexicon import TestDictionary
 from .refine import CrossLingualSpace
 from .scoring import (
-    COSINE,
-    CSLS,
     check_retrieval,
     neighbourhood_mean,
     topk,
@@ -19,8 +18,6 @@ from .scoring import (
 # the row cap: against more than 5000 targets the byte budget
 # (scoring.BLOCK_BYTES) makes the block smaller, e.g. 128 rows at 10000.
 from .scoring import BLOCK_ROWS as _QUERY_CHUNK
-
-DEFAULT_KS = (1, 5, 10)
 
 
 @dataclass
@@ -62,6 +59,8 @@ def translate_topk(
     for tok in queries:
         if tok not in space.src.vocab.index:
             raise KeyError(f"query token {tok!r} not in source vocabulary")
+    if not queries:
+        return []
     query_idx = [space.src.vocab.index[tok] for tok in queries]
     top, scores = _retrieve(space, query_idx, k, retrieval)
     ranked = [

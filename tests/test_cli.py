@@ -71,6 +71,18 @@ def test_stats_dedup_fixture(tmp_path, capsys):
     assert row[2] == "1"  # duplicates
 
 
+def test_stats_builds_no_vocabulary(tmp_path, capsys, monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("stats built a vocabulary")
+
+    monkeypatch.setattr("xlembed.corpus.vocabulary_from_counts", build)
+    p = tmp_path / "c.txt"
+    p.write_text("hola mundo\nhola mundo\nbuenas\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["stats", str(p)])
+    assert code == 0, err
+    assert out.splitlines()[1].split("\t")[1:] == ["2", "1", "3", "3"]
+
+
 # ---------------------------------------------------------------- vocab
 
 def test_vocab_roundtrip(tmp_path, capsys):
@@ -88,7 +100,7 @@ def test_vocab_roundtrip(tmp_path, capsys):
 
 @pytest.mark.parametrize("lowercase", [True, False])
 def test_vocab_and_stats_match_per_line_scan(tmp_path, capsys, monkeypatch, lowercase):
-    from test_corpus import scan_corpus_per_line
+    from test_corpus import count_corpus_per_line, scan_corpus_per_line
 
     corpus = tmp_path / "c.txt"
     corpus.write_text(
@@ -112,6 +124,7 @@ def test_vocab_and_stats_match_per_line_scan(tmp_path, capsys, monkeypatch, lowe
 
     chunked = outputs()
     monkeypatch.setattr("xlembed.cli.scan_corpus", scan_corpus_per_line)
+    monkeypatch.setattr("xlembed.cli.count_corpus", count_corpus_per_line)
     assert outputs() == chunked
 
 
@@ -690,6 +703,64 @@ def test_readme_config_reference_matches_schema(fixture_dir):
     PipelineConfig(raw=example, base_dir=fixture_dir).validate()
     missing = [key for key in SCHEMA if f"| `{key}` |" not in section]
     assert not missing
+
+
+# -------------------------------------------------------------- startup
+
+_START = """
+import sys
+from xlembed.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # --version, --help and usage errors
+    code = exc.code
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, numpy_loaded",
+    [
+        (["--version"], 0, False),
+        (["--help"], 0, False),
+        (["align", "--help"], 0, False),
+        (["stats"], 2, False),  # no corpus
+        (["eval-translate", "--src-emb", "a", "--tgt-emb", "b", "--test", "t",
+          "--ks", "0"], 2, False),
+        (["vocab", "{corpus}", "--out", "{out}", "--min-count", "1"], 0, False),
+        (["stats", "{corpus}"], 0, False),
+        # a numeric command loads numpy before it runs, even if it then fails
+        (["dict", "--src-vocab", "{missing}", "--tgt-vocab", "{missing}",
+          "--out", "{out}"], 1, True),
+    ],
+)
+def test_commands_without_arithmetic_start_without_numpy(
+    tmp_path, argv, code, numpy_loaded
+):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("hola mundo \U0001F602 5\n", encoding="utf-8")
+    paths = {
+        "corpus": corpus, "out": tmp_path / "out.tsv", "missing": tmp_path / "no.tsv"
+    }
+    res = subprocess.run(
+        [sys.executable, "-c", _START, *(a.format(**paths) for a in argv)],
+        env=child_env(), capture_output=True, text=True,
+    )
+    assert res.stdout.split()[-2:] == [str(code), str(numpy_loaded)], res.stderr
+
+
+def test_lazy_package_exports_are_the_module_definitions():
+    import importlib
+
+    import xlembed
+
+    for module, names in xlembed._EXPORTS.items():
+        defined = importlib.import_module(f"xlembed.{module}")
+        for name in names:
+            assert getattr(xlembed, name) is getattr(defined, name), name
+            assert name in dir(xlembed)
+    with pytest.raises(AttributeError):
+        xlembed.no_such_name
 
 
 # --------------------------------------------------------------- memory

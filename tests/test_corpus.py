@@ -151,7 +151,7 @@ def test_classify_every_tokenizer_output_has_a_class():
 def test_build_vocabulary_counts_and_order():
     vocab = build_vocabulary(["a", "b", "a"], min_count=1)
     assert vocab.tokens == ["a", "b"]
-    assert vocab.freqs.tolist() == [2, 1]
+    assert vocab.freqs == [2, 1]
     assert vocab.total_tokens == 3
     assert vocab.n_unique == 2
 
@@ -205,9 +205,9 @@ def test_vocabulary_counts_conserved(stream):
         warnings.simplefilter("ignore", UserWarning)  # empty-stream case
         vocab = build_vocabulary(stream, min_count=1)
     assert vocab.total_tokens == len(stream)
-    assert int(vocab.freqs.sum()) == len(stream)
+    assert sum(vocab.freqs) == len(stream)
     # strictly sorted: freq desc, token asc on ties
-    keys = list(zip((-vocab.freqs).tolist(), vocab.tokens))
+    keys = list(zip([-f for f in vocab.freqs], vocab.tokens))
     assert keys == sorted(keys)
 
 
@@ -219,7 +219,7 @@ def test_shard_merge_equals_single_pass():
     merged = vocabulary_from_counts(Counter(shard1) + Counter(shard2), min_count=1)
     single = build_vocabulary(shard1 + shard2, min_count=1)
     assert merged.tokens == single.tokens
-    assert merged.freqs.tolist() == single.freqs.tolist()
+    assert merged.freqs == single.freqs
 
 
 # ------------------------------------------------------ corpus scan
@@ -259,9 +259,9 @@ def test_scan_corpus_token_totals():
     assert stats.n_unique == 5
 
 
-def scan_corpus_per_line(lines, config=TokenizerConfig(), min_count=5):
-    """The per-line scan that tokenizes every kept tweet whole; the oracle
-    for scan_corpus, which tokenizes each distinct whitespace chunk once."""
+def count_corpus_per_line(lines, config=TokenizerConfig()):
+    """The per-line count that tokenizes every kept tweet whole; the oracle
+    for count_corpus, which tokenizes each distinct whitespace chunk once."""
     seen = set()
     counts = Counter()
     n_tweets = n_duplicates = n_tokens = 0
@@ -275,10 +275,16 @@ def scan_corpus_per_line(lines, config=TokenizerConfig(), min_count=5):
         toks = tokenize(line, config)
         n_tokens += len(toks)
         counts.update(toks)
+    return counts, CorpusStats(n_tweets, n_duplicates, n_tokens, len(counts))
+
+
+def scan_corpus_per_line(lines, config=TokenizerConfig(), min_count=5):
+    """The oracle for scan_corpus: count_corpus_per_line, then the
+    vocabulary."""
+    counts, stats = count_corpus_per_line(lines, config)
     vocab = vocabulary_from_counts(counts, min_count) if counts else Vocabulary(
-        tokens=[], freqs=np.zeros(0, dtype=np.int64), classes=[]
+        tokens=[], freqs=[], classes=[]
     )
-    stats = CorpusStats(n_tweets, n_duplicates, n_tokens, len(counts))
     return vocab, stats
 
 
@@ -289,7 +295,7 @@ def _assert_same_scan(lines, config, min_count):
         want_vocab, want_stats = scan_corpus_per_line(lines, config, min_count)
     assert got_stats == want_stats
     assert got_vocab.tokens == want_vocab.tokens
-    assert got_vocab.freqs.tolist() == want_vocab.freqs.tolist()
+    assert got_vocab.freqs == want_vocab.freqs
     assert got_vocab.classes == want_vocab.classes
     assert got_vocab.total_tokens == want_vocab.total_tokens
     assert got_vocab.n_unique == want_vocab.n_unique
@@ -384,7 +390,7 @@ def test_vocab_tsv_round_trip(tmp_path):
     write_vocab_tsv(vocab, path)
     back = read_vocab_tsv(path)
     assert back.tokens == vocab.tokens
-    assert back.freqs.tolist() == vocab.freqs.tolist()
+    assert back.freqs == vocab.freqs
     assert back.classes == vocab.classes
 
 
@@ -427,5 +433,5 @@ def test_read_vocab_tsv_rejects_negative_count_keeps_zero(tmp_path):
     assert str(err.value) == f"{path}: line 2: negative count field '-5'"
     path.write_text("mundo\t3\tword\nhola\t0\tword\n", encoding="utf-8")
     vocab = read_vocab_tsv(path)
-    assert vocab.freqs.tolist() == [3, 0]
+    assert vocab.freqs == [3, 0]
     assert vocab.total_tokens == 3

@@ -110,7 +110,7 @@ def test_load_rank_proxy_frequencies(tmp_path):
     p.write_text("3 1\nx 1.0\ny 2.0\nz 3.0\n", encoding="utf-8")
     space = load_embeddings(p)
     # first row is the most frequent; proxies stay positive
-    assert space.vocab.freqs.tolist() == [3, 2, 1]
+    assert space.vocab.freqs == [3, 2, 1]
 
 
 def test_load_sidecar_vocab_frequencies(tmp_path):
@@ -120,7 +120,7 @@ def test_load_sidecar_vocab_frequencies(tmp_path):
     tsv = tmp_path / "v.tsv"
     write_vocab_tsv(side, tsv)
     space = load_embeddings(vec, vocab_tsv=tsv)
-    assert space.vocab.freqs.tolist() == [700, 41]
+    assert space.vocab.freqs == [700, 41]
 
 
 def test_load_sidecar_missing_tokens_warn_with_count(tmp_path):
@@ -132,7 +132,7 @@ def test_load_sidecar_missing_tokens_warn_with_count(tmp_path):
     with pytest.warns(UserWarning, match="1 of 3 embedding tokens") as rec:
         space = load_embeddings(vec, vocab_tsv=tsv)
     assert len(rec) == 1 and str(tsv) in str(rec[0].message)
-    assert space.vocab.freqs.tolist() == [700, 0, 41]
+    assert space.vocab.freqs == [700, 0, 41]
 
 
 def _per_value_bytes(space):

@@ -20,11 +20,11 @@ from xlembed.sentiment import (
 
 # ---------------------------------------------------------------- oracle
 
-def finite_difference_grads(weights, bias, x, y, l2, eps=1e-6):
+def finite_difference_grads(weights, bias, x, y, eps=1e-6):
     """Central finite differences of the probe loss in every coordinate."""
 
     def loss_at(w, b):
-        return probe_loss_grad(w, b, x, y, l2)[0]
+        return probe_loss_grad(w, b, x, y)[0]
 
     num_w = np.zeros_like(weights)
     for idx in np.ndindex(*weights.shape):
@@ -117,10 +117,9 @@ def test_probe_gradient_matches_finite_differences():
     y = np.array([0, 1, 2, 1, 0])
     weights = 0.1 * rng.normal(size=(10, 3))
     bias = 0.1 * rng.normal(size=3)
-    l2 = 1e-4
 
-    _, grad_w, grad_b = probe_loss_grad(weights.copy(), bias.copy(), x, y, l2)
-    num_w, num_b = finite_difference_grads(weights, bias, x, y, l2)
+    _, grad_w, grad_b = probe_loss_grad(weights.copy(), bias.copy(), x, y)
+    num_w, num_b = finite_difference_grads(weights, bias, x, y)
 
     rel_w = np.linalg.norm(grad_w - num_w) / np.linalg.norm(num_w)
     rel_b = np.linalg.norm(grad_b - num_b) / np.linalg.norm(num_b)

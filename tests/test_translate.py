@@ -151,6 +151,18 @@ def test_topk_csls_list_takes_one_neighbourhood_pass(monkeypatch):
     assert len(lists) == 30 and len(calls) == 1
 
 
+def test_topk_empty_list_runs_no_kernel(monkeypatch):
+    space = _random_space(2)
+
+    def kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran for no query")
+
+    for name in ("neighbourhood_mean", "topk", "unit_rows"):
+        monkeypatch.setattr(translate, name, kernel)
+    for retrieval in ("cosine", "csls"):
+        assert translate_topk(space, [], k=1, retrieval=retrieval) == []
+
+
 def test_topk_k_larger_than_vocab():
     space = _random_space(3, n_tgt=4)
     top = translate_topk(space, "s000", k=50)
