@@ -42,11 +42,11 @@ def _tok_config(args) -> TokenizerConfig:
 
 
 def _load_pair(args, normalized=False):
-    from .embeddings import load_embeddings
-    from .pipeline import normalize_pair
+    from .pipeline import load_pair, normalize_pair
 
-    src = load_embeddings(args.src_emb, vocab_tsv=args.src_vocab)
-    tgt = load_embeddings(args.tgt_emb, vocab_tsv=args.tgt_vocab)
+    src, tgt = load_pair(
+        (args.src_emb, args.src_vocab), (args.tgt_emb, args.tgt_vocab)
+    )
     if normalized:
         return normalize_pair(src, tgt, args.normalize)
     return src, tgt

@@ -89,8 +89,9 @@ def load_embeddings(path, expected_dim=None, vocab_tsv=None) -> EmbeddingSpace:
     sidecar vocabulary TSV when given (tokens it lacks get frequency 0, with
     one warning); without a sidecar the file rank serves as a proxy
     (frequency := n - rank, so the first row gets n). Duplicate tokens keep
-    the first occurrence. A non-blank line after the n declared rows is an
-    error.
+    the first occurrence, with one warning per file giving their count and
+    the first duplicate's line and token. A non-blank line after the n
+    declared rows is an error.
     """
     try:
         tokens, matrix = _read_word2vec(path, expected_dim)
@@ -140,6 +141,7 @@ def _read_word2vec(path, expected_dim):
         tokens: list[str] = []
         blocks: list[np.ndarray] = []
         seen = set()
+        duplicates = 0
         for start in range(0, n, BLOCK_ROWS):
             first = start + 2  # file line of the block's first row
             rows = min(BLOCK_ROWS, n - start)
@@ -175,10 +177,9 @@ def _read_word2vec(path, expected_dim):
             keep = []
             for i, tok in enumerate(block_tokens):
                 if tok in seen:
-                    warnings.warn(
-                        f"{path}: line {first + i}: duplicate token {tok!r}, "
-                        f"keeping first"
-                    )
+                    if not duplicates:
+                        first_duplicate = (first + i, tok)
+                    duplicates += 1
                     continue
                 seen.add(tok)
                 keep.append(i)
@@ -187,6 +188,12 @@ def _read_word2vec(path, expected_dim):
                 block_tokens = [block_tokens[i] for i in keep]
             tokens.extend(block_tokens)
             blocks.append(block)
+        if duplicates:
+            lineno, tok = first_duplicate
+            warnings.warn(
+                f"{path}: {duplicates} duplicate token row(s), the first at "
+                f"line {lineno} ({tok!r}); kept the first occurrence of each"
+            )
         if fh.readline().strip():
             raise EmbeddingFormatError(
                 f"{path}: line {n + 2}: unexpected row after the {n} rows "

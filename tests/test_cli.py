@@ -464,6 +464,39 @@ def test_pipeline_rerun_is_byte_identical(fixture_dir, tmp_path, capsys):
         assert (r1 / name).read_bytes() == (r2 / name).read_bytes(), name
 
 
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity")
+    or len(os.sched_getaffinity(0)) < 2,
+    reason="needs fork and CPU affinity with 2 CPUs",
+)
+def test_pipeline_forked_load_matches_one_cpu_run(fixture_dir, tmp_path):
+    # with 2 CPUs the target file is parsed in a forked worker while BLAS
+    # threads run; Python >= 3.12 warns about such a fork, and that warning
+    # must not fail the run. With one CPU the loads run in order.
+    one_cpu = (
+        "import os, sys; os.sched_setaffinity(0, [min(os.sched_getaffinity(0))]); "
+        "from xlembed.cli import main; sys.exit(main())"
+    )
+    results = {}
+    for name, head in (("forked", ["-m", "xlembed.cli"]), ("one", ["-c", one_cpu])):
+        res = subprocess.run(
+            [sys.executable, *head, "pipeline",
+             "--config", str(fixture_dir / "config.json"),
+             "--out", str(tmp_path / name)],
+            env=child_env(
+                OPENBLAS_NUM_THREADS="2", PYTHONWARNINGS="error::DeprecationWarning"
+            ),
+            capture_output=True, text=True,
+        )
+        assert res.returncode == 0, res.stderr
+        results[name] = res.stderr
+    assert results["forked"] == results["one"]
+    manifest = json.loads((tmp_path / "one" / "manifest.json").read_text())
+    for name in manifest["artifacts"]:
+        forked = (tmp_path / "forked" / name).read_bytes()
+        assert forked == (tmp_path / "one" / name).read_bytes(), name
+
+
 def test_pipeline_refuses_non_empty_run_dir(fixture_dir, tmp_path, capsys):
     run_dir = tmp_path / "occupied"
     run_dir.mkdir()

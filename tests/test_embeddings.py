@@ -105,6 +105,23 @@ def test_load_duplicate_token_keeps_first(tmp_path):
     assert space.row("a")[0] == 1.0
 
 
+def test_load_duplicate_tokens_warn_once_per_file(tmp_path):
+    p = tmp_path / "v.vec"
+    p.write_text(
+        "6 1\na 1.0\nb 2.0\na 3.0\nc 4.0\nb 5.0\na 6.0\n", encoding="utf-8"
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        space = load_embeddings(p)
+    assert [w.category for w in caught] == [UserWarning]
+    assert str(caught[0].message) == (
+        f"{p}: 3 duplicate token row(s), the first at line 4 ('a'); "
+        f"kept the first occurrence of each"
+    )
+    assert space.vocab.tokens == ["a", "b", "c"]
+    assert space.matrix[:, 0].tolist() == [1.0, 2.0, 4.0]
+
+
 def test_load_rank_proxy_frequencies(tmp_path):
     p = tmp_path / "v.vec"
     p.write_text("3 1\nx 1.0\ny 2.0\nz 3.0\n", encoding="utf-8")
