@@ -12,6 +12,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .emoji_data import (
@@ -205,6 +206,10 @@ def iter_corpus_lines(path: str) -> Iterator[str]:
             )
 
 
+# Lines read and deduplicated, and distinct tweets counted, per batch.
+BATCH_LINES = 4096
+
+
 def count_corpus(
     lines: Iterable[str], config: TokenizerConfig = DEFAULT_TOKENIZER
 ) -> tuple[Counter, CorpusStats]:
@@ -212,23 +217,56 @@ def count_corpus(
     corpus statistics.
 
     Duplicate tweet lines (exact match after trimming surrounding
-    whitespace) are dropped before counting. No token spans whitespace and
-    NFC never composes across it, so each kept tweet is split into
-    whitespace-delimited chunks, and each distinct chunk is tokenized once
-    and its tokens counted once per occurrence.
+    whitespace) are dropped before counting; the first occurrence is kept.
+    When the distinct tweets fill more than one batch of BATCH_LINES, the
+    second half of the batches is counted in a forked worker while this
+    process counts the first half (workers.in_worker), and the two counts are
+    added; the result is the same either way.
     """
-    seen = set()
+    distinct: dict = {}
+    n_lines = 0
+    it = iter(lines)
+    while block := list(islice(it, BATCH_LINES)):
+        n_lines += len(block)
+        distinct.update(dict.fromkeys(map(str.strip, block)))
+    kept = list(distinct)
+    del distinct
+    cut = -(-len(kept) // BATCH_LINES) // 2 * BATCH_LINES
+    if cut:
+        from .workers import in_worker
+
+        with in_worker(
+            _count_tokens, kept[cut:], config,
+            what="count_corpus (second half of the distinct tweets)",
+        ) as job:
+            counts, n_tokens = _count_tokens(kept[:cut], config)
+            more, n_more = job.result()
+        counts.update(more)
+        n_tokens += n_more
+    else:
+        counts, n_tokens = _count_tokens(kept, config)
+    stats = CorpusStats(
+        n_tweets=len(kept),
+        n_duplicates=n_lines - len(kept),
+        n_tokens=n_tokens,
+        n_unique=len(counts),
+    )
+    return counts, stats
+
+
+def _count_tokens(tweets: list, config: TokenizerConfig) -> tuple[Counter, int]:
+    """The token counts and the token total of the given tweets.
+
+    No token spans whitespace, and NFC never composes across it, so the
+    tweets of a batch are joined by newlines and split into whitespace-
+    delimited chunks (str.strip, which trims the tweets, and str.split share
+    one definition of whitespace); each distinct chunk is tokenized once and
+    its tokens counted once per occurrence.
+    """
     chunks: Counter = Counter()
-    n_tweets = 0
-    n_duplicates = 0
-    for line in lines:
-        key = line.strip()
-        if key in seen:
-            n_duplicates += 1
-            continue
-        seen.add(key)
-        n_tweets += 1
-        chunks.update(unicodedata.normalize("NFC", line).split())
+    for start in range(0, len(tweets), BATCH_LINES):
+        batch = "\n".join(tweets[start : start + BATCH_LINES])
+        chunks.update(unicodedata.normalize("NFC", batch).split())
     counts: Counter = Counter()
     n_tokens = 0
     for chunk, count in chunks.items():
@@ -236,13 +274,7 @@ def count_corpus(
         n_tokens += len(toks) * count
         for tok in toks:
             counts[tok] += count
-    stats = CorpusStats(
-        n_tweets=n_tweets,
-        n_duplicates=n_duplicates,
-        n_tokens=n_tokens,
-        n_unique=len(counts),
-    )
-    return counts, stats
+    return counts, n_tokens
 
 
 def scan_corpus(

@@ -84,8 +84,10 @@ def make_space(tokens, matrix, freqs=None) -> EmbeddingSpace:
 def load_embeddings(path, expected_dim=None, vocab_tsv=None) -> EmbeddingSpace:
     """Parse a word2vec text file (header `n d`, rows `token v1 .. vd`).
 
-    The file must be UTF-8. Rows are parsed BLOCK_ROWS lines at a time, so
-    scratch memory does not grow with the file. Frequencies come from the
+    The file must be UTF-8. Rows are parsed BLOCK_ROWS lines at a time into
+    a matrix allocated for the n rows the header declares, so scratch memory
+    does not grow with the file (a header declaring more than can be
+    allocated is an error naming line 1). Frequencies come from the
     sidecar vocabulary TSV when given (tokens it lacks get frequency 0, with
     one warning); without a sidecar the file rank serves as a proxy
     (frequency := n - rank, so the first row gets n). Duplicate tokens keep
@@ -138,8 +140,17 @@ def _read_word2vec(path, expected_dim):
             raise EmbeddingFormatError(
                 f"{path}: line 1: dimension {d} does not match expected {expected_dim}"
             )
+        try:
+            # filled block by block, so parse scratch stays one block: held
+            # blocks would leave a matrix-sized hole in the malloc heap
+            matrix = np.empty((n, d))
+        except (MemoryError, ValueError):
+            raise EmbeddingFormatError(
+                f"{path}: line 1: the header declares {n} rows of {d} values, "
+                f"more than can be allocated"
+            ) from None
         tokens: list[str] = []
-        blocks: list[np.ndarray] = []
+        kept = 0
         seen = set()
         duplicates = 0
         for start in range(0, n, BLOCK_ROWS):
@@ -187,7 +198,8 @@ def _read_word2vec(path, expected_dim):
                 block = block[keep]
                 block_tokens = [block_tokens[i] for i in keep]
             tokens.extend(block_tokens)
-            blocks.append(block)
+            matrix[kept : kept + len(block)] = block
+            kept += len(block)
         if duplicates:
             lineno, tok = first_duplicate
             warnings.warn(
@@ -199,8 +211,7 @@ def _read_word2vec(path, expected_dim):
                 f"{path}: line {n + 2}: unexpected row after the {n} rows "
                 f"the header declares"
             )
-    matrix = np.concatenate(blocks) if blocks else np.zeros((0, d), dtype=np.float64)
-    return tokens, matrix
+    return tokens, matrix if kept == n else matrix[:kept]
 
 
 def _parse_rows(path, first, tokens, payloads, d) -> np.ndarray:
@@ -223,16 +234,17 @@ def _parse_rows(path, first, tokens, payloads, d) -> np.ndarray:
 
 
 def _loadtxt(payloads):
-    """np.loadtxt over space-separated rows, or None if a value is invalid."""
-    with warnings.catch_warnings():
-        # an all-blank block is caught by the caller's shape check
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            return np.loadtxt(
-                payloads, dtype=np.float64, delimiter=" ", comments=None, ndmin=2
-            )
-        except ValueError:
-            return None
+    """np.loadtxt over space-separated rows, or None if a value is invalid
+    or every row is blank (np.loadtxt would warn that it read no data; the
+    caller's shape check names the line)."""
+    if not any(p.strip() for p in payloads):
+        return None
+    try:
+        return np.loadtxt(
+            payloads, dtype=np.float64, delimiter=" ", comments=None, ndmin=2
+        )
+    except ValueError:
+        return None
 
 
 def save_embeddings(space: EmbeddingSpace, path) -> None:

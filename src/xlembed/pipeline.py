@@ -7,19 +7,10 @@ path-dependent is ever written into an artifact. Run directories are
 write-once: the runner refuses a non-empty directory.
 """
 
-import gc
 import json
-import os
-import pickle
-import signal
-import sys
-import warnings
-from contextlib import suppress
 from dataclasses import fields
 from pathlib import Path
 from typing import Optional
-
-import numpy as np
 
 from . import __version__
 from .config import (  # noqa: F401  (the schema names stay importable here)
@@ -41,7 +32,7 @@ from .config import (  # noqa: F401  (the schema names stay importable here)
     check_value,
 )
 from .corpus import TokenizerConfig, parse_classes
-from .embeddings import EmbeddingSpace, load_embeddings, normalize, save_embeddings
+from .embeddings import load_embeddings, normalize, save_embeddings
 from .lexicon import (
     build_identical_dictionary,
     exclude_identical_entries,
@@ -67,6 +58,7 @@ from .reports import (
 )
 from .sentiment import eval_probe, load_sentiment_tsv, train_probe
 from .translate import precision_at_k
+from .workers import in_worker
 
 
 # -- the stages, shared by run_pipeline, the CLI and the ablation grid ------
@@ -76,123 +68,22 @@ def load_pair(src, tgt):
     sidecar vocab path or None) pair.
 
     When the process can fork and may use at least 2 CPUs, a forked worker
-    loads the target side while this process loads the source side;
-    otherwise the two loads run in order. Either way the result is that of
-    two load_embeddings calls in order: the same spaces (the target matrix
-    comes back as the worker parsed it, byte for byte), the same warnings
-    (the source side's first), and the source side's error if both fail.
+    loads the target side while this process loads the source side
+    (workers.in_worker); otherwise the two loads run in order. Either way the
+    result is that of two load_embeddings calls in order: the same spaces
+    (the target matrix comes back as the worker parsed it, byte for byte),
+    the same warnings (the source side's first), and the source side's error
+    if both fail.
     """
-    if not hasattr(os, "fork") or not _two_cpus():
-        return _load(src), _load(tgt)
-    read_fd, write_fd = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python >= 3.12 warns that forking a process with threads (here
-            # BLAS's) may deadlock the child; the worker only parses text
-            # and ends in os._exit
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        os.close(read_fd)
-        _load_in_worker(tgt, write_fd)  # never returns
-    os.close(write_fd)
-    result = None
-    try:
-        with open(read_fd, "rb") as pipe:
-            src_space = _load(src)
-            result = _receive(pipe)
-    finally:
-        if result is None:
-            with suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-        _, status = os.waitpid(pid, 0)
-    if result is None:
-        code = os.waitstatus_to_exitcode(status)
-        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-        raise RuntimeError(
-            f"{tgt[0]}: the worker loading this file ended without a result "
-            f"({how})"
-        )
-    tgt_space, warned, error = result
-    for message, filename, lineno in warned:
-        _rewarn(message, filename, lineno)
-    if error is not None:
-        raise error
+    with in_worker(_load, tgt, what=str(tgt[0])) as job:
+        src_space = _load(src)
+        tgt_space = job.result()
     return src_space, tgt_space
-
-
-def _two_cpus() -> bool:
-    """Whether this process may run on at least 2 CPUs."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) >= 2
-    return (os.cpu_count() or 1) >= 2
 
 
 def _load(side):
     path, vocab_tsv = side
     return load_embeddings(path, vocab_tsv=vocab_tsv)
-
-
-def _load_in_worker(side, write_fd):
-    """Forked worker: load one side and send it through `write_fd` as a
-    pickled (vocab, shape, warnings, error) header, then the raw matrix
-    bytes. Always ends the process with os._exit."""
-    code = 1
-    try:
-        gc.disable()  # never finalize objects the parent still owns
-        space = error = None
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                space = _load(side)
-            except Exception as exc:
-                error = exc
-        warned = [(w.message, w.filename, w.lineno) for w in caught]
-        with open(write_fd, "wb") as pipe:
-            if space is None:
-                pickle.dump((None, None, warned, error), pipe)
-            else:
-                pickle.dump((space.vocab, space.matrix.shape, warned, None), pipe)
-                pipe.write(_bytes_of(space.matrix))
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _receive(pipe):
-    """The worker's (space, warnings, error), or None if it ended early."""
-    try:
-        vocab, shape, warned, error = pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError):
-        return None
-    if vocab is None:
-        return None, warned, error
-    matrix = np.empty(shape)
-    flat = _bytes_of(matrix)
-    if pipe.readinto(flat) != flat.size:
-        return None
-    return EmbeddingSpace(vocab=vocab, matrix=matrix), warned, None
-
-
-def _bytes_of(matrix):
-    """A flat uint8 view of a C-contiguous float64 matrix."""
-    return np.ascontiguousarray(matrix).reshape(-1).view(np.uint8)
-
-
-def _rewarn(message, filename, lineno):
-    """Issue a warning the worker recorded as raised at its original place,
-    in its original module, so the filters treat it as they would in a
-    sequential load."""
-    module = next(
-        (name for name, m in list(sys.modules.items())
-         if getattr(m, "__file__", None) == filename),
-        None,
-    )
-    warnings.warn_explicit(message, type(message), filename, lineno, module=module)
 
 
 def normalize_pair(src, tgt, steps):

@@ -100,7 +100,13 @@ def test_vocab_roundtrip(tmp_path, capsys):
 
 @pytest.mark.parametrize("lowercase", [True, False])
 def test_vocab_and_stats_match_per_line_scan(tmp_path, capsys, monkeypatch, lowercase):
-    from test_corpus import count_corpus_per_line, scan_corpus_per_line
+    from test_corpus import (
+        COUNT_PATHS,
+        count_corpus_per_line,
+        count_path,
+        expected_count_calls,
+        scan_corpus_per_line,
+    )
 
     corpus = tmp_path / "c.txt"
     corpus.write_text(
@@ -123,6 +129,10 @@ def test_vocab_and_stats_match_per_line_scan(tmp_path, capsys, monkeypatch, lowe
         return vocab_out, out_tsv.read_bytes(), stats_out
 
     chunked = outputs()
+    for path in COUNT_PATHS:  # 3 distinct tweets in batches of 2
+        with count_path(path) as calls:
+            assert outputs() == chunked
+        assert calls == expected_count_calls(path, 3) * 2
     monkeypatch.setattr("xlembed.cli.scan_corpus", scan_corpus_per_line)
     monkeypatch.setattr("xlembed.cli.count_corpus", count_corpus_per_line)
     assert outputs() == chunked
@@ -497,6 +507,45 @@ def test_pipeline_forked_load_matches_one_cpu_run(fixture_dir, tmp_path):
         assert forked == (tmp_path / "one" / name).read_bytes(), name
 
 
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity")
+    or len(os.sched_getaffinity(0)) < 2,
+    reason="needs fork and CPU affinity with 2 CPUs",
+)
+def test_vocab_and_stats_forked_count_match_one_cpu_run(tmp_path):
+    # more distinct tweets than one batch: with 2 CPUs the second half is
+    # counted in a forked worker, with one CPU in this process
+    from xlembed.corpus import BATCH_LINES
+
+    corpus = tmp_path / "c.txt"
+    with open(corpus, "wb") as fh:
+        for i in range(BATCH_LINES * 3):
+            j = i % 5000  # 5001 distinct tweets: line 5 has a byte replaced
+            tweet = f" Hola{j % 97} mundo {j % 1300} xD \U0001F44D\U0001F3FD #t{j % 7}"
+            fh.write(tweet.encode() + (b" \xff" if i == 5 else b"") + b"\n")
+    one_cpu = (
+        "import os, sys; os.sched_setaffinity(0, [min(os.sched_getaffinity(0))]); "
+        "from xlembed.cli import main; sys.exit(main())"
+    )
+    results = {}
+    for name, head in (("forked", ["-m", "xlembed.cli"]), ("one", ["-c", one_cpu])):
+        out = tmp_path / f"{name}.tsv"
+        runs = [
+            subprocess.run(
+                [sys.executable, *head, *argv], env=child_env(),
+                capture_output=True, text=True,
+            )
+            for argv in (["vocab", str(corpus), "--out", str(out)],
+                         ["stats", str(corpus), str(corpus)])
+        ]
+        assert [r.returncode for r in runs] == [0, 0], runs[0].stderr + runs[1].stderr
+        results[name] = [(r.stdout, r.stderr) for r in runs], out.read_bytes()
+    assert results["forked"] == results["one"]
+    (vocab_run, stats_run), _ = results["one"]
+    assert vocab_run[1].count("U+FFFD") == stats_run[1].count("U+FFFD") == 1
+    assert stats_run[0].splitlines()[1].split("\t")[1:3] == ["5001", "7287"]
+
+
 def test_pipeline_refuses_non_empty_run_dir(fixture_dir, tmp_path, capsys):
     run_dir = tmp_path / "occupied"
     run_dir.mkdir()
@@ -780,6 +829,18 @@ def test_commands_without_arithmetic_start_without_numpy(
         env=child_env(), capture_output=True, text=True,
     )
     assert res.stdout.split()[-2:] == [str(code), str(numpy_loaded)], res.stderr
+
+
+def test_version_imports_neither_the_worker_helper_nor_pickle():
+    code = (
+        "import sys\nfrom xlembed.cli import main\ntry:\n    main(['--version'])\n"
+        "except SystemExit:\n    pass\n"
+        "print(*(m in sys.modules for m in ('xlembed.workers', 'pickle')))"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
+    )
+    assert res.stdout.split()[-2:] == ["False", "False"], res.stderr
 
 
 def test_lazy_package_exports_are_the_module_definitions():

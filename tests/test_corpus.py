@@ -1,6 +1,9 @@
+import os
 import unicodedata
 import warnings
 from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from xlembed import (
     scan_corpus,
     tokenize,
 )
+from xlembed import corpus, workers
 from xlembed.corpus import (
     iter_corpus_lines,
     read_vocab_tsv,
@@ -288,17 +292,57 @@ def scan_corpus_per_line(lines, config=TokenizerConfig(), min_count=5):
     return vocab, stats
 
 
+# Every oracle comparison runs on both count paths (the forked one where
+# os.fork exists), inside one test.
+COUNT_PATHS = ["forked", "inline"] if hasattr(os, "fork") else ["inline"]
+
+
+@contextmanager
+def count_path(path):
+    """count_corpus in batches of 2 distinct tweets, the second half of the
+    batches counted in a forked worker ("forked") or at job.result() in this
+    process ("inline"). Yields the sizes of this process's _count_tokens
+    calls, so the forked path shows one call and the inline path two; checks
+    afterwards that no child process is left."""
+    calls = []
+    real = corpus._count_tokens
+
+    def counted(tweets, config):
+        calls.append(len(tweets))
+        return real(tweets, config)
+
+    with mock.patch.object(workers, "_two_cpus", lambda: path == "forked"), \
+            mock.patch.object(corpus, "BATCH_LINES", 2), \
+            mock.patch.object(corpus, "_count_tokens", counted):
+        yield calls
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def expected_count_calls(path, n_distinct):
+    """The sizes count_path yields for n_distinct tweets: one batch is
+    counted whole; more are cut after half of the batches."""
+    cut = -(-n_distinct // 2) // 2 * 2
+    if not cut:
+        return [n_distinct]
+    return [cut] if path == "forked" else [cut, n_distinct - cut]
+
+
 def _assert_same_scan(lines, config, min_count):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # empty after cutoff
-        got_vocab, got_stats = scan_corpus(lines, config, min_count)
-        want_vocab, want_stats = scan_corpus_per_line(lines, config, min_count)
-    assert got_stats == want_stats
-    assert got_vocab.tokens == want_vocab.tokens
-    assert got_vocab.freqs == want_vocab.freqs
-    assert got_vocab.classes == want_vocab.classes
-    assert got_vocab.total_tokens == want_vocab.total_tokens
-    assert got_vocab.n_unique == want_vocab.n_unique
+    n_distinct = len({line.strip() for line in lines})
+    for path in COUNT_PATHS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty after cutoff
+            with count_path(path) as calls:
+                got_vocab, got_stats = scan_corpus(lines, config, min_count)
+            want_vocab, want_stats = scan_corpus_per_line(lines, config, min_count)
+        assert calls == expected_count_calls(path, n_distinct)
+        assert got_stats == want_stats
+        assert got_vocab.tokens == want_vocab.tokens
+        assert got_vocab.freqs == want_vocab.freqs
+        assert got_vocab.classes == want_vocab.classes
+        assert got_vocab.total_tokens == want_vocab.total_tokens
+        assert got_vocab.n_unique == want_vocab.n_unique
 
 
 _SPACES = [" ", "\t", "\u2000", "\u2001", "\u3000", "\u0085", "\x1c", "\xa0"]

@@ -88,6 +88,17 @@ def test_load_rejects_truncated_file(tmp_path):
         load_embeddings(p)
 
 
+def test_load_rejects_a_header_too_large_to_allocate(tmp_path):
+    p = tmp_path / "bad.vec"
+    p.write_text(f"{2 ** 62} 2\nfoo 1.0 2.0\n", encoding="utf-8")
+    with pytest.raises(EmbeddingFormatError) as err:
+        load_embeddings(p)
+    assert str(err.value) == (
+        f"{p}: line 1: the header declares {2 ** 62} rows of 2 values, "
+        f"more than can be allocated"
+    )
+
+
 def test_load_rejects_dim_mismatch(tmp_path):
     p = tmp_path / "v.vec"
     p.write_text("1 2\nfoo 1.0 2.0\n", encoding="utf-8")
@@ -282,6 +293,36 @@ def test_load_error_in_second_block_names_file_line(
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize("rows", [1, 2])
+def test_load_all_blank_block_names_its_line(tmp_path, monkeypatch, rows):
+    # a block whose payloads are all blank never reaches np.loadtxt, which
+    # would warn that it read no data
+    monkeypatch.setattr(embeddings, "BLOCK_ROWS", rows)
+    p = tmp_path / "bad.vec"
+    p.write_text("3 1\na 1.0\nb  \nc  \n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmbeddingFormatError) as err:
+            load_embeddings(p)
+    assert str(err.value) == f"{p}: line 3: unparseable float value for token 'b'"
+
+
+def test_load_duplicate_token_warning_meets_the_default_filter(tmp_path):
+    # the parse blocks set no warning filter, so the once-per-place registry
+    # survives them: under "default" two loads of one file warn once
+    p = tmp_path / "v.vec"
+    p.write_text("3 1\na 1.0\na 2.0\nb 3.0\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.resetwarnings()
+        warnings.simplefilter("default")
+        load_embeddings(p)
+        load_embeddings(p)
+    assert [str(w.message) for w in caught] == [
+        f"{p}: 1 duplicate token row(s), the first at line 3 ('a'); "
+        f"kept the first occurrence of each"
+    ]
+
+
 def test_load_tolerates_one_trailing_space(tmp_path):
     p = tmp_path / "v.vec"
     p.write_text("2 2\na 1.0 2.0 \nb 3.0 4.0\n", encoding="utf-8")
@@ -328,6 +369,23 @@ def test_save_memory_is_bounded_by_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < os.path.getsize(path)
+
+
+def test_load_memory_is_the_matrix_plus_one_block(tmp_path):
+    # the rows go straight into the result matrix; parsed blocks are not
+    # held until a final concatenation (which peaked at two matrices)
+    n, d = 20000, 50
+    rng = np.random.default_rng(6)
+    path = tmp_path / "v.vec"
+    save_embeddings(make_space([f"w{i}" for i in range(n)], rng.normal(size=(n, d))), path)
+    tracemalloc.start()
+    try:
+        space = load_embeddings(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert space.matrix.shape == (n, d) and space.matrix.flags.owndata
+    assert peak < space.matrix.nbytes * 2
 
 
 # --------------------------------------------------------- constructors

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from xlembed import EmbeddingFormatError, load_embeddings, make_space, save_embeddings
-from xlembed import pipeline
+from xlembed import pipeline, workers
 from xlembed.corpus import write_vocab_tsv
 from xlembed.pipeline import load_pair
 
@@ -27,7 +27,7 @@ def path(request, monkeypatch):
     counted, so the forked path shows one and the sequential path two."""
     if request.param == "forked" and not hasattr(os, "fork"):
         pytest.skip("no os.fork")
-    monkeypatch.setattr(pipeline, "_two_cpus", lambda: request.param == "forked")
+    monkeypatch.setattr(workers, "_two_cpus", lambda: request.param == "forked")
     calls = []
     real = pipeline.load_embeddings
 
@@ -112,8 +112,9 @@ def test_load_pair_warnings_in_order(tmp_path, path):
 
 @pytest.mark.parametrize("action", ["default", "module-ignore"])
 def test_load_pair_filters_see_the_worker_warnings_in_place(tmp_path, path, action):
-    # the same file on both sides gives the same message twice; the filters
-    # (once-per-place, or one naming the module) decide as in two loads
+    # the same file on both sides gives the same message from the same place
+    # twice; the filters (once-per-place, or one naming the module) decide as
+    # in two loads, which show it once under "default"
     side = _write_side(tmp_path, "s", duplicate=True)
 
     def shown(load):
@@ -126,7 +127,7 @@ def test_load_pair_filters_see_the_worker_warnings_in_place(tmp_path, path, acti
         return [str(w.message) for w in caught]
 
     expected = shown(lambda: [load_embeddings(side[0]) for _ in range(2)])
-    assert len(expected) == (2 if action == "default" else 0)
+    assert len(expected) == (1 if action == "default" else 0)
     assert shown(lambda: load_pair(side, side)) == expected
 
 
@@ -196,7 +197,7 @@ def _in_worker(monkeypatch, action):
 
 @needs_fork
 def test_load_pair_worker_killed(tmp_path, monkeypatch):
-    monkeypatch.setattr(pipeline, "_two_cpus", lambda: True)
+    monkeypatch.setattr(workers, "_two_cpus", lambda: True)
     _in_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
     src, tgt = _write_side(tmp_path, "s"), _write_side(tmp_path, "t")
     with pytest.raises(RuntimeError) as err:
@@ -209,7 +210,7 @@ def test_load_pair_worker_killed(tmp_path, monkeypatch):
 
 @needs_fork
 def test_load_pair_source_error_kills_a_loading_worker(tmp_path, monkeypatch):
-    monkeypatch.setattr(pipeline, "_two_cpus", lambda: True)
+    monkeypatch.setattr(workers, "_two_cpus", lambda: True)
     _in_worker(monkeypatch, lambda: time.sleep(60))
     start = time.monotonic()
     with pytest.raises(EmbeddingFormatError):
