@@ -4,10 +4,10 @@ dictionary carries the alignment signal."""
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .config import COSINE, DEFAULT_KS, SelfLearnConfig
 from .corpus import TokenClass
 from .embeddings import EmbeddingSpace
 from .lexicon import BilingualDictionary, TestDictionary, filter_by_class
-from .mapper import SelfLearnConfig
 from .pipeline import (
     align,
     evaluate_sentiment,
@@ -15,9 +15,7 @@ from .pipeline import (
     refine_space,
 )
 from .refine import CrossLingualSpace
-from .scoring import COSINE
 from .sentiment import SentimentDataset
-from .translate import DEFAULT_KS
 
 BASE = "base"
 WEIGHTED = "weighted"

@@ -186,10 +186,9 @@ def cmd_align(args) -> int:
         save_embeddings(space.src, args.out_src)
     if args.out_tgt:
         save_embeddings(space.tgt, args.out_tgt)
-    cos = model.dict_cosines[-1] if model.dict_cosines else float("nan")
-    print(
+    print(  # self_learn keeps its best-scoring iteration, not its last
         f"aligned in {model.iterations} iteration(s), "
-        f"mean dictionary cosine {cos:.6f}"
+        f"mean dictionary cosine {max(model.dict_cosines):.6f}"
     )
     return 0
 

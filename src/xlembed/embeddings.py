@@ -11,12 +11,7 @@ from itertools import islice
 
 import numpy as np
 
-from .config import (  # noqa: F401  (NORMALIZE_STEPS stays importable here)
-    CENTER_COLUMNS,
-    DEFAULT_NORMALIZE,
-    NORMALIZE_STEPS,
-    UNIT_ROWS,
-)
+from .config import CENTER_COLUMNS, DEFAULT_NORMALIZE, UNIT_ROWS
 from .corpus import Vocabulary, classify_token, read_vocab_tsv, undecodable_line
 from .scoring import unit_rows
 

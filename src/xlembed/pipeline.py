@@ -8,29 +8,13 @@ write-once: the runner refuses a non-empty directory.
 """
 
 import json
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .config import (  # noqa: F401  (the schema names stay importable here)
-    COSINE,
-    DEFAULT_KS,
-    DEFAULT_NORMALIZE,
-    DICT_MODES,
-    MAPPER_METHODS,
-    NORMALIZE_STEPS,
-    REFINE_MODES,
-    REQUIRED,
-    RETRIEVAL_MODES,
-    SCHEMA,
-    SCHEME_LABELS,
-    SECTIONS,
-    PipelineConfig,
-    PipelineError,
-    SelfLearnConfig,
-    check_value,
-)
+from .config import PipelineConfig, PipelineError, SelfLearnConfig
 from .corpus import TokenizerConfig, parse_classes
 from .embeddings import load_embeddings, normalize, save_embeddings
 from .lexicon import (
@@ -50,7 +34,6 @@ from .refine import (
     meemi_transform,
 )
 from .reports import (
-    provenance_header,
     sentiment_markdown,
     sentiment_tsv,
     translation_markdown,
@@ -167,55 +150,28 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     if any(out.iterdir()):
         raise ValueError(f"run directory {out} is not empty; runs are write-once")
-
-    chash = config.config_hash()
     seed = config.get("seed")
-    artifacts: list[str] = []
-    prov_records: list[dict] = []
+    run = _Run(out, config.config_hash(), seed)
 
-    def record(stage: str, outputs: list, **details) -> None:
-        prov_records.append(
-            {
-                "stage": stage,
-                "config_hash": chash,
-                "seed": seed,
-                "version": __version__,
-                "outputs": outputs,
-                "details": details,
-            }
-        )
+    with run.stage("config") as st:
+        text = json.dumps(config.raw, sort_keys=True, indent=2) + "\n"
+        st.write("config.json", _write_text, text)
 
-    def write_text(name: str, text: str) -> None:
-        (out / name).write_text(text, encoding="utf-8")
-        artifacts.append(name)
-
-    def header(stage: str) -> str:
-        return provenance_header(stage, chash, seed, __version__).rstrip("\n")
-
-    stage = "config"
-    try:
-        write_text(
-            "config.json",
-            json.dumps(config.raw, sort_keys=True, indent=2) + "\n",
-        )
-        record(stage, ["config.json"])
-
-        stage = "load-embeddings"
+    with run.stage("load-embeddings") as st:
         src, tgt = load_pair(
             (config.path("src.embeddings"), config.path("src.vocab")),
             (config.path("tgt.embeddings"), config.path("tgt.vocab")),
         )
-        record(
-            stage, [],
-            src_tokens=len(src.vocab), tgt_tokens=len(tgt.vocab), dim=src.dim,
+        st.details = dict(
+            src_tokens=len(src.vocab), tgt_tokens=len(tgt.vocab), dim=src.dim
         )
 
-        stage = "normalize"
+    with run.stage("normalize") as st:
         steps = tuple(config.get("normalize"))
         src, tgt = normalize_pair(src, tgt, steps)
-        record(stage, [], steps=list(steps))
+        st.details = dict(steps=list(steps))
 
-        stage = "dictionary"
+    with run.stage("dictionary") as st:
         mode = config.get("dictionary.mode")
         dictionary = build_dictionary(
             src.vocab, tgt.vocab, mode,
@@ -224,11 +180,10 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
             k=config.get("dictionary.k"),
             seed=seed,
         )
-        save_dictionary(dictionary, out / "dictionary.tsv")
-        artifacts.append("dictionary.tsv")
-        record(stage, ["dictionary.tsv"], mode=mode, pairs=len(dictionary))
+        st.write("dictionary.tsv", save_dictionary, dictionary)
+        st.details = dict(mode=mode, pairs=len(dictionary))
 
-        stage = "align"
+    with run.stage("align") as st:
         method = config.get("mapper.method")
         slc = None
         if method == "self-learn":  # each SelfLearnConfig field is a mapper key
@@ -241,32 +196,27 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
         model, space = align(src, tgt, dictionary, slc, s)
         src_vocab, tgt_vocab = src.vocab, tgt.vocab
         del src, tgt  # refine and evaluation need only the vocabularies
-        save_model(model, out / "model.txt")
-        artifacts.append("model.txt")
-        record(
-            stage, ["model.txt"],
+        st.write("model.txt", save_model, model)
+        st.details = dict(
             method=method,
             iterations=model.iterations,
             dict_cosines=[round(c, 6) for c in model.dict_cosines],
             reweight_s=s,
         )
 
-        stage = "refine"
+    with run.stage("refine") as st:
         rmode = config.get("refine.mode")
         space = refine_space(
             space, dictionary, rmode,
             relative=config.get("refine.relative_frequencies"),
         )
-        outputs = []
         if config.get("save_aligned_embeddings"):
-            save_embeddings(space.src, out / "src_aligned.vec")
-            save_embeddings(space.tgt, out / "tgt_aligned.vec")
-            outputs = ["src_aligned.vec", "tgt_aligned.vec"]
-            artifacts.extend(outputs)
-        record(stage, outputs, mode=rmode, provenance=space.provenance)
+            st.write("src_aligned.vec", save_embeddings, space.src)
+            st.write("tgt_aligned.vec", save_embeddings, space.tgt)
+        st.details = dict(mode=rmode, provenance=space.provenance)
 
-        stage = "eval-translate"
-        if config.has("eval.translation"):
+    if config.has("eval.translation"):
+        with run.stage("eval-translate") as st:
             test, coverage = load_test_dictionary(
                 config.path("eval.translation.test_dictionary"),
                 src_vocab, tgt_vocab, synthetic=dictionary,
@@ -278,14 +228,11 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
                 exclude_identical=config.get("eval.translation.exclude_identical"),
                 oov_as_wrong=config.get("eval.translation.oov_as_wrong"),
             )
-            write_text(
-                "translation_report.tsv",
-                translation_tsv(report, header=header(stage)),
-            )
-            write_text("translation_report.md", translation_markdown(report))
-            record(
-                stage,
-                ["translation_report.tsv", "translation_report.md"],
+            st.write("translation_report.tsv", _write_text,
+                     translation_tsv(report, header=st.header))
+            st.write("translation_report.md", _write_text,
+                     translation_markdown(report))
+            st.details = dict(
                 p_at={str(k): report.p_at[k] for k in sorted(report.p_at)},
                 covered=report.covered,
                 skipped=report.skipped,
@@ -296,8 +243,8 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
                 ),
             )
 
-        stage = "eval-sentiment"
-        if config.has("eval.sentiment"):
+    if config.has("eval.sentiment"):
+        with run.stage("eval-sentiment") as st:
             train_set, test_set = load_sentiment_pair(
                 config.path("eval.sentiment.train"),
                 config.path("eval.sentiment.test"),
@@ -305,46 +252,84 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
                 config.get("eval.sentiment.scheme"),
             )
             probe, sreport = evaluate_sentiment(space, train_set, test_set)
-            write_text(
-                "sentiment_report.tsv",
-                sentiment_tsv(sreport, header=header(stage)),
-            )
-            write_text("sentiment_report.md", sentiment_markdown(sreport))
-            record(
-                stage,
-                ["sentiment_report.tsv", "sentiment_report.md"],
+            st.write("sentiment_report.tsv", _write_text,
+                     sentiment_tsv(sreport, header=st.header))
+            st.write("sentiment_report.md", _write_text,
+                     sentiment_markdown(sreport))
+            st.details = dict(
                 accuracy=round(sreport.accuracy, 4),
                 macro_f1=round(sreport.macro_f1, 4),
                 final_loss=round(probe.loss_history[-1], 8),
             )
-    except Exception as exc:
-        _write_provenance(out, prov_records, artifacts)
-        _write_manifest(out, chash, artifacts, status="error",
-                        error={"stage": stage, "message": str(exc)})
-        raise PipelineError(stage, exc, artifacts) from exc
 
-    _write_provenance(out, prov_records, artifacts)
-    manifest = _write_manifest(out, chash, artifacts, status="ok", error=None)
-    return manifest
+    return run.finish()
 
 
-def _write_provenance(out: Path, records: list, artifacts: list) -> None:
-    text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-    (out / "provenance.jsonl").write_text(text, encoding="utf-8")
-    artifacts.append("provenance.jsonl")
+def _write_text(text: str, path: Path) -> None:
+    path.write_text(text, encoding="utf-8")
 
 
-def _write_manifest(
-    out: Path, chash: str, artifacts: list, status: str, error: Optional[dict]
-) -> dict:
-    manifest = {
-        "config_hash": chash,
-        "status": status,
-        "error": error,
-        "artifacts": sorted(set(artifacts)) + ["manifest.json"],
-        "version": __version__,
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    return manifest
+class _Run:
+    """A run directory's provenance: each artifact is listed as soon as its
+    writer returns, and each stage that ends appends one record."""
+
+    def __init__(self, out: Path, config_hash: str, seed):
+        self.out, self.config_hash, self.seed = out, config_hash, seed
+        self.artifacts: list[str] = []
+        self.records: list[dict] = []
+
+    @contextmanager
+    def stage(self, name: str):
+        """The block of one stage. When it ends, the stage's record (outputs
+        in write order, details) goes to provenance.jsonl; when it raises,
+        the run finishes as an error and PipelineError names the stage."""
+        st = _Stage(self, name)
+        try:
+            yield st
+        except Exception as exc:
+            self.finish({"stage": name, "message": str(exc)})
+            raise PipelineError(name, exc, self.artifacts) from exc
+        self.records.append({
+            "stage": name,
+            "config_hash": self.config_hash,
+            "seed": self.seed,
+            "version": __version__,
+            "outputs": st.outputs,
+            "details": st.details,
+        })
+
+    def finish(self, error: Optional[dict] = None) -> dict:
+        """Write provenance.jsonl, then manifest.json; return the manifest."""
+        records = "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records)
+        _write_text(records, self.out / "provenance.jsonl")
+        self.artifacts.append("provenance.jsonl")
+        manifest = {
+            "config_hash": self.config_hash,
+            "status": "ok" if error is None else "error",
+            "error": error,
+            "artifacts": sorted(self.artifacts) + ["manifest.json"],
+            "version": __version__,
+        }
+        text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+        _write_text(text, self.out / "manifest.json")
+        return manifest
+
+
+class _Stage:
+    """What a stage block writes and records: st.write(name, writer, value)
+    calls writer(value, path) for one artifact, st.details is the record's
+    details, and st.header the "# stage=..." line of its TSV reports."""
+
+    def __init__(self, run: _Run, name: str):
+        self._run = run
+        self.outputs: list[str] = []
+        self.details: dict = {}
+        self.header = (
+            f"# stage={name} config_hash={run.config_hash} seed={run.seed} "
+            f"tool=xlembed/{__version__}"
+        )
+
+    def write(self, name: str, writer, value) -> None:
+        writer(value, self._run.out / name)
+        self._run.artifacts.append(name)
+        self.outputs.append(name)

@@ -17,13 +17,6 @@ def _fmt(value: Optional[float]) -> str:
     return "n/a" if value is None else f"{value:.2f}"
 
 
-def provenance_header(stage: str, config_hash: str, seed: int, version: str) -> str:
-    return (
-        f"# stage={stage} config_hash={config_hash} seed={seed} "
-        f"tool=xlembed/{version}\n"
-    )
-
-
 def _aligned_table(headers: list, rows: list) -> str:
     widths = [
         max(len(str(headers[c])), *(len(str(r[c])) for r in rows)) if rows

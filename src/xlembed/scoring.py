@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .config import COSINE, CSLS, RETRIEVAL_MODES  # noqa: F401  (importable here)
+from .config import RETRIEVAL_MODES
 
 CSLS_K = 10
 

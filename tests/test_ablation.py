@@ -11,10 +11,10 @@ from xlembed.ablation import (
     AblationRow,
     AblationTable,
 )
+from xlembed.config import COSINE
 from xlembed.lexicon import filter_by_class
 from xlembed.mapper import SelfLearnConfig
 from xlembed.reports import ablation_markdown, ablation_tsv
-from xlembed.scoring import COSINE
 from synthetic import held_out_test, rotation_benchmark
 
 

@@ -199,6 +199,50 @@ def fixture_dir(tmp_path):
     return tmp_path / "fx"
 
 
+def test_align_self_learn_prints_the_saved_iterations_cosine(tmp_path, capsys):
+    # self-learning stops when the score falls and keeps its best
+    # iteration: the printed cosine is that one's, not the last one's
+    from xlembed import save_embeddings
+    from xlembed.config import DEFAULT_NORMALIZE, SelfLearnConfig
+    from xlembed.corpus import write_vocab_tsv
+    from xlembed.mapper import load_model
+    from xlembed.pipeline import align, build_dictionary, load_pair, normalize_pair
+
+    from synthetic import overlap_benchmark
+
+    src, tgt, _ = overlap_benchmark(
+        n_shared=60, n_unique=600, d=20, noise=0.3, seed=0
+    )
+    save_embeddings(src, tmp_path / "s.vec")
+    save_embeddings(tgt, tmp_path / "t.vec")
+    write_vocab_tsv(src.vocab, tmp_path / "sv.tsv")
+    write_vocab_tsv(tgt.vocab, tmp_path / "tv.tsv")
+    vocabs = ["--src-vocab", str(tmp_path / "sv.tsv"),
+              "--tgt-vocab", str(tmp_path / "tv.tsv")]
+    d, m = tmp_path / "d.tsv", tmp_path / "m.txt"
+    assert _run(capsys, ["dict", *vocabs, "--out", str(d)])[0] == 0
+    code, out, _ = _run(
+        capsys,
+        [
+            "align", "--src-emb", str(tmp_path / "s.vec"),
+            "--tgt-emb", str(tmp_path / "t.vec"), *vocabs, "--dict", str(d),
+            "--out-model", str(m), "--self-learn", "--retrieval", "cosine",
+        ],
+    )
+    assert code == 0
+    src, tgt = normalize_pair(
+        *load_pair((tmp_path / "s.vec", tmp_path / "sv.tsv"),
+                   (tmp_path / "t.vec", tmp_path / "tv.tsv")),
+        DEFAULT_NORMALIZE,
+    )
+    dictionary = build_dictionary(src.vocab, tgt.vocab, "file", file=d)
+    model, _ = align(src, tgt, dictionary, SelfLearnConfig(retrieval="cosine"))
+    assert np.array_equal(load_model(m).src_map, model.src_map)
+    best = max(model.dict_cosines)
+    assert f"{model.dict_cosines[-1]:.6f}" != f"{best:.6f}"  # the run ended on a drop
+    assert out.split()[-1] == f"{best:.6f}"
+
+
 def test_align_refine_eval_chain(fixture_dir, tmp_path, capsys):
     fx = fixture_dir
     dict_out = tmp_path / "d.tsv"
@@ -623,6 +667,99 @@ def test_pipeline_stage_error_reports_stage(tmp_path, capsys):
     assert manifest["error"]["stage"] == "align"
 
 
+STAGES = [
+    "config", "load-embeddings", "normalize", "dictionary", "align", "refine",
+    "eval-translate", "eval-sentiment",
+]
+
+
+def _bad_header(fx, cfg, monkeypatch):
+    (fx / "bad.vec").write_text("three 8\n", encoding="utf-8")
+    cfg["src"]["embeddings"] = "bad.vec"
+
+
+def _zero_row(fx, cfg, monkeypatch):
+    lines = (fx / "src.vec").read_text(encoding="utf-8").splitlines(keepends=True)
+    token, *values = lines[1].split()
+    lines[1] = " ".join([token] + ["0.000000"] * len(values)) + "\n"
+    (fx / "zero.vec").write_text("".join(lines), encoding="utf-8")
+    cfg["src"]["embeddings"] = "zero.vec"
+
+
+def _one_field_dictionary_line(fx, cfg, monkeypatch):
+    (fx / "one.txt").write_text("w0001\n", encoding="utf-8")
+    cfg["dictionary"] = {"mode": "file", "file": "one.txt"}
+
+
+def _oov_dictionary(fx, cfg, monkeypatch):
+    # the one pair is out of vocabulary: align gets an empty dictionary
+    (fx / "oov.txt").write_text("nosuch nosuch\n", encoding="utf-8")
+    cfg["dictionary"] = {"mode": "file", "file": "oov.txt"}
+
+
+def _second_save_fails(fx, cfg, monkeypatch):
+    from xlembed import pipeline
+
+    save, calls = pipeline.save_embeddings, []
+
+    def fail_second(space, path):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError(f"{path}: no space left on device")
+        save(space, path)
+
+    monkeypatch.setattr(pipeline, "save_embeddings", fail_second)
+    cfg["save_aligned_embeddings"] = True
+
+
+def _three_field_gold_line(fx, cfg, monkeypatch):
+    (fx / "gold3.txt").write_text("w0001 w0001 w0002\n", encoding="utf-8")
+    cfg["eval"]["translation"]["test_dictionary"] = "gold3.txt"
+
+
+def _bad_label(fx, cfg, monkeypatch):
+    (fx / "labels.tsv").write_text("maybe\tw0001\n", encoding="utf-8")
+    cfg["eval"]["sentiment"]["test"] = "labels.tsv"
+
+
+@pytest.mark.parametrize(
+    "stage, trigger",
+    [
+        ("load-embeddings", _bad_header),
+        ("normalize", _zero_row),
+        ("dictionary", _one_field_dictionary_line),
+        ("align", _oov_dictionary),
+        ("refine", _second_save_fails),
+        ("eval-translate", _three_field_gold_line),
+        ("eval-sentiment", _bad_label),
+    ],
+)
+def test_pipeline_failure_names_its_stage_and_lists_every_file(
+    fixture_dir, tmp_path, capsys, monkeypatch, stage, trigger
+):
+    # the JSON error and the manifest name the failing stage, provenance
+    # holds exactly the stages before it, and every file left is listed
+    cfg = json.loads((fixture_dir / "config.json").read_text(encoding="utf-8"))
+    trigger(fixture_dir, cfg, monkeypatch)
+    path = fixture_dir / "fail.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    run_dir = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        code, _, err = _run(
+            capsys, ["pipeline", "--config", str(path), "--out", str(run_dir)]
+        )
+    assert code == 1
+    payload = json.loads(err.splitlines()[-1])
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert payload["stage"] == manifest["error"]["stage"] == stage
+    records = (run_dir / "provenance.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(r)["stage"] for r in records] == STAGES[: STAGES.index(stage)]
+    on_disk = sorted(p.name for p in run_dir.iterdir() if p.name != "manifest.json")
+    assert sorted(payload["partial_artifacts"]) == on_disk
+    assert manifest["artifacts"] == on_disk + ["manifest.json"]
+
+
 def test_pipeline_bad_config_path_error(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(
@@ -777,7 +914,7 @@ def test_readme_config_reference_matches_schema(fixture_dir):
     # the README's example validates, and its key table names every key
     from pathlib import Path
 
-    from xlembed.pipeline import SCHEMA, PipelineConfig
+    from xlembed.config import SCHEMA, PipelineConfig
 
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Pipeline config", 1)[1].split("\n## ", 1)[0]
