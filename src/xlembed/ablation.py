@@ -1,6 +1,7 @@
 """Ablation over identical-token classes: which part of the synthetic
 dictionary carries the alignment signal."""
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -52,8 +53,15 @@ class AblationTable:
     models = tuple(name for name, _ in MODELS)   # report column order
 
 
-def _error(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
+def _mark_failed(row: AblationRow, models: list, exc: Exception) -> None:
+    """Give each of the row's `models` cells the error, and warn once."""
+    error = f"{type(exc).__name__}: {exc}"
+    warnings.warn(
+        f"ablation row {row.name}, model {' and '.join(models)}: {error}; "
+        "reported as n/a"
+    )
+    for model_name in models:
+        row.cells[model_name] = AblationCell(error=error)
 
 
 def _run_cell(
@@ -66,18 +74,11 @@ def _run_cell(
     sentiment_train: Optional[SentimentDataset],
     sentiment_test: Optional[SentimentDataset],
 ) -> AblationCell:
-    try:
-        space = refine_space(space, dictionary, refine_mode)
-        cell = AblationCell(
-            translation=evaluate_translation(space, test, ks, retrieval)
-        )
-        if sentiment_train is not None and sentiment_test is not None:
-            _, cell.sentiment = evaluate_sentiment(
-                space, sentiment_train, sentiment_test
-            )
-        return cell
-    except Exception as exc:  # per-cell failures become markers, not aborts
-        return AblationCell(error=_error(exc))
+    space = refine_space(space, dictionary, refine_mode)
+    cell = AblationCell(translation=evaluate_translation(space, test, ks, retrieval))
+    if sentiment_train is not None and sentiment_test is not None:
+        _, cell.sentiment = evaluate_sentiment(space, sentiment_train, sentiment_test)
+    return cell
 
 
 def run_ablation(
@@ -96,23 +97,26 @@ def run_ablation(
     Each dictionary variant is aligned once and both cells of its row refine
     and evaluate that mapped space. Per-cell failures (for instance an empty
     class subset, which fails the alignment and so marks both cells) are
-    recorded in the cell and do not abort the grid.
+    recorded in the cell, warned once per failed row or cell, and do not
+    abort the grid.
     """
     has_sentiment = sentiment_train is not None and sentiment_test is not None
     rows = []
     for name, keep in VARIANTS:
         variant = dictionary if keep is None else filter_by_class(dictionary, keep)
         row = AblationRow(name=name, n_pairs=len(variant))
+        rows.append(row)
         try:
             _, space = align(src, tgt, variant, self_learn_config)
         except Exception as exc:  # the whole row fails, the grid goes on
-            for model_name, _ in MODELS:
-                row.cells[model_name] = AblationCell(error=_error(exc))
-        else:
-            for model_name, refine_mode in MODELS:
+            _mark_failed(row, [model_name for model_name, _ in MODELS], exc)
+            continue
+        for model_name, refine_mode in MODELS:
+            try:
                 row.cells[model_name] = _run_cell(
                     space, variant, test, refine_mode, ks, retrieval,
                     sentiment_train, sentiment_test,
                 )
-        rows.append(row)
+            except Exception as exc:  # the cell fails, the row goes on
+                _mark_failed(row, [model_name], exc)
     return AblationTable(rows=rows, ks=tuple(sorted(ks)), has_sentiment=has_sentiment)

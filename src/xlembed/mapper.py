@@ -80,17 +80,20 @@ def _mean_pair_cosine(
     w: np.ndarray,
     src_idx: np.ndarray,
     tgt_idx: np.ndarray,
+    tgt_map: Optional[np.ndarray] = None,
 ) -> float:
     """Mean cosine of the pairs (src[i] @ w, tgt[j]) over zip(src_idx,
-    tgt_idx). The mapped rows come from one product (row blocks of it may
-    round differently); the target rows, norms and ratios are taken
-    BLOCK_ROWS pairs at a time into one vector, so the mean sums the
+    tgt_idx), or (src[i] @ w, tgt[j] @ tgt_map) when tgt_map is given.
+    Each side's mapped rows come from one product (row blocks of it may
+    round differently); the unmapped target rows, norms and ratios are
+    taken BLOCK_ROWS pairs at a time into one vector, so the mean sums the
     ratios in one fixed order."""
     x = src[src_idx] @ w
+    mapped_tgt = None if tgt_map is None else tgt[tgt_idx] @ tgt_map
     ratio = np.empty(len(x))
     for rows in _blocks(len(x)):
         xb = x[rows]
-        y = tgt[tgt_idx[rows]]
+        y = tgt[tgt_idx[rows]] if mapped_tgt is None else mapped_tgt[rows]
         num = np.einsum("ij,ij->i", xb, y)
         den = np.linalg.norm(xb, axis=1) * np.linalg.norm(y, axis=1)
         den[den == 0.0] = 1.0
@@ -246,7 +249,9 @@ def reweight(
     With U Sig V^T the SVD of the cross-covariance of the mapped
     dictionary rows, the maps become src_map @ U * sig**s and
     V * sig**s. s=0 adds a pure rotation (cross-space cosines unchanged);
-    s=1 amplifies components in proportion to their singular value.
+    s=1 amplifies components in proportion to their singular value. The
+    new model's dict_cosines holds one value: the mean cosine of the
+    dictionary pairs with both sides mapped by the new maps.
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"re-weighting exponent s={s} outside [0, 1]")
@@ -257,8 +262,13 @@ def reweight(
     y = tgt.matrix[dictionary.tgt_indices]
     u, sig, vt = _svd_cross(x, y)
     scale = sig**s
+    src_map, tgt_map = model.src_map @ (u * scale), vt.T * scale
+    cos = _mean_pair_cosine(
+        src.matrix, tgt.matrix, src_map, dictionary.src_indices,
+        dictionary.tgt_indices, tgt_map,
+    )
     return replace(
-        model, src_map=model.src_map @ (u * scale), tgt_map=vt.T * scale, s=s
+        model, src_map=src_map, tgt_map=tgt_map, s=s, dict_cosines=[cos]
     )
 
 

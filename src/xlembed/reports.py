@@ -78,29 +78,26 @@ def sentiment_markdown(report: SentimentReport) -> str:
     return _aligned_table(headers, rows)
 
 
-def _ablation_cells(table: "AblationTable", row) -> dict:
-    out = {}
-    for model in table.models:
-        cell = row.cells.get(model)
-        if cell is None or cell.error is not None or cell.translation is None:
-            out[model] = {f"P@{k}": "n/a" for k in table.ks}
-            if table.has_sentiment:
-                out[model]["acc"] = "n/a"
-                out[model]["F1"] = "n/a"
-            continue
-        vals = {f"P@{k}": _fmt(cell.translation.p_at[k]) for k in table.ks}
-        if table.has_sentiment:
-            vals["acc"] = _fmt(cell.sentiment.accuracy) if cell.sentiment else "n/a"
-            vals["F1"] = _fmt(cell.sentiment.macro_f1) if cell.sentiment else "n/a"
-        out[model] = vals
-    return out
-
-
 def _ablation_columns(table: "AblationTable") -> list:
     cols = [f"P@{k}" for k in table.ks]
     if table.has_sentiment:
         cols += ["acc", "F1"]
     return cols
+
+
+def _ablation_values(table: "AblationTable", row) -> list:
+    """The row's cell values in column order, model by model; "n/a" for
+    every value of a failed cell and for a missing sentiment result."""
+    values = []
+    for model in table.models:
+        cell = row.cells.get(model)
+        failed = cell is None or cell.error is not None or cell.translation is None
+        p_at = {} if failed else cell.translation.p_at
+        values += [_fmt(p_at.get(k)) for k in table.ks]
+        if table.has_sentiment:
+            sent = None if failed else cell.sentiment
+            values += [_fmt(sent and sent.accuracy), _fmt(sent and sent.macro_f1)]
+    return values
 
 
 def ablation_tsv(table: "AblationTable") -> str:
@@ -110,8 +107,7 @@ def ablation_tsv(table: "AblationTable") -> str:
         + "\t".join(f"{m}:{c}" for m in table.models for c in cols)
     ]
     for row in table.rows:
-        cells = _ablation_cells(table, row)
-        values = [cells[m][c] for m in table.models for c in cols]
+        values = _ablation_values(table, row)
         lines.append(f"{row.name}\t{row.n_pairs}\t" + "\t".join(values))
     return "\n".join(lines) + "\n"
 
@@ -121,11 +117,8 @@ def ablation_markdown(table: "AblationTable") -> str:
     headers = ["dictionary", "pairs"] + [
         f"{m} {c}" for m in table.models for c in cols
     ]
-    rows = []
-    for row in table.rows:
-        cells = _ablation_cells(table, row)
-        rows.append(
-            [row.name, str(row.n_pairs)]
-            + [cells[m][c] for m in table.models for c in cols]
-        )
+    rows = [
+        [row.name, str(row.n_pairs), *_ablation_values(table, row)]
+        for row in table.rows
+    ]
     return _aligned_table(headers, rows)

@@ -103,21 +103,22 @@ def embed_sentence(
     return space.matrix[np.array(idx, dtype=np.int64)].mean(axis=0), False
 
 
+def _label_ids(dataset: SentimentDataset) -> np.ndarray:
+    """Each example's label as its index in the scheme's label order."""
+    index = {lbl: i for i, lbl in enumerate(dataset.labels)}
+    return np.array([index[lbl] for _, lbl in dataset.examples], dtype=np.int64)
+
+
 def featurize(
     dataset: SentimentDataset, space: EmbeddingSpace
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Sentence-embedding design matrix, integer labels, all-OOV count."""
-    labels = dataset.labels
-    label_index = {lbl: i for i, lbl in enumerate(labels)}
     x = np.zeros((len(dataset), space.dim), dtype=np.float64)
-    y = np.zeros(len(dataset), dtype=np.int64)
     n_oov = 0
-    for i, (tokens, label) in enumerate(dataset.examples):
-        vec, oov = embed_sentence(space, tokens)
-        x[i] = vec
-        y[i] = label_index[label]
+    for i, (tokens, _) in enumerate(dataset.examples):
+        x[i], oov = embed_sentence(space, tokens)
         n_oov += int(oov)
-    return x, y, n_oov
+    return x, _label_ids(dataset), n_oov
 
 
 @dataclass
@@ -243,12 +244,8 @@ def eval_probe(
 
 def majority_label(train: SentimentDataset) -> str:
     """Most frequent training label; ties resolve to the scheme order."""
-    labels = train.labels
-    counts = np.zeros(len(labels), dtype=np.int64)
-    index = {lbl: i for i, lbl in enumerate(labels)}
-    for _, lbl in train.examples:
-        counts[index[lbl]] += 1
-    return labels[int(np.argmax(counts))]
+    counts = np.bincount(_label_ids(train), minlength=len(train.labels))
+    return train.labels[int(np.argmax(counts))]
 
 
 def eval_majority(
@@ -257,9 +254,6 @@ def eval_majority(
     """Constant-prediction baseline: always the majority training class."""
     if test.scheme != train.scheme:
         raise ValueError("scheme mismatch between train and test")
-    labels = test.labels
-    index = {lbl: i for i, lbl in enumerate(labels)}
-    maj = index[majority_label(train)]
-    gold = np.array([index[lbl] for _, lbl in test.examples], dtype=np.int64)
-    pred = np.full(len(gold), maj, dtype=np.int64)
-    return _metrics(gold, pred, labels, 0)
+    gold = _label_ids(test)
+    pred = np.full(len(gold), test.labels.index(majority_label(train)))
+    return _metrics(gold, pred, test.labels, 0)

@@ -94,44 +94,35 @@ def precision_at_k(
         (s, golds) for s, golds in test.entries if s in src_vocab.index
     ]
     covered = len(covered_entries)
-    skipped = len(test) - covered
+
+    # rank[i]: the position of covered entry i's first in-vocabulary gold
+    # among its max(ks) candidates, or max(ks) when none is there
+    kmax = ks[-1]
+    rank = np.full(covered, kmax)
+    if covered:
+        query_idx = [src_vocab.index[s] for s, _ in covered_entries]
+        top, _ = _retrieve(space, query_idx, kmax, retrieval)
+        # (entry, target) pairs as one key each: entry * n_targets + target
+        n_tgt = len(tgt_vocab)
+        gold_keys = [
+            i * n_tgt + tgt_vocab.index[t]
+            for i, (_, golds) in enumerate(covered_entries)
+            for t in golds
+            if t in tgt_vocab.index
+        ]
+        hit = np.isin(top + n_tgt * np.arange(covered)[:, None], gold_keys)
+        rank = np.where(hit, np.arange(top.shape[1]), kmax).min(
+            axis=1, initial=kmax
+        )
 
     denominator = len(test) if oov_as_wrong else covered
-    if denominator == 0:
-        return TranslationReport(
-            p_at={k: None for k in ks},
-            covered=covered,
-            skipped=skipped,
-            total=len(test),
-            retrieval=retrieval,
-            oov_as_wrong=oov_as_wrong,
-        )
-
-    kmax = max(ks)
-    gold_idx = [
-        np.array(
-            [tgt_vocab.index[t] for t in golds if t in tgt_vocab.index],
-            dtype=np.int64,
-        )
-        for _, golds in covered_entries
-    ]
-    query_idx = np.array(
-        [src_vocab.index[s] for s, _ in covered_entries], dtype=np.int64
-    )
-
-    top, _ = _retrieve(space, query_idx, kmax, retrieval)
-    hits = {k: 0 for k in ks}
-    for qi, golds in enumerate(gold_idx):
-        found = np.flatnonzero(np.isin(top[qi], golds))
-        if found.size:
-            for k in ks:
-                hits[k] += int(found[0] < k)
-
-    p_at = {k: 100.0 * hits[k] / denominator for k in ks}
     return TranslationReport(
-        p_at=p_at,
+        p_at={
+            k: 100.0 * int((rank < k).sum()) / denominator if denominator else None
+            for k in ks
+        },
         covered=covered,
-        skipped=skipped,
+        skipped=len(test) - covered,
         total=len(test),
         retrieval=retrieval,
         oov_as_wrong=oov_as_wrong,

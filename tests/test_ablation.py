@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import xlembed.ablation as ablation
 from xlembed import TokenClass, build_identical_dictionary, pipeline, run_ablation
 from xlembed.ablation import (
     BASE,
@@ -53,7 +56,14 @@ def test_empty_class_subset_marks_cell_not_abort():
     d = build_identical_dictionary(src.vocab, tgt.vocab)
     assert len(filter_by_class(d, {TokenClass.EMOJI})) == 0
     test = held_out_test(src.vocab.tokens, 50, 30)
-    table = run_ablation(src, tgt, d, test)
+    with pytest.warns(UserWarning) as record:
+        table = run_ablation(src, tgt, d, test)
+    # one warning per failed row, naming the variant, both models and the error
+    assert [str(w.message) for w in record] == [
+        f"ablation row {name}, model base and weighted: "
+        "ValueError: seed dictionary is empty; reported as n/a"
+        for name in ("Numerals", "Emoji")
+    ]
     emoji_row = table.rows[2]
     assert emoji_row.name == "Emoji"
     assert emoji_row.n_pairs == 0
@@ -148,10 +158,12 @@ def test_self_learning_grid_aligns_each_variant_once(monkeypatch, with_classes):
         return self_learn(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "self_learn", counting_self_learn)
-    table = run_ablation(
-        src, tgt, d, test, ks=(1, 5), self_learn_config=config,
-        sentiment_train=train, sentiment_test=train,
-    )
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        table = run_ablation(
+            src, tgt, d, test, ks=(1, 5), self_learn_config=config,
+            sentiment_train=train, sentiment_test=train,
+        )
     assert len(calls) == len(VARIANTS)
     expected = _per_cell_table(src, tgt, d, test, (1, 5), config, train, train)
     assert len(calls) == 3 * len(VARIANTS)
@@ -161,3 +173,75 @@ def test_self_learning_grid_aligns_each_variant_once(monkeypatch, with_classes):
     assert bool(errors) != with_classes
     for row in errors:
         assert row.cells[WEIGHTED].error == row.cells[BASE].error
+    assert [str(w.message) for w in record] == [
+        f"ablation row {row.name}, model base and weighted: "
+        f"{row.cells[BASE].error}; reported as n/a"
+        for row in errors
+    ]
+
+
+def test_failed_cell_warns_and_keeps_the_rest_of_its_row(monkeypatch):
+    # a refine or evaluation failure marks only its own cell
+    src, tgt, d, test = _benchmark()
+    refine_space = ablation.refine_space
+
+    def failing_weighted(space, dictionary, mode):
+        if mode == "weighted":
+            raise RuntimeError("refine broke")
+        return refine_space(space, dictionary, mode)
+
+    monkeypatch.setattr(ablation, "refine_space", failing_weighted)
+    with pytest.warns(UserWarning) as record:
+        table = run_ablation(src, tgt, d, test, ks=(1,))
+    assert [str(w.message) for w in record] == [
+        f"ablation row {name}, model weighted: RuntimeError: refine broke; "
+        "reported as n/a"
+        for name, _ in VARIANTS
+    ]
+    for row in table.rows:
+        assert row.cells[BASE].error is None
+        assert row.cells[WEIGHTED].error == "RuntimeError: refine broke"
+    for line in ablation_tsv(table).splitlines()[1:]:
+        base_p1, weighted_p1 = line.split("\t")[2:]
+        assert base_p1 != "n/a" and weighted_p1 == "n/a"
+
+
+def test_report_cells_read_na_for_failed_missing_and_empty_values():
+    from xlembed.sentiment import SentimentReport
+    from xlembed.translate import TranslationReport
+
+    def translation(p1, p5):
+        return TranslationReport(
+            p_at={1: p1, 5: p5}, covered=3, skipped=0, total=3,
+            retrieval=COSINE, oov_as_wrong=False,
+        )
+
+    sent = SentimentReport(
+        accuracy=72.25, macro_f1=0.0, per_class={}, confusion=None, n=4
+    )
+    error = AblationCell(error="ValueError: seed dictionary is empty")
+    rows = [
+        AblationRow("All", 12, {
+            BASE: AblationCell(translation(50.0, 100.0), sent),
+            WEIGHTED: AblationCell(translation(200 / 3, 100.0)),  # no sentiment
+        }),
+        AblationRow("Numerals", 0, {BASE: error, WEIGHTED: error}),
+        # nothing covered (P@k None), and no weighted cell at all
+        AblationRow("Emoji", 3, {BASE: AblationCell(translation(None, None), sent)}),
+    ]
+    table = AblationTable(rows=rows, ks=(1, 5), has_sentiment=True)
+    assert ablation_tsv(table) == (
+        "dictionary\tpairs\tbase:P@1\tbase:P@5\tbase:acc\tbase:F1"
+        "\tweighted:P@1\tweighted:P@5\tweighted:acc\tweighted:F1\n"
+        "All\t12\t50.00\t100.00\t72.25\t0.00\t66.67\t100.00\tn/a\tn/a\n"
+        "Numerals\t0\tn/a\tn/a\tn/a\tn/a\tn/a\tn/a\tn/a\tn/a\n"
+        "Emoji\t3\tn/a\tn/a\t72.25\t0.00\tn/a\tn/a\tn/a\tn/a\n"
+    )
+    table = AblationTable(rows=rows, ks=(1, 5), has_sentiment=False)
+    assert ablation_markdown(table) == (
+        "| dictionary | pairs | base P@1 | base P@5 | weighted P@1 | weighted P@5 |\n"
+        "|------------|-------|----------|----------|--------------|--------------|\n"
+        "| All        | 12    | 50.00    | 100.00   | 66.67        | 100.00       |\n"
+        "| Numerals   | 0     | n/a      | n/a      | n/a          | n/a          |\n"
+        "| Emoji      | 3     | n/a      | n/a      | n/a          | n/a          |\n"
+    )

@@ -199,14 +199,15 @@ def fixture_dir(tmp_path):
     return tmp_path / "fx"
 
 
-def test_align_self_learn_prints_the_saved_iterations_cosine(tmp_path, capsys):
-    # self-learning stops when the score falls and keeps its best
-    # iteration: the printed cosine is that one's, not the last one's
+def _overlap_align_inputs(tmp_path, capsys):
+    """overlap_benchmark(n_shared=60, n_unique=600, d=20, noise=0.3) on
+    disk with its identical-token dictionary from `xlembed dict`; returns
+    the `align` input arguments and the normalized spaces and dictionary
+    as the command sees them."""
     from xlembed import save_embeddings
-    from xlembed.config import DEFAULT_NORMALIZE, SelfLearnConfig
+    from xlembed.config import DEFAULT_NORMALIZE
     from xlembed.corpus import write_vocab_tsv
-    from xlembed.mapper import load_model
-    from xlembed.pipeline import align, build_dictionary, load_pair, normalize_pair
+    from xlembed.pipeline import build_dictionary, load_pair, normalize_pair
 
     from synthetic import overlap_benchmark
 
@@ -219,28 +220,81 @@ def test_align_self_learn_prints_the_saved_iterations_cosine(tmp_path, capsys):
     write_vocab_tsv(tgt.vocab, tmp_path / "tv.tsv")
     vocabs = ["--src-vocab", str(tmp_path / "sv.tsv"),
               "--tgt-vocab", str(tmp_path / "tv.tsv")]
-    d, m = tmp_path / "d.tsv", tmp_path / "m.txt"
+    d = tmp_path / "d.tsv"
     assert _run(capsys, ["dict", *vocabs, "--out", str(d)])[0] == 0
-    code, out, _ = _run(
-        capsys,
-        [
-            "align", "--src-emb", str(tmp_path / "s.vec"),
-            "--tgt-emb", str(tmp_path / "t.vec"), *vocabs, "--dict", str(d),
-            "--out-model", str(m), "--self-learn", "--retrieval", "cosine",
-        ],
-    )
-    assert code == 0
+    args = ["--src-emb", str(tmp_path / "s.vec"),
+            "--tgt-emb", str(tmp_path / "t.vec"), *vocabs, "--dict", str(d)]
     src, tgt = normalize_pair(
         *load_pair((tmp_path / "s.vec", tmp_path / "sv.tsv"),
                    (tmp_path / "t.vec", tmp_path / "tv.tsv")),
         DEFAULT_NORMALIZE,
     )
-    dictionary = build_dictionary(src.vocab, tgt.vocab, "file", file=d)
+    return args, src, tgt, build_dictionary(src.vocab, tgt.vocab, "file", file=d)
+
+
+def test_align_self_learn_prints_the_saved_iterations_cosine(tmp_path, capsys):
+    # self-learning stops when the score falls and keeps its best
+    # iteration: the printed cosine is that one's, not the last one's
+    from xlembed.config import SelfLearnConfig
+    from xlembed.mapper import load_model
+    from xlembed.pipeline import align
+
+    args, src, tgt, dictionary = _overlap_align_inputs(tmp_path, capsys)
+    m = tmp_path / "m.txt"
+    code, out, _ = _run(
+        capsys,
+        ["align", *args, "--out-model", str(m), "--self-learn",
+         "--retrieval", "cosine"],
+    )
+    assert code == 0
     model, _ = align(src, tgt, dictionary, SelfLearnConfig(retrieval="cosine"))
     assert np.array_equal(load_model(m).src_map, model.src_map)
     best = max(model.dict_cosines)
     assert f"{model.dict_cosines[-1]:.6f}" != f"{best:.6f}"  # the run ended on a drop
     assert out.split()[-1] == f"{best:.6f}"
+
+
+@pytest.mark.parametrize("s", ["0", "0.5", "1"])
+def test_align_reweight_prints_and_records_the_saved_maps_cosine(
+    tmp_path, capsys, s
+):
+    # the mean cosine of the dictionary pairs with both sides mapped by the
+    # saved model, not that of the orthogonal map it was re-weighted from
+    from xlembed.mapper import apply_mapping, load_model, solve_procrustes
+
+    args, src, tgt, dictionary = _overlap_align_inputs(tmp_path, capsys)
+    m = tmp_path / "m.txt"
+    code, out, _ = _run(capsys, ["align", *args, "--out-model", str(m), "--reweight-s", s])
+    assert code == 0
+    model = load_model(m)
+    x = apply_mapping(model, src).matrix[dictionary.src_indices]
+    y = apply_mapping(model, tgt, side="tgt").matrix[dictionary.tgt_indices]
+    cos = np.mean(
+        (x * y).sum(axis=1) / (np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1))
+    )
+    printed = float(out.split()[-1])
+    assert printed == pytest.approx(cos, abs=2e-6)
+    orthogonal = solve_procrustes(src, tgt, dictionary).dict_cosines[0]
+    assert (printed > orthogonal + 0.05) == (s != "0")
+
+    cfg = {
+        "src": {"embeddings": "s.vec", "vocab": "sv.tsv"},
+        "tgt": {"embeddings": "t.vec", "vocab": "tv.tsv"},
+        "dictionary": {"mode": "file", "file": "d.tsv"},
+        "mapper": {"method": "procrustes", "reweight_s": float(s)},
+        "refine": {"mode": "none"},
+    }
+    (tmp_path / "rw.json").write_text(json.dumps(cfg), encoding="utf-8")
+    run_dir = tmp_path / "run"
+    argv = ["pipeline", "--config", str(tmp_path / "rw.json"), "--out", str(run_dir)]
+    assert _run(capsys, argv)[0] == 0
+    assert (run_dir / "model.txt").read_bytes() == m.read_bytes()
+    records = [
+        json.loads(line)
+        for line in (run_dir / "provenance.jsonl").read_text(encoding="utf-8").splitlines()
+    ]
+    align_rec = next(r for r in records if r["stage"] == "align")
+    assert [f"{c:.6f}" for c in align_rec["details"]["dict_cosines"]] == [out.split()[-1]]
 
 
 def test_align_refine_eval_chain(fixture_dir, tmp_path, capsys):
@@ -461,6 +515,40 @@ def test_ablation_table_shape(fixture_dir, capsys):
     lines = [l for l in out.splitlines() if l and not l.startswith("#")]
     names = [l.split("\t")[0] for l in lines[1:]]
     assert names == ["All", "Numerals", "Emoji", "Words"]
+
+
+def test_ablation_failed_row_warns_on_stderr(tmp_path):
+    # no emoji in the target embeddings: the Emoji row's dictionary is
+    # empty, its alignment fails, it prints n/a and warns once
+    from xlembed.corpus import TokenClass, classify_token
+
+    fx = tmp_path / "fx"
+    write_pipeline_fixture(fx, n=120, d=10)
+    header, *rows = (fx / "tgt.vec").read_text(encoding="utf-8").splitlines()
+    kept = [
+        r for r in rows if classify_token(r.split(" ", 1)[0]) != TokenClass.EMOJI
+    ]
+    assert len(kept) < len(rows)
+    (fx / "tgt.vec").write_text(
+        f"{len(kept)} {header.split()[1]}\n" + "\n".join(kept) + "\n",
+        encoding="utf-8",
+    )
+    res = subprocess.run(
+        [
+            sys.executable, "-m", "xlembed.cli", "ablation",
+            "--src-emb", "src.vec", "--tgt-emb", "tgt.vec",
+            "--src-vocab", "src_vocab.tsv", "--tgt-vocab", "tgt_vocab.tsv",
+            "--test", "gold.txt",
+        ],
+        cwd=fx, env=child_env(), capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.splitlines() == [
+        "UserWarning: ablation row Emoji, model base and weighted: "
+        "ValueError: seed dictionary is empty; reported as n/a"
+    ]
+    emoji = res.stdout.splitlines()[3].split("\t")
+    assert emoji[:2] == ["Emoji", "0"] and set(emoji[2:]) == {"n/a"}
 
 
 def test_ablation_markdown_mode(fixture_dir, capsys):

@@ -12,12 +12,18 @@ from xlembed import (
     apply_mapping,
     build_identical_dictionary,
     make_space,
+    normalize,
     precision_at_k,
     self_learn,
     solve_procrustes,
 )
 from xlembed.mapper import AlignmentModel, load_model, reweight, save_model
-from synthetic import held_out_test, rotation_benchmark, unit_gaussian_rows
+from synthetic import (
+    held_out_test,
+    overlap_benchmark,
+    rotation_benchmark,
+    unit_gaussian_rows,
+)
 
 
 # ------------------------------------------------------------- oracles
@@ -356,9 +362,28 @@ def test_reweight_returns_new_model_and_leaves_input_unchanged():
     assert model.tgt_map is None and model.s == 0.0
     assert out.tgt_map.shape == (6, 6) and out.s == 0.5
     assert out.iterations == model.iterations
-    assert out.dict_cosines == model.dict_cosines
+    assert len(out.dict_cosines) == 1  # the new maps' cosine, see below
     with pytest.raises(ValueError, match="already re-weighted"):
         reweight(out, src, tgt, d, s=0.5)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
+def test_reweighted_model_reports_the_cosine_of_its_own_maps(s):
+    # the mean dictionary cosine with both sides mapped by the saved maps;
+    # re-weighting with s > 0 raises it above the orthogonal map's
+    src, tgt, _ = overlap_benchmark(n_shared=60, n_unique=600, d=20, noise=0.3, seed=0)
+    src, tgt = normalize(src), normalize(tgt)
+    d = build_identical_dictionary(src.vocab, tgt.vocab)
+    model = solve_procrustes(src, tgt, d)
+    out = reweight(model, src, tgt, d, s=s)
+    x = apply_mapping(out, src).matrix[d.src_indices]
+    y = apply_mapping(out, tgt, side="tgt").matrix[d.tgt_indices]
+    want = np.mean(
+        (x * y).sum(axis=1) / (np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1))
+    )
+    assert out.dict_cosines == [pytest.approx(want, abs=1e-12)]
+    gain = out.dict_cosines[0] - model.dict_cosines[0]
+    assert abs(gain) < 1e-9 if s == 0.0 else gain > 0.05
 
 
 def test_reweight_half_close_to_plain_p1():

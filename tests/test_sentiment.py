@@ -365,3 +365,27 @@ def test_featurize_counts_all_oov():
     assert n_oov == 1
     assert np.array_equal(x[1], np.zeros(space.dim))
     assert y.tolist() == [1, 0]
+
+
+def test_majority_baseline_and_probe_encode_labels_alike():
+    # featurize, majority_label and eval_majority read one label encoding:
+    # the index of each label in the scheme order
+    space = _toy_space()
+    train = SentimentDataset(
+        examples=[(["w0"], "positive"), (["w1"], "neutral"), (["w2"], "neutral")],
+        scheme=3,
+    )
+    test = SentimentDataset(
+        examples=[(["w3"], "negative"), (["w4"], "neutral"), (["w5"], "positive")],
+        scheme=3,
+    )
+    _, y, _ = featurize(test, space)
+    assert y.tolist() == [test.labels.index(lbl) for _, lbl in test.examples]
+    assert majority_label(train) == "neutral"
+    report = eval_majority(train, test)
+    col = test.labels.index("neutral")
+    assert report.confusion[:, col].tolist() == [1, 1, 1]
+    assert report.confusion[y, y].tolist() == [
+        int(lbl == "neutral") for _, lbl in test.examples
+    ]
+    assert report.accuracy == pytest.approx(100.0 / 3)

@@ -48,6 +48,22 @@ def csls_oracle(space, k_neighbors=10):
     return 2 * cos - r_t[:, None] - r_s[None, :]
 
 
+def _p_at_k_oracle(space, test, ks, retrieval, oov_as_wrong):
+    """P@k entry by entry: rank each covered source's targets, then count
+    an entry at every k its first in-vocabulary gold falls under."""
+    ks = sorted(ks)
+    covered = [(s, g) for s, g in test.entries if s in space.src.vocab.index]
+    ranked = translate_topk(space, [s for s, _ in covered], max(ks), retrieval)
+    hits = {k: 0 for k in ks}
+    for (_, golds), candidates in zip(covered, ranked):
+        tokens = [t for t, _ in candidates]
+        found = [i for i, t in enumerate(tokens) if t in golds]
+        for k in ks:
+            hits[k] += int(bool(found) and found[0] < k)
+    denominator = len(test) if oov_as_wrong else len(covered)
+    return {k: 100.0 * hits[k] / denominator if denominator else None for k in ks}
+
+
 def _random_space(seed, n_src=30, n_tgt=40, d=8):
     rng = np.random.default_rng(seed)
     src = make_space([f"s{i:03d}" for i in range(n_src)], unit_gaussian_rows(rng, n_src, d))
@@ -308,5 +324,50 @@ def test_p_at_k_monotone_under_random_instances(seed):
     entries = [
         (f"s{i}", (f"t{int(rng.integers(0, n_tgt))}",)) for i in range(n_src)
     ]
-    r = precision_at_k(space, TestDictionary(entries=entries), ks=(1, 5, 10))
-    assert r.p_at[1] <= r.p_at[5] <= r.p_at[10]
+    test = TestDictionary(entries=entries)
+    for retrieval in ("cosine", "csls"):
+        r = precision_at_k(space, test, ks=(1, 5, 10), retrieval=retrieval)
+        assert r.p_at[1] <= r.p_at[5] <= r.p_at[10]
+        assert r.p_at == _p_at_k_oracle(space, test, (1, 5, 10), retrieval, False)
+
+
+@pytest.mark.parametrize("retrieval", ["cosine", "csls"])
+def test_p_at_k_all_sources_oov_runs_no_kernel(monkeypatch, retrieval):
+    space = _random_space(15)
+
+    def kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran with no covered source")
+
+    for name in ("neighbourhood_mean", "topk", "unit_rows"):
+        monkeypatch.setattr(translate, name, kernel)
+    test = TestDictionary(entries=[("nope", ("t000",)), ("gone", ("t001",))])
+    report = precision_at_k(
+        space, test, ks=(1, 5), retrieval=retrieval, oov_as_wrong=True
+    )
+    assert report.p_at == {1: 0.0, 5: 0.0}
+    assert (report.covered, report.skipped, report.total) == (0, 2, 2)
+
+
+@pytest.mark.parametrize("oov_as_wrong", [False, True])
+@pytest.mark.parametrize("retrieval", ["cosine", "csls"])
+def test_p_at_k_matches_per_entry_oracle(retrieval, oov_as_wrong):
+    # three targets under ks up to 10; golds all out of vocabulary;
+    # repeated golds; an out-of-vocabulary source
+    space = _random_space(16, n_src=8, n_tgt=3, d=4)
+    entries = [(f"s{i:03d}", (f"t{i % 3:03d}",)) for i in range(6)]
+    entries += [
+        ("s006", ("unseen", "gone")),
+        ("s007", ("t002", "t002", "t001", "t002")),
+        ("s000", ("t001", "t001")),
+        ("smissing", ("t000",)),
+    ]
+    test = TestDictionary(entries=entries)
+    report = precision_at_k(
+        space, test, ks=(10, 1, 5), retrieval=retrieval, oov_as_wrong=oov_as_wrong
+    )
+    want = _p_at_k_oracle(space, test, (1, 5, 10), retrieval, oov_as_wrong)
+    assert report.p_at == want
+    # the three targets are all candidates from k = 3 on: every covered
+    # entry with an in-vocabulary gold (all but s006) is a hit
+    assert report.p_at[5] == report.p_at[10] == 100.0 * 8 / (10 if oov_as_wrong else 9)
+    assert (report.covered, report.skipped) == (9, 1)
