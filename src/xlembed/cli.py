@@ -173,7 +173,7 @@ def cmd_dict(args) -> int:
 def cmd_align(args) -> int:
     from .embeddings import save_embeddings
     from .mapper import save_model
-    from .pipeline import align, build_dictionary
+    from .pipeline import align, build_dictionary, save_pair
 
     src, tgt = _load_pair(args, normalized=True)
     dictionary = build_dictionary(src.vocab, tgt.vocab, "file", file=args.dict)
@@ -182,9 +182,11 @@ def cmd_align(args) -> int:
     )
     del src, tgt  # the saves need only the mapped space
     save_model(model, args.out_model)
-    if args.out_src:
+    if args.out_src and args.out_tgt:
+        save_pair(space, args.out_src, args.out_tgt)
+    elif args.out_src:
         save_embeddings(space.src, args.out_src)
-    if args.out_tgt:
+    elif args.out_tgt:
         save_embeddings(space.tgt, args.out_tgt)
     print(  # self_learn keeps its best-scoring iteration, not its last
         f"aligned in {model.iterations} iteration(s), "
@@ -194,16 +196,14 @@ def cmd_align(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    from .embeddings import save_embeddings
-    from .pipeline import build_dictionary, refine_space
+    from .pipeline import build_dictionary, refine_space, save_pair
 
     space = _space(args)
     dictionary = build_dictionary(
         space.src.vocab, space.tgt.vocab, "file", file=args.dict
     )
     space = refine_space(space, dictionary, args.mode, relative=args.relative)
-    save_embeddings(space.src, args.out_src)
-    save_embeddings(space.tgt, args.out_tgt)
+    save_pair(space, args.out_src, args.out_tgt)
     print(f"refine mode {args.mode}: {len(dictionary)} pairs applied")
     return 0
 

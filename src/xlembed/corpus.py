@@ -223,6 +223,11 @@ def count_corpus(
     process counts the first half (workers.in_worker), and the two counts are
     added; the result is the same either way.
     """
+    # imported before the first line is read: on Python >= 3.12 the import
+    # adds a warning filter, and adding one clears every once-per-place
+    # warning registry, so a warning issued earlier would show again
+    from .workers import in_worker
+
     distinct: dict = {}
     n_lines = 0
     it = iter(lines)
@@ -233,8 +238,6 @@ def count_corpus(
     del distinct
     cut = -(-len(kept) // BATCH_LINES) // 2 * BATCH_LINES
     if cut:
-        from .workers import in_worker
-
         with in_worker(
             _count_tokens, kept[cut:], config,
             what="count_corpus (second half of the distinct tweets)",

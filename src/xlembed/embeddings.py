@@ -84,7 +84,8 @@ def load_embeddings(path, expected_dim=None, vocab_tsv=None) -> EmbeddingSpace:
     does not grow with the file (a header declaring more than can be
     allocated is an error naming line 1). Frequencies come from the
     sidecar vocabulary TSV when given (tokens it lacks get frequency 0, with
-    one warning); without a sidecar the file rank serves as a proxy
+    one warning; sidecar tokens the file lacks are left out, with another);
+    without a sidecar the file rank serves as a proxy
     (frequency := n - rank, so the first row gets n). Duplicate tokens keep
     the first occurrence, with one warning per file giving their count and
     the first duplicate's line and token. A non-blank line after the n
@@ -101,6 +102,13 @@ def load_embeddings(path, expected_dim=None, vocab_tsv=None) -> EmbeddingSpace:
             warnings.warn(
                 f"{vocab_tsv}: {missing} of {len(tokens)} embedding tokens are "
                 f"missing from the sidecar vocabulary; their frequency is 0"
+            )
+        # both token lists are free of duplicates
+        absent = len(side.tokens) - (len(tokens) - missing)
+        if absent:
+            warnings.warn(
+                f"{vocab_tsv}: {absent} of {len(side.tokens)} sidecar vocabulary "
+                f"tokens are missing from {path}; they are not in the space"
             )
         freqs = [side.freqs[side.index[t]] if t in side.index else 0 for t in tokens]
         classes = [
@@ -249,7 +257,8 @@ def save_embeddings(space: EmbeddingSpace, path) -> None:
     Each block of BLOCK_ROWS rows is formatted by numpy (_format_block); a
     block it cannot round exactly (a value on a rounding boundary, or a
     matrix that is not float64) goes through one `%` operation, the same C
-    formatter as `f"{v:.6f}"`, instead.
+    formatter as `f"{v:.6f}"`, instead. Either way a block goes to the file
+    in one write.
     """
     n, d = space.matrix.shape
     row_format = "%s " + " ".join(["%.6f"] * d) + "\n"
@@ -269,11 +278,11 @@ def save_embeddings(space: EmbeddingSpace, path) -> None:
                 fh.write(text.encode("utf-8"))
                 continue
             body, ends = formatted
-            begin = 0
+            rows, begin = [], 0
             for tok, end in zip(block_tokens, ends.tolist()):
-                fh.write(f"{tok} ".encode("utf-8"))
-                fh.write(body[begin:end])
+                rows += (f"{tok} ".encode("utf-8"), body[begin:end])
                 begin = end
+            fh.write(b"".join(rows))
 
 
 def _format_block(block: np.ndarray):

@@ -8,7 +8,7 @@ write-once: the runner refuses a non-empty directory.
 """
 
 import json
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import fields
 from pathlib import Path
 from typing import Optional
@@ -67,6 +67,38 @@ def load_pair(src, tgt):
 def _load(side):
     path, vocab_tsv = side
     return load_embeddings(path, vocab_tsv=vocab_tsv)
+
+
+def save_pair(space, src_path, tgt_path, saved=lambda path: None):
+    """Save the two sides of a CrossLingualSpace; the mirror of load_pair.
+
+    When the process can fork and may use at least 2 CPUs, a forked worker
+    writes the target file while this process writes the source file
+    (workers.in_worker); otherwise the two saves run in order. No BLAS work
+    runs meanwhile, so the two processes do not compete for the CPUs. Either
+    way the bytes are those of two save_embeddings calls, and both saves
+    run to the end: the worker is collected, never killed in the middle of
+    its file. saved(path) is called for each file whose save returned, the
+    source first. If both saves fail, the source side's error is raised; a
+    worker that dies raises a RuntimeError naming tgt_path. Two paths to
+    one file are a ValueError, raised before either file is opened.
+    """
+    if Path(src_path).resolve() == Path(tgt_path).resolve():
+        raise ValueError(
+            f"{tgt_path}: the source and target embeddings would be saved to "
+            f"the same file"
+        )
+    with in_worker(save_embeddings, space.tgt, tgt_path, what=str(tgt_path)) as job:
+        try:
+            save_embeddings(space.src, src_path)
+        except Exception:
+            with suppress(Exception):
+                job.result()
+                saved(tgt_path)
+            raise
+        saved(src_path)
+        job.result()
+    saved(tgt_path)
 
 
 def normalize_pair(src, tgt, steps):
@@ -211,8 +243,9 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
             relative=config.get("refine.relative_frequencies"),
         )
         if config.get("save_aligned_embeddings"):
-            st.write("src_aligned.vec", save_embeddings, space.src)
-            st.write("tgt_aligned.vec", save_embeddings, space.tgt)
+            save_pair(
+                space, out / "src_aligned.vec", out / "tgt_aligned.vec", st.saved
+            )
         st.details = dict(mode=rmode, provenance=space.provenance)
 
     if config.has("eval.translation"):
@@ -317,8 +350,9 @@ class _Run:
 
 class _Stage:
     """What a stage block writes and records: st.write(name, writer, value)
-    calls writer(value, path) for one artifact, st.details is the record's
-    details, and st.header the "# stage=..." line of its TSV reports."""
+    calls writer(value, path) for one artifact, st.saved(path) lists one
+    that another writer saved, st.details is the record's details, and
+    st.header the "# stage=..." line of its TSV reports."""
 
     def __init__(self, run: _Run, name: str):
         self._run = run
@@ -330,6 +364,11 @@ class _Stage:
         )
 
     def write(self, name: str, writer, value) -> None:
-        writer(value, self._run.out / name)
-        self._run.artifacts.append(name)
-        self.outputs.append(name)
+        path = self._run.out / name
+        writer(value, path)
+        self.saved(path)
+
+    def saved(self, path: Path) -> None:
+        """List the artifact at `path`, whose writer has returned."""
+        self._run.artifacts.append(path.name)
+        self.outputs.append(path.name)

@@ -28,8 +28,18 @@ import warnings
 from contextlib import suppress
 
 
-# Python >= 3.12 warns when a process with threads forks.
-_FORK_WARNS = sys.version_info >= (3, 12)
+# Python >= 3.12 warns that forking a process with threads (e.g. BLAS's)
+# may deadlock the child. A worker runs only `fn` and ends in os._exit, so
+# one process-wide filter, installed once at import, ignores that warning
+# for this module's forks only; a filter entered around each fork would
+# reset every module's once-per-place warning registry.
+_FORK_WARNING = dict(
+    message=r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+    category=DeprecationWarning,
+    module=r"xlembed\.workers\Z",
+)
+if sys.version_info >= (3, 12):
+    warnings.filterwarnings("ignore", **_FORK_WARNING)
 
 
 def _two_cpus() -> bool:
@@ -67,7 +77,7 @@ class _Job:
     def _start(self):
         read_fd, write_fd = os.pipe()
         try:
-            pid = _fork()
+            pid = os.fork()
         except BaseException:
             os.close(read_fd)
             os.close(write_fd)
@@ -103,28 +113,6 @@ class _Job:
         _, status = os.waitpid(self._pid, 0)
         self._pid = None
         return status
-
-
-def _fork():
-    """os.fork without the DeprecationWarning of Python >= 3.12 that forking
-    a process with threads (e.g. BLAS's) may deadlock the child: the worker
-    runs only `fn` and ends in os._exit. The filter is set only where that
-    warning is issued, because setting one resets every module's
-    once-per-place warning registry."""
-    if not (_FORK_WARNS and _multi_threaded()):
-        return os.fork()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return os.fork()
-
-
-def _multi_threaded() -> bool:
-    """Whether this process runs more than one thread; True where the count
-    cannot be read."""
-    try:
-        return len(os.listdir("/proc/self/task")) > 1
-    except OSError:
-        return True
 
 
 def _work(fn, args, write_fd):

@@ -518,8 +518,9 @@ def test_ablation_table_shape(fixture_dir, capsys):
 
 
 def test_ablation_failed_row_warns_on_stderr(tmp_path):
-    # no emoji in the target embeddings: the Emoji row's dictionary is
-    # empty, its alignment fails, it prints n/a and warns once
+    # no emoji in the target embeddings: the load warns that the sidecar's
+    # emoji are missing, the Emoji row's dictionary is empty, its alignment
+    # fails, it prints n/a and warns once
     from xlembed.corpus import TokenClass, classify_token
 
     fx = tmp_path / "fx"
@@ -544,6 +545,8 @@ def test_ablation_failed_row_warns_on_stderr(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     assert res.stderr.splitlines() == [
+        "UserWarning: tgt_vocab.tsv: 12 of 120 sidecar vocabulary tokens are "
+        "missing from tgt.vec; they are not in the space",
         "UserWarning: ablation row Emoji, model base and weighted: "
         "ValueError: seed dictionary is empty; reported as n/a"
     ]
@@ -785,19 +788,27 @@ def _oov_dictionary(fx, cfg, monkeypatch):
     cfg["dictionary"] = {"mode": "file", "file": "oov.txt"}
 
 
-def _second_save_fails(fx, cfg, monkeypatch):
+def _save_fails(name, cfg, monkeypatch):
+    # by path, not by call count: the target side may be saved in a worker
     from xlembed import pipeline
 
-    save, calls = pipeline.save_embeddings, []
+    save = pipeline.save_embeddings
 
-    def fail_second(space, path):
-        calls.append(path)
-        if len(calls) == 2:
+    def fail(space, path):
+        if Path(path).name == name:
             raise OSError(f"{path}: no space left on device")
         save(space, path)
 
-    monkeypatch.setattr(pipeline, "save_embeddings", fail_second)
+    monkeypatch.setattr(pipeline, "save_embeddings", fail)
     cfg["save_aligned_embeddings"] = True
+
+
+def _first_save_fails(fx, cfg, monkeypatch):
+    _save_fails("src_aligned.vec", cfg, monkeypatch)
+
+
+def _second_save_fails(fx, cfg, monkeypatch):
+    _save_fails("tgt_aligned.vec", cfg, monkeypatch)
 
 
 def _three_field_gold_line(fx, cfg, monkeypatch):
@@ -817,6 +828,7 @@ def _bad_label(fx, cfg, monkeypatch):
         ("normalize", _zero_row),
         ("dictionary", _one_field_dictionary_line),
         ("align", _oov_dictionary),
+        ("refine", _first_save_fails),
         ("refine", _second_save_fails),
         ("eval-translate", _three_field_gold_line),
         ("eval-sentiment", _bad_label),
@@ -1066,6 +1078,23 @@ def test_version_imports_neither_the_worker_helper_nor_pickle():
         [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
     )
     assert res.stdout.split()[-2:] == ["False", "False"], res.stderr
+
+
+def test_count_corpus_imports_the_worker_helper_before_reading():
+    # on Python >= 3.12 importing xlembed.workers adds a warning filter, which
+    # clears every once-per-place registry; imported after a corpus warning,
+    # `xlembed stats c c` would show that warning again for the second file
+    code = (
+        "import sys\nfrom xlembed.cli import count_corpus\nseen = []\n"
+        "def lines():\n    seen.append('xlembed.workers' in sys.modules)\n"
+        "    yield 'hola'\n"
+        "before = 'xlembed.workers' in sys.modules\n"
+        "count_corpus(lines())\nprint(before, *seen)"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
+    )
+    assert res.stdout.split() == ["False", "True"], res.stderr
 
 
 def test_lazy_package_exports_are_the_module_definitions():

@@ -20,6 +20,7 @@ from xlembed import (
 from xlembed import embeddings
 from xlembed.corpus import write_vocab_tsv
 from xlembed.embeddings import CENTER_COLUMNS, DEFAULT_NORMALIZE, UNIT_ROWS
+from synthetic import write_pipeline_fixture
 
 
 def _reference_parse(path):
@@ -161,6 +162,35 @@ def test_load_sidecar_missing_tokens_warn_with_count(tmp_path):
         space = load_embeddings(vec, vocab_tsv=tsv)
     assert len(rec) == 1 and str(tsv) in str(rec[0].message)
     assert space.vocab.freqs == [700, 0, 41]
+
+
+def test_load_sidecar_extra_tokens_warn_once_naming_both_files(tmp_path):
+    # the pipeline fixture's target file without its 12 emoji rows; its
+    # sidecar still lists all 120 tokens
+    from xlembed.corpus import TokenClass, classify_token
+
+    write_pipeline_fixture(tmp_path, n=120, d=10)
+    vec, tsv = tmp_path / "tgt.vec", tmp_path / "tgt_vocab.tsv"
+    header, *rows = vec.read_text(encoding="utf-8").splitlines()
+    kept = [
+        r for r in rows if classify_token(r.split(" ", 1)[0]) != TokenClass.EMOJI
+    ]
+    assert len(kept) == 108
+    vec.write_text(
+        f"{len(kept)} {header.split()[1]}\n" + "\n".join(kept) + "\n",
+        encoding="utf-8",
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        space = load_embeddings(vec, vocab_tsv=tsv)
+    assert [str(w.message) for w in caught] == [
+        f"{tsv}: 12 of 120 sidecar vocabulary tokens are missing from {vec}; "
+        f"they are not in the space"
+    ]
+    assert len(space.vocab) == 108
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        load_embeddings(tmp_path / "src.vec", vocab_tsv=tmp_path / "src_vocab.tsv")
 
 
 def _per_value_bytes(space):

@@ -12,6 +12,7 @@ from xlembed import (
     train_probe,
 )
 from xlembed.sentiment import (
+    L2_PENALTY,
     featurize,
     majority_label,
     probe_loss_grad,
@@ -125,6 +126,64 @@ def test_probe_gradient_matches_finite_differences():
     rel_b = np.linalg.norm(grad_b - num_b) / np.linalg.norm(num_b)
     assert rel_w < 1e-5
     assert rel_b < 1e-5
+
+
+def _column_major_loss_grad(weights, bias, x, y):
+    """The probe loss and gradient as first written, x @ W and x.T @ delta:
+    the oracle of the row-major products."""
+    n = x.shape[0]
+    z = x @ weights + bias
+    z = z - z.max(axis=1, keepdims=True)
+    probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    loss = -np.log(probs[np.arange(n), y]).mean()
+    loss += 0.5 * L2_PENALTY * (weights**2).sum()
+    delta = probs
+    delta[np.arange(n), y] -= 1.0
+    grad_w = x.T @ delta / n + L2_PENALTY * weights
+    return float(loss), grad_w, delta.mean(axis=0)
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.1, 3.0])
+def test_probe_loss_grad_equals_the_column_major_oracle(scale):
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(700, 40))
+    y = rng.integers(0, 3, size=700)
+    weights = scale * rng.normal(size=(40, 3))
+    bias = scale * rng.normal(size=3)
+    got = probe_loss_grad(weights.copy(), bias.copy(), x, y)
+    expected = _column_major_loss_grad(weights, bias, x, y)
+    for a, b in zip(got, expected):
+        assert np.allclose(a, b, rtol=1e-12, atol=0)
+
+
+def test_probe_predictions_equal_the_column_major_oracle(tmp_path, monkeypatch):
+    # the pipeline fixture's probe, trained once with each formulation,
+    # predicts the same class for every test sentence
+    from xlembed import pipeline, sentiment
+    from xlembed.corpus import TokenizerConfig
+    from synthetic import write_pipeline_fixture
+
+    write_pipeline_fixture(tmp_path, n=120, d=10)
+    src, tgt = pipeline.load_pair(
+        (tmp_path / "src.vec", tmp_path / "src_vocab.tsv"),
+        (tmp_path / "tgt.vec", tmp_path / "tgt_vocab.tsv"),
+    )
+    src, tgt = pipeline.normalize_pair(src, tgt, ("unit", "center", "unit"))
+    dictionary = pipeline.build_dictionary(src.vocab, tgt.vocab, "identical")
+    _, space = pipeline.align(src, tgt, dictionary)
+    space = pipeline.refine_space(space, dictionary, "weighted")
+    train, test = pipeline.load_sentiment_pair(
+        tmp_path / "sent_train.tsv", tmp_path / "sent_test.tsv", TokenizerConfig()
+    )
+    probe = train_probe(train, space.src)
+    monkeypatch.setattr(sentiment, "probe_loss_grad", _column_major_loss_grad)
+    oracle = train_probe(train, space.src)
+    assert np.allclose(probe.weights, oracle.weights, rtol=1e-12, atol=1e-15)
+    x, _, _ = featurize(test, space.tgt)
+    assert np.array_equal(
+        np.argmax(x @ probe.weights + probe.bias, axis=1),
+        np.argmax(x @ oracle.weights + oracle.bias, axis=1),
+    )
 
 
 def test_probe_embeddings_frozen():
