@@ -74,6 +74,10 @@ def _run_cell(
     sentiment_train: Optional[SentimentDataset],
     sentiment_test: Optional[SentimentDataset],
 ) -> AblationCell:
+    if refine_mode != "none":
+        # refine_space consumes the space it refines, and the grid reuses
+        # this one: its target side is the shared normalized target
+        space = space.copy()
     space = refine_space(space, dictionary, refine_mode)
     cell = AblationCell(translation=evaluate_translation(space, test, ks, retrieval))
     if sentiment_train is not None and sentiment_test is not None:

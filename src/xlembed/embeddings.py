@@ -52,8 +52,10 @@ class EmbeddingSpace:
                 f"matrix has {self.matrix.shape[0]} rows for "
                 f"{len(self.vocab)} vocabulary tokens"
             )
-        if not np.isfinite(self.matrix).all():
-            raise ValueError("embedding matrix contains non-finite values")
+        # BLOCK_ROWS rows at a time: no V x d bool array
+        for start in range(0, self.matrix.shape[0], BLOCK_ROWS):
+            if not np.isfinite(self.matrix[start : start + BLOCK_ROWS]).all():
+                raise ValueError("embedding matrix contains non-finite values")
 
     @property
     def dim(self) -> int:
@@ -353,14 +355,18 @@ def _micros(block: np.ndarray):
     return np.abs(rounded, out=rounded).astype(np.int64)
 
 
-def normalize(space: EmbeddingSpace, steps=DEFAULT_NORMALIZE) -> EmbeddingSpace:
-    """Apply normalization steps in order to one copy; returns a new space.
+def normalize(
+    space: EmbeddingSpace, steps=DEFAULT_NORMALIZE, *, in_place: bool = False
+) -> EmbeddingSpace:
+    """Apply normalization steps in order; returns a new space.
 
-    Steps: "unit" scales every row to Euclidean norm 1 in place with
+    The steps run on a copy of the matrix, or with `in_place` on the
+    space's own matrix, which the returned space then shares (no second
+    V x d matrix). Steps: "unit" scales every row to Euclidean norm 1 with
     scoring.unit_rows (an all-zero row is an error naming the token);
     "center" subtracts the column means.
     """
-    matrix = space.matrix.copy()
+    matrix = space.matrix if in_place else space.matrix.copy()
     for step in steps:
         if step == UNIT_ROWS:
             zero = np.flatnonzero(~matrix.any(axis=1))

@@ -254,9 +254,14 @@ def sample_seed(
     """Uniform sample of k supervision pairs from a gold dictionary.
 
     Only entries with an in-vocabulary source and at least one
-    in-vocabulary target are eligible; the chosen gold target is the one
-    with the lowest target-vocabulary index (most frequent).
+    in-vocabulary target are eligible; the chosen gold target is the most
+    frequent in-vocabulary one, the one with the lowest target-vocabulary
+    index among equally frequent ones.
     """
+    def rank(t):
+        i = tgt_vocab.index[t]
+        return -tgt_vocab.freqs[i], i
+
     eligible = []
     for s, golds in test.entries:
         if s not in src_vocab.index:
@@ -264,7 +269,7 @@ def sample_seed(
         in_vocab = [t for t in golds if t in tgt_vocab.index]
         if not in_vocab:
             continue
-        best = min(in_vocab, key=lambda t: tgt_vocab.index[t])
+        best = min(in_vocab, key=rank)
         eligible.append((s, best))
     if k < 0:
         raise ValueError("k must be >= 0")

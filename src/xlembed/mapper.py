@@ -174,6 +174,27 @@ def _unique_pairs(pairs: np.ndarray, n_tgt: int) -> np.ndarray:
     return np.stack([src, keys - src * n_tgt], axis=1)
 
 
+def _most_frequent_rows(space: EmbeddingSpace, cutoff: int):
+    """(rows, index): the matrix rows of the space's `cutoff` most frequent
+    tokens, most frequent first, and their vocabulary indices. A stable
+    descending sort of the frequencies orders them, so ties keep file
+    order. When the frequencies already descend in file order (every file
+    without a sidecar vocabulary), rows is the view matrix[:cutoff]."""
+    freqs = np.asarray(space.vocab.freqs)
+    if (freqs[1:] <= freqs[:-1]).all():
+        return space.matrix[:cutoff], np.arange(cutoff)
+    index = np.argsort(-freqs, kind="stable")[:cutoff]
+    return space.matrix[index], index
+
+
+def _positions(index: np.ndarray, n: int) -> np.ndarray:
+    """For each of n vocabulary indices, its position in `index`, or
+    len(index) when it is not there."""
+    pos = np.full(n, len(index))
+    pos[index] = np.arange(len(index))
+    return pos
+
+
 def self_learn(
     src: EmbeddingSpace,
     tgt: EmbeddingSpace,
@@ -191,13 +212,17 @@ def self_learn(
     if not np.isfinite(cfg.tol):
         raise ValueError(f"tol must be finite, got {cfg.tol}")
     cutoff = min(cfg.induce_vocab_cutoff, len(src.vocab), len(tgt.vocab))
-    src_top = src.matrix[:cutoff]
-    tgt_top = tgt.matrix[:cutoff]
+    # induction works on rows 0..cutoff-1 of src_top and tgt_top, the most
+    # frequent tokens; src_index and tgt_index map them back to the vocabulary
+    src_top, src_index = _most_frequent_rows(src, cutoff)
+    tgt_top, tgt_index = _most_frequent_rows(tgt, cutoff)
     tgt_unit = unit_rows(tgt_top)
 
-    seed_pairs_all = np.stack([seed.src_indices, seed.tgt_indices], axis=1)
-    in_range = (seed_pairs_all[:, 0] < cutoff) & (seed_pairs_all[:, 1] < cutoff)
-    seed_pairs = seed_pairs_all[in_range]
+    seed_pairs_all = np.stack([
+        _positions(src_index, len(src.vocab))[seed.src_indices],
+        _positions(tgt_index, len(tgt.vocab))[seed.tgt_indices],
+    ], axis=1)
+    seed_pairs = seed_pairs_all[(seed_pairs_all < cutoff).all(axis=1)]
     if len(seed_pairs) < len(seed_pairs_all):
         warnings.warn(
             f"{len(seed_pairs_all) - len(seed_pairs)} seed pairs fall outside "
@@ -228,8 +253,8 @@ def self_learn(
             best_w = w
         if len(history) >= 2 and score - history[-2] < cfg.tol:
             break
-        cur_src = induced[:, 0]
-        cur_tgt = induced[:, 1]
+        cur_src = src_index[induced[:, 0]]
+        cur_tgt = tgt_index[induced[:, 1]]
 
     return AlignmentModel(
         src_map=best_w, iterations=iterations, dict_cosines=history

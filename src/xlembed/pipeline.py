@@ -8,7 +8,7 @@ write-once: the runner refuses a non-empty directory.
 """
 
 import json
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 from typing import Optional
@@ -78,32 +78,40 @@ def save_pair(space, src_path, tgt_path, saved=lambda path: None):
     runs meanwhile, so the two processes do not compete for the CPUs. Either
     way the bytes are those of two save_embeddings calls, and both saves
     run to the end: the worker is collected, never killed in the middle of
-    its file. saved(path) is called for each file whose save returned, the
-    source first. If both saves fail, the source side's error is raised; a
-    worker that dies raises a RuntimeError naming tgt_path. Two paths to
-    one file are a ValueError, raised before either file is opened.
+    its file. saved(path) is called, the source first, for each file its
+    save left on disk, also when that save failed part way. If both saves
+    fail, the source side's error is raised; a worker that dies raises a
+    RuntimeError naming tgt_path. Two paths to one file are a ValueError,
+    raised before either file is opened.
     """
     if Path(src_path).resolve() == Path(tgt_path).resolve():
         raise ValueError(
             f"{tgt_path}: the source and target embeddings would be saved to "
             f"the same file"
         )
+    errors = []
     with in_worker(save_embeddings, space.tgt, tgt_path, what=str(tgt_path)) as job:
-        try:
-            save_embeddings(space.src, src_path)
-        except Exception:
-            with suppress(Exception):
-                job.result()
-                saved(tgt_path)
-            raise
-        saved(src_path)
-        job.result()
-    saved(tgt_path)
+        for path, save in (
+            (src_path, lambda: save_embeddings(space.src, src_path)),
+            (tgt_path, job.result),
+        ):
+            try:
+                save()
+            except Exception as exc:
+                errors.append(exc)
+            if Path(path).exists():
+                saved(path)
+    if errors:
+        raise errors[0]
 
 
 def normalize_pair(src, tgt, steps):
-    """Apply the same normalization steps to both spaces."""
-    return (normalize(src, steps), normalize(tgt, steps)) if steps else (src, tgt)
+    """Apply the same normalization steps to both spaces, in place: the
+    returned spaces share the matrices of `src` and `tgt`, which hold the
+    normalized values."""
+    if not steps:
+        return src, tgt
+    return normalize(src, steps, in_place=True), normalize(tgt, steps, in_place=True)
 
 
 def build_dictionary(
@@ -138,13 +146,16 @@ def align(src, tgt, dictionary, self_learn_config=None, reweight_s=None):
 
 
 def refine_space(space, dictionary, mode, relative=False):
-    """Apply one of REFINE_MODES to an aligned space."""
+    """Apply one of REFINE_MODES to an aligned space. Every mode but "none"
+    refines the space's own matrices and consumes it (its src and tgt
+    become None), so a run holds no second pair of matrices; "none" returns
+    `space` itself."""
     if mode == "plain":
-        return average_plain(space, dictionary)
+        return average_plain(space, dictionary, consume=True)
     if mode == "weighted":
-        return average_weighted(space, dictionary, relative=relative)
+        return average_weighted(space, dictionary, relative=relative, consume=True)
     if mode == "meemi":
-        return meemi_transform(space, dictionary)
+        return meemi_transform(space, dictionary, consume=True)
     return space
 
 
@@ -304,7 +315,7 @@ def _write_text(text: str, path: Path) -> None:
 
 class _Run:
     """A run directory's provenance: each artifact is listed as soon as its
-    writer returns, and each stage that ends appends one record."""
+    writer ends, and each stage that ends appends one record."""
 
     def __init__(self, out: Path, config_hash: str, seed):
         self.out, self.config_hash, self.seed = out, config_hash, seed
@@ -364,11 +375,16 @@ class _Stage:
         )
 
     def write(self, name: str, writer, value) -> None:
+        """writer(value, path); the file is listed when it is on disk, also
+        when the writer failed part way."""
         path = self._run.out / name
-        writer(value, path)
-        self.saved(path)
+        try:
+            writer(value, path)
+        finally:
+            if path.exists():
+                self.saved(path)
 
     def saved(self, path: Path) -> None:
-        """List the artifact at `path`, whose writer has returned."""
+        """List the artifact at `path`, which a writer left on disk."""
         self._run.artifacts.append(path.name)
         self.outputs.append(path.name)

@@ -10,7 +10,7 @@ midpoints and moves every row.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,7 +23,11 @@ RIDGE_LAMBDA = 1e-3
 
 @dataclass
 class CrossLingualSpace:
-    """Source and target spaces in shared coordinates, same dimension."""
+    """Source and target spaces in shared coordinates, same dimension.
+
+    A refinement run with `consume` refines the space's own matrices and
+    sets its src and tgt to None, so a later use fails at once instead of
+    reading changed numbers."""
 
     src: EmbeddingSpace
     tgt: EmbeddingSpace
@@ -40,6 +44,14 @@ class CrossLingualSpace:
     def dim(self) -> int:
         return self.src.dim
 
+    def copy(self) -> "CrossLingualSpace":
+        """The same space with copies of both matrices."""
+        return CrossLingualSpace(
+            src=replace(self.src, matrix=self.src.matrix.copy()),
+            tgt=replace(self.tgt, matrix=self.tgt.matrix.copy()),
+            provenance=list(self.provenance),
+        )
+
     def _derive(self, src_matrix, tgt_matrix, record) -> "CrossLingualSpace":
         return CrossLingualSpace(
             src=EmbeddingSpace(vocab=self.src.vocab, matrix=src_matrix),
@@ -48,33 +60,21 @@ class CrossLingualSpace:
         )
 
 
-def _neighbourhood_sums(terms, w, s, t) -> np.ndarray:
-    """Overwrite each row i of the weighted rows `terms` with its
-    neighbourhood sum and return the neighbourhood's total weight w. The
+def _neighbourhoods(s, t, n: int):
+    """The pair neighbourhoods of ids 0..n-1, largest first. The
     neighbourhood of id i is i and every id paired with it in (s, t), each
-    once; its terms are added in ascending id order, from the first. Groups
-    go BLOCK_ROWS at a time: scratch beyond the sums is one block."""
-    n = len(terms)
+    once, in ascending id order. Returns (order, start, size, member): the
+    g-th neighbourhood is that of id order[g], and its members are
+    member[start[g] : start[g] + size[g]]; each size's neighbourhoods are a
+    prefix, so the r-th members of a block of them are a prefix too."""
     # (owner, member): each pair end with itself and with its other end, once
     owner, member = np.divmod(
         np.unique(np.concatenate([a * n + b for a in (s, t) for b in (s, t)])), n
     )
     size = np.bincount(owner, minlength=n)
-    order = np.argsort(-size, kind="stable")  # so each rank's groups are a prefix
+    order = np.argsort(-size, kind="stable")
     start = (np.cumsum(size) - size)[order]
-    size = size[order]
-    total = w[member[start]]
-    sums = np.empty_like(terms)
-    for lo in range(0, n, BLOCK_ROWS):
-        blk = slice(lo, lo + BLOCK_ROWS)
-        acc = np.take(terms, member[start[blk]], axis=0, out=sums[blk], mode="clip")
-        for r in range(1, size[lo]):  # the r-th term of every group
-            c = np.count_nonzero(size[blk] > r)
-            m = member[start[lo : lo + c] + r]
-            total[lo : lo + c] += w[m]
-            acc[:c] += np.take(terms, m, axis=0, mode="clip")
-    terms[order] = sums
-    return total[np.argsort(order)]
+    return order, start, size[order], member
 
 
 def _average(
@@ -83,6 +83,8 @@ def _average(
     weighted: bool,
     relative: bool,
 ) -> CrossLingualSpace:
+    """Average the pairs into the space's own matrices and consume it.
+    Scratch is the weighted rows of the paired tokens plus one block."""
     # One id per paired token: sources by index, then targets by index.
     # A token's weight comes from the first pair holding it.
     (src_tok, src_first, s), (tgt_tok, tgt_first, t) = (
@@ -106,23 +108,38 @@ def _average(
             dictionary.f_tgt[tgt_first] / tgt_total,
         ])
 
-    # weighted input rows; "clip" avoids a buffered copy (indices checked)
-    rows = np.empty((len(w), space.dim))
-    np.take(space.src.matrix, src_tok, axis=0, out=rows[:k], mode="clip")
-    np.take(space.tgt.matrix, tgt_tok, axis=0, out=rows[k:], mode="clip")
-    rows *= w[:, None]
-    total = _neighbourhood_sums(rows, w, s, t + k)
-    zero = np.flatnonzero(total == 0.0)
+    # weighted input rows, all read before any row is written; "clip"
+    # avoids a buffered copy (indices checked)
+    terms = np.empty((len(w), space.dim))
+    np.take(space.src.matrix, src_tok, axis=0, out=terms[:k], mode="clip")
+    np.take(space.tgt.matrix, tgt_tok, axis=0, out=terms[k:], mode="clip")
+    terms *= w[:, None]
+    order, start, size, member = _neighbourhoods(s, t + k, len(w))
+    # each neighbourhood's terms are added in member order, from the first
+    total = w[member[start]]
+    for r in range(1, size[0] if len(size) else 0):
+        c = np.count_nonzero(size > r)
+        total[:c] += w[member[start[:c] + r]]
+    zero = order[total == 0.0]
     if zero.size:
-        i = int(zero[0])
+        i = int(zero.min())
         where = (f"source token {space.src.vocab.tokens[src_tok[i]]!r}" if i < k
                  else f"target token {space.tgt.vocab.tokens[tgt_tok[i - k]]!r}")
         raise ValueError(f"zero total frequency in the pair neighbourhood of {where}")
-    rows /= total[:, None]  # a token in one pair: (ws*a + wt*b) / (ws + wt)
-    new_src = space.src.matrix.copy()
-    new_tgt = space.tgt.matrix.copy()
-    new_src[src_tok] = rows[:k]
-    new_tgt[tgt_tok] = rows[k:]
+
+    src, tgt = space.src.matrix, space.tgt.matrix
+    buf = np.empty((min(BLOCK_ROWS, len(w)), space.dim))
+    for lo in range(0, len(w), BLOCK_ROWS):
+        blk = slice(lo, lo + BLOCK_ROWS)
+        ids, first = order[blk], start[blk]
+        acc = np.take(terms, member[first], axis=0, out=buf[: len(ids)], mode="clip")
+        for r in range(1, size[lo]):  # the r-th term of every group
+            c = np.count_nonzero(size[blk] > r)
+            acc[:c] += np.take(terms, member[first[:c] + r], axis=0, mode="clip")
+        acc /= total[blk, None]  # a token in one pair: (ws*a + wt*b) / (ws + wt)
+        on_src = ids < k
+        src[src_tok[ids[on_src]]] = acc[on_src]
+        tgt[tgt_tok[ids[~on_src] - k]] = acc[~on_src]
 
     record = {
         "transform": "average_weighted" if weighted else "average_plain",
@@ -130,13 +147,19 @@ def _average(
     }
     if weighted:
         record["relative_frequencies"] = bool(relative)
-    return space._derive(new_src, new_tgt, record)
+    refined = space._derive(src, tgt, record)
+    space.src = space.tgt = None
+    return refined
 
 
 def average_plain(
-    space: CrossLingualSpace, dictionary: BilingualDictionary
+    space: CrossLingualSpace, dictionary: BilingualDictionary, *, consume=False
 ) -> CrossLingualSpace:
-    """Replace both members of each pair by the midpoint of their vectors."""
+    """Replace both members of each pair by the midpoint of their vectors.
+    Works on copies, or with `consume` on the space's own matrices (the
+    space is then consumed, see CrossLingualSpace)."""
+    if not consume:
+        space = space.copy()
     return _average(space, dictionary, weighted=False, relative=False)
 
 
@@ -144,10 +167,14 @@ def average_weighted(
     space: CrossLingualSpace,
     dictionary: BilingualDictionary,
     relative: bool = False,
+    *,
+    consume=False,
 ) -> CrossLingualSpace:
     """Replace both members of each pair by the frequency-weighted mean
     (f1*v1 + f2*v2) / (f1 + f2); `relative` divides each frequency by its
-    side's corpus total first."""
+    side's corpus total first. `consume` as in average_plain."""
+    if not consume:
+        space = space.copy()
     return _average(space, dictionary, weighted=True, relative=relative)
 
 
@@ -164,10 +191,12 @@ def _fit_side(x: np.ndarray, targets: np.ndarray, d: int, side: str) -> np.ndarr
 
 
 def meemi_transform(
-    space: CrossLingualSpace, dictionary: BilingualDictionary
+    space: CrossLingualSpace, dictionary: BilingualDictionary, *, consume=False
 ) -> CrossLingualSpace:
     """Per-side least-squares map onto the pair midpoints, applied to all
-    rows of that side (every vector moves, unlike averaging)."""
+    rows of that side (every vector moves, unlike averaging). With
+    `consume` the space is consumed (see CrossLingualSpace) and each side's
+    old matrix is freed as soon as that side is mapped."""
     if len(dictionary) == 0:
         raise ValueError("dictionary is empty")
     d = space.dim
@@ -176,8 +205,11 @@ def meemi_transform(
     mid = (x + y) / 2.0
     m_src = _fit_side(x, mid, d, "source side")
     m_tgt = _fit_side(y, mid, d, "target side")
-    return space._derive(
-        space.src.matrix @ m_src,
-        space.tgt.matrix @ m_tgt,
-        {"transform": "meemi", "pairs": int(len(dictionary))},
-    )
+    del x, y, mid
+    record = {"transform": "meemi", "pairs": int(len(dictionary))}
+    src, tgt = space.src, space.tgt
+    if consume:  # so each old matrix is freed as soon as its side is mapped
+        space.src = space.tgt = None
+    src = replace(src, matrix=src.matrix @ m_src)
+    tgt = replace(tgt, matrix=tgt.matrix @ m_tgt)
+    return CrossLingualSpace(src, tgt, space.provenance + [record])

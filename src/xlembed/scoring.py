@@ -95,30 +95,44 @@ def _row_copies(block: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
         yield rows, copy
 
 
-def neighbourhood_mean(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def neighbourhood_mean(
+    queries: np.ndarray, targets: np.ndarray, *, unit_queries: bool = False
+) -> np.ndarray:
     """For each unit query row, the mean cosine of its CSLS_K nearest unit
     target rows. With sources as targets this is CSLS's r_S of each
-    target row."""
+    target row. `unit_queries` as in score_blocks."""
     out = np.empty(queries.shape[0])
-    for rows, cos in score_blocks(queries, targets):
+    for rows, cos in score_blocks(queries, targets, unit_queries=unit_queries):
         out[rows] = topk_mean(cos, CSLS_K)
     return out
 
 
 def score_blocks(
-    queries: np.ndarray, targets: np.ndarray, r_src: Optional[np.ndarray] = None
+    queries: np.ndarray,
+    targets: np.ndarray,
+    r_src: Optional[np.ndarray] = None,
+    *,
+    unit_queries: bool = False,
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield (rows, scores) for consecutive blocks of unit query rows
     against all unit target rows: cosine, or CSLS when r_src holds the
-    targets' r_S (see neighbourhood_mean).
+    targets' r_S (see neighbourhood_mean). With `unit_queries` the query
+    rows may have any norm: each block is scaled by unit_rows into one
+    reused buffer before it is scored, which gives the bits of scoring
+    unit_rows(queries) without a unit copy of every query.
 
     A yielded block is a view of a buffer that the next block overwrites,
     so copy whatever is kept beyond the current iteration."""
     step = block_rows(targets.shape[0])
     buf = np.empty((min(step, queries.shape[0]), targets.shape[0]))
+    if unit_queries:
+        unit = np.empty((min(step, queries.shape[0]), queries.shape[1]))
     for rows in _blocks(queries.shape[0], step):
         m = rows.stop - rows.start
-        scores = np.matmul(queries[rows], targets.T, out=buf[:m])
+        block = queries[rows]
+        if unit_queries:
+            block = unit_rows(block, out=unit[:m])
+        scores = np.matmul(block, targets.T, out=buf[:m])
         if r_src is not None:
             # 2*cos - r_T - r_S in place, SUB_ROWS rows at a time; r_T
             # partitions a copy of the rows, so cos is still in order.

@@ -34,13 +34,16 @@ def _retrieve(
     space: CrossLingualSpace, query_idx: np.ndarray, k: int, retrieval: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k target indices and scores for the source rows at query_idx.
-    CSLS r_S is taken over the whole source space, not just the queries."""
+    CSLS r_S is taken over the whole source space, not just the queries.
+    At most one unit matrix is alive at a time: r_S scales the target rows
+    block by block, and the unit targets are built after the unit sources
+    are freed."""
+    r_src = None
+    if retrieval == CSLS:
+        r_src = neighbourhood_mean(
+            space.tgt.matrix, unit_rows(space.src.matrix), unit_queries=True
+        )
     tgt_unit = unit_rows(space.tgt.matrix)
-    r_src = (
-        neighbourhood_mean(tgt_unit, unit_rows(space.src.matrix))
-        if retrieval == CSLS
-        else None
-    )
     queries = space.src.matrix[query_idx]  # a gathered copy, normalized in place
     return topk(unit_rows(queries, out=queries), tgt_unit, k, r_src)
 

@@ -119,7 +119,7 @@ def _per_cell_table(src, tgt, d, test, ks, config, train, sentiment_test):
         for model_name, refine_mode in MODELS:
             try:
                 _, space = pipeline.align(src, tgt, variant, config)
-                space = pipeline.refine_space(space, variant, refine_mode)
+                space = pipeline.refine_space(space.copy(), variant, refine_mode)
                 cell = AblationCell(
                     translation=pipeline.evaluate_translation(space, test, ks, COSINE)
                 )

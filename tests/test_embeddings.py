@@ -517,6 +517,53 @@ def test_normalize_does_not_mutate_input():
     assert np.array_equal(space.matrix, before)
 
 
+
+def test_normalize_in_place_normalizes_the_spaces_own_matrix():
+    rng = np.random.default_rng(4)
+    space = make_space([f"t{i}" for i in range(30)], rng.normal(size=(30, 5)))
+    matrix = space.matrix
+    want = normalize(space, DEFAULT_NORMALIZE)
+    out = normalize(space, DEFAULT_NORMALIZE, in_place=True)
+    assert out.matrix is matrix and space.matrix is matrix
+    assert np.array_equal(matrix, want.matrix)
+
+
+def test_normalize_pair_normalizes_both_spaces_in_place():
+    from xlembed.pipeline import normalize_pair
+
+    rng = np.random.default_rng(5)
+    src = make_space([f"s{i}" for i in range(20)], rng.normal(size=(20, 4)))
+    tgt = make_space([f"t{i}" for i in range(25)], rng.normal(size=(25, 4)))
+    want = normalize(src, DEFAULT_NORMALIZE), normalize(tgt, DEFAULT_NORMALIZE)
+    out = normalize_pair(src, tgt, DEFAULT_NORMALIZE)
+    for space, got, expected in zip((src, tgt), out, want):
+        assert got.matrix is space.matrix
+        assert np.array_equal(got.matrix, expected.matrix)
+    assert normalize_pair(src, tgt, ()) == (src, tgt)
+
+
+def test_non_finite_value_in_the_last_check_block_is_rejected():
+    n = 2 * embeddings.BLOCK_ROWS + 1
+    matrix = np.ones((n, 3))
+    matrix[-1, 2] = np.inf
+    message = "^embedding matrix contains non-finite values$"
+    with pytest.raises(ValueError, match=message):
+        make_space([f"t{i}" for i in range(n)], matrix)
+
+
+def test_space_finiteness_check_allocates_no_matrix_sized_mask():
+    # np.isfinite(matrix) at once would allocate one bool per value
+    rng = np.random.default_rng(6)
+    space = make_space([f"t{i}" for i in range(5000)], rng.normal(size=(5000, 50)))
+    EmbeddingSpace(vocab=space.vocab, matrix=space.matrix)
+    tracemalloc.start()
+    try:
+        EmbeddingSpace(vocab=space.vocab, matrix=space.matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < space.matrix.size / 4, f"the check peaked at {peak} bytes"
+
 @settings(max_examples=60, deadline=None)
 @given(
     hnp.arrays(

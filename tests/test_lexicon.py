@@ -283,3 +283,18 @@ def test_sample_seed_picks_most_frequent_gold():
     test = TestDictionary(entries=[("w", ("rare", "common"))])
     d = sample_seed(test, 1, rng_seed=0, src_vocab=va, tgt_vocab=vb)
     assert d.pairs() == [("w", "common")]
+
+
+def test_sample_seed_picks_most_frequent_gold_of_a_file_order_vocabulary():
+    # a sidecar vocabulary keeps file order: the most frequent target may
+    # come later; of equally frequent ones the earlier is chosen
+    from xlembed import Vocabulary
+
+    va = _vocab([("w", 5)])
+    vb = Vocabulary(
+        tokens=["rare", "common", "tied"], freqs=[1, 9, 9],
+        classes=[TokenClass.WORD] * 3,
+    )
+    test = TestDictionary(entries=[("w", ("rare", "tied", "common"))])
+    d = sample_seed(test, 1, rng_seed=0, src_vocab=va, tgt_vocab=vb)
+    assert d.pairs() == [("w", "common")]

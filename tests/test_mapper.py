@@ -590,3 +590,53 @@ def test_load_model_accepts_trailing_blank_lines(tmp_path):
     assert model.src_map.tolist() == [[1.0, 0.0], [0.0, 1.0]]
     assert model.tgt_map.tolist() == [[3.0, 0.0], [0.0, 2.0]]
     assert model.s == 0.5
+
+
+def test_self_learn_induces_over_the_most_frequent_tokens_of_a_sidecar_vocabulary(
+    tmp_path, monkeypatch
+):
+    # a sidecar vocabulary keeps the file's row order; the same rows in
+    # reversed frequency order must induce the same dictionary, as token
+    # pairs, as the file sorted by frequency
+    import xlembed.mapper as mapper
+    from xlembed import dictionary_from_pairs, load_embeddings, save_embeddings
+    from xlembed.corpus import write_vocab_tsv
+
+    pair = rotation_benchmark(n=200, d=10, noise=0.3, seed=21)[:2]
+    real = mapper._induce_pairs
+    induced, models = {}, {}
+    for name, order in (("sorted", slice(None)), ("reversed", slice(None, None, -1))):
+        loaded = []
+        for side, space in zip(("src", "tgt"), pair):
+            vec, tsv = tmp_path / f"{name}-{side}.vec", tmp_path / f"{name}-{side}.tsv"
+            flipped = make_space(
+                space.vocab.tokens[order], space.matrix[order], space.vocab.freqs[order]
+            )
+            save_embeddings(flipped, vec)
+            write_vocab_tsv(flipped.vocab, tsv)
+            loaded.append(load_embeddings(vec, vocab_tsv=tsv))
+        src, tgt = loaded
+        # induction rows in frequency order (a stable sort), as tokens
+        src_top, tgt_top = (
+            [v.tokens[i] for i in sorted(range(len(v)), key=lambda i: -v.freqs[i])]
+            for v in (src.vocab, tgt.vocab)
+        )
+        calls = []
+
+        def recording(*args):
+            calls.append(real(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(mapper, "_induce_pairs", recording)
+        seed = dictionary_from_pairs(
+            [(f"t{i:05d}", f"t{i:05d}") for i in range(50, 70)], src.vocab, tgt.vocab
+        )
+        models[name] = self_learn(
+            src, tgt, seed, SelfLearnConfig(induce_vocab_cutoff=100, max_iters=3)
+        )
+        induced[name] = [
+            [(src_top[i], tgt_top[j]) for i, j in pairs.tolist()] for pairs in calls
+        ]
+    assert len(induced["sorted"]) >= 2
+    assert induced["reversed"] == induced["sorted"]
+    assert np.array_equal(models["reversed"].src_map, models["sorted"].src_map)

@@ -44,3 +44,51 @@ def test_pipeline_peak_below_five_matrices_and_a_block_and_a_quarter(
         f"run_pipeline ({retrieval}) peaked at {peak / matrix:.2f} matrices "
         f"= 5 matrices + {(peak - 5 * matrix) / block:.2f} score blocks"
     )
+
+
+@pytest.fixture(scope="module")
+def large_fixture(tmp_path_factory):
+    """A pipeline fixture where one matrix (5000 x 300, 12 MB) exceeds one
+    score block (256 x 5000, 10.2 MB), so a matrix saved shows."""
+    return write_pipeline_fixture(tmp_path_factory.mktemp("fx"), n=5000, d=300)
+
+
+@pytest.mark.parametrize("case", ["cosine", "csls", "meemi"])
+def test_pipeline_peak_below_three_matrices_and_scratch(
+    tmp_path, large_fixture, case
+):
+    """Every stage holds at most three matrices: the two loaded sides,
+    normalized in place, and apply_mapping's output; refine works in place
+    on the aligned pair (MEEMI frees each side once it is mapped) and P@k
+    holds one unit matrix at a time. Scratch on top is _average's weighted
+    rows of the paired tokens, or one score block with its sub-block
+    copies. A normalized copy, a refined copy or a second unit matrix in
+    P@k (the unit targets next to the unit sources of CSLS r_S) each push
+    the run past the bound."""
+    raw = json.loads(large_fixture.read_text())
+    if case == "meemi":
+        raw["refine"]["mode"] = "meemi"
+    else:
+        raw["eval"]["translation"]["retrieval"] = case
+    config_path = large_fixture.parent / f"{case}.json"
+    config_path.write_text(json.dumps(raw))
+    config = PipelineConfig.from_file(config_path)
+    run_pipeline(config, tmp_path / "warm")
+    tracemalloc.start()
+    try:
+        run_pipeline(config, tmp_path / "run")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, d = 5000, 300
+    matrix = n * d * 8
+    block = scoring.block_rows(n) * n * 8
+    lines = (tmp_path / "run" / "dictionary.tsv").read_text(encoding="utf-8")
+    pairs = [line.split("\t")[:2] for line in lines.splitlines()]
+    paired = len({s for s, _ in pairs}) + len({t for _, t in pairs})
+    scratch = paired * d * 8
+    bound = 3 * matrix + scratch + 1.25 * block
+    assert peak < bound, (
+        f"run_pipeline ({case}) peaked at {peak / matrix:.2f} matrices, "
+        f"over the bound of {bound / matrix:.2f}"
+    )

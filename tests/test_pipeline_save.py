@@ -6,6 +6,7 @@ Every test of the `path` fixture runs on both paths (the CPU check is
 patched), and each ends with no child process left behind.
 """
 
+import json
 import os
 import signal
 
@@ -13,9 +14,10 @@ import numpy as np
 import pytest
 
 from xlembed import make_space, save_embeddings
-from xlembed import pipeline, workers
-from xlembed.pipeline import save_pair
+from xlembed import embeddings, pipeline, workers
+from xlembed.pipeline import PipelineConfig, PipelineError, run_pipeline, save_pair
 from xlembed.refine import CrossLingualSpace
+from synthetic import write_pipeline_fixture
 
 
 @pytest.fixture(params=["forked", "sequential"])
@@ -136,3 +138,72 @@ def test_save_pair_worker_killed(tmp_path, monkeypatch):
     assert saved == [src]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _run_config(tmp_path):
+    """The n=1200 pipeline fixture with save_aligned_embeddings."""
+    config_path = write_pipeline_fixture(tmp_path / "fx", n=1200, d=10)
+    raw = json.loads(config_path.read_text(encoding="utf-8"))
+    raw["save_aligned_embeddings"] = True
+    config_path.write_text(json.dumps(raw), encoding="utf-8")
+    return config_path
+
+
+def _failed_run(config_path, run):
+    """Run a config that fails; returns the PipelineError, the files left in
+    the run directory (the manifest aside) and the manifest."""
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(PipelineConfig.from_file(config_path), run)
+    on_disk = sorted(p.name for p in run.iterdir() if p.name != "manifest.json")
+    manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+    return err.value, on_disk, manifest
+
+
+def test_save_failing_mid_file_lists_the_partial_file(tmp_path, monkeypatch, path):
+    # each process's second formatted block fails: the source file stops
+    # after its first block; the target file too when a worker writes it,
+    # and in one process the target save (blocks 3 to 5) completes
+    mode, _ = path
+    config_path = _run_config(tmp_path)
+    real = embeddings._format_block
+    blocks = []
+
+    def format_block(block):
+        blocks.append(len(block))
+        if len(blocks) == 2:
+            raise OSError("no space left on device")
+        return real(block)
+
+    monkeypatch.setattr(embeddings, "_format_block", format_block)
+    run = tmp_path / "run"
+    error, on_disk, manifest = _failed_run(config_path, run)
+    assert error.stage == "refine"
+    assert str(error.cause) == "no space left on device"
+    assert {"src_aligned.vec", "tgt_aligned.vec"} <= set(on_disk)
+    assert sorted(error.artifacts) == on_disk
+    assert manifest["artifacts"] == on_disk + ["manifest.json"]
+    rows = {
+        name: len((run / name).read_text(encoding="utf-8").splitlines()) - 1
+        for name in ("src_aligned.vec", "tgt_aligned.vec")
+    }
+    first = embeddings.BLOCK_ROWS
+    assert rows == {
+        "src_aligned.vec": first,
+        "tgt_aligned.vec": first if mode == "forked" else 1200,
+    }
+
+
+def test_stage_writer_failing_mid_file_lists_the_partial_file(
+    tmp_path, monkeypatch
+):
+    def save_part(dictionary, path):
+        path.write_text("a\ta\n", encoding="utf-8")
+        raise OSError("no space left on device")
+
+    config_path = _run_config(tmp_path)
+    monkeypatch.setattr(pipeline, "save_dictionary", save_part)
+    error, on_disk, manifest = _failed_run(config_path, tmp_path / "run")
+    assert error.stage == "dictionary"
+    assert on_disk == ["config.json", "dictionary.tsv", "provenance.jsonl"]
+    assert sorted(error.artifacts) == on_disk
+    assert manifest["artifacts"] == on_disk + ["manifest.json"]

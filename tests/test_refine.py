@@ -493,3 +493,79 @@ def test_cross_lingual_space_dim_mismatch():
     tgt = make_space(["b"], [[1.0, 0.0, 0.0]])
     with pytest.raises(ValueError):
         CrossLingualSpace(src=src, tgt=tgt)
+
+
+# ----------------------------------------------------------- consumption
+
+def _aligned_pair(seed=11):
+    rng = np.random.default_rng(seed)
+    src_toks = [f"t{i:02d}" for i in range(40)] + ["only-src"]
+    tgt_toks = [f"t{i:02d}" for i in range(0, 40, 2)] + ["only-tgt"]
+    return _space_pair(
+        src_toks, rng.normal(size=(41, 6)), tgt_toks, rng.normal(size=(21, 6)),
+    )
+
+
+REFINERS = {
+    "plain": average_plain,
+    "weighted": average_weighted,
+    "meemi": meemi_transform,
+}
+
+
+@pytest.mark.parametrize("mode", sorted(REFINERS))
+def test_refine_space_consumes_its_input_and_equals_the_copying_refiner(mode):
+    from xlembed.pipeline import refine_space
+
+    space = _aligned_pair()
+    d = build_identical_dictionary(space.src.vocab, space.tgt.vocab)
+    src_matrix, tgt_matrix = space.src.matrix, space.tgt.matrix
+    want = REFINERS[mode](_aligned_pair(), d)
+    out = refine_space(space, d, mode)
+    assert space.src is None and space.tgt is None
+    assert np.array_equal(out.src.matrix, want.src.matrix)
+    assert np.array_equal(out.tgt.matrix, want.tgt.matrix)
+    assert out.provenance == want.provenance
+    # averaging writes into the aligned matrices; MEEMI maps to new ones
+    shared = mode != "meemi"
+    assert (out.src.matrix is src_matrix) == shared
+    assert (out.tgt.matrix is tgt_matrix) == shared
+
+
+def test_refine_space_none_returns_its_input():
+    from xlembed.pipeline import refine_space
+
+    space = _aligned_pair()
+    d = build_identical_dictionary(space.src.vocab, space.tgt.vocab)
+    assert refine_space(space, d, "none") is space
+    assert space.src is not None and space.tgt is not None
+
+
+@pytest.mark.parametrize("mode", sorted(REFINERS))
+def test_public_refiners_leave_their_input_unchanged(mode):
+    space = _aligned_pair()
+    d = build_identical_dictionary(space.src.vocab, space.tgt.vocab)
+    src, tgt = space.src, space.tgt
+    before = src.matrix.copy(), tgt.matrix.copy()
+    out = REFINERS[mode](space, d)
+    assert space.src is src and space.tgt is tgt
+    assert np.array_equal(src.matrix, before[0])
+    assert np.array_equal(tgt.matrix, before[1])
+    assert space.provenance == []
+    assert not np.shares_memory(out.src.matrix, src.matrix)
+    assert not np.shares_memory(out.tgt.matrix, tgt.matrix)
+
+
+def test_zero_total_error_leaves_the_consumed_space_unwritten():
+    # the check runs before any row is written
+    from xlembed.pipeline import refine_space
+
+    space = _space_pair(["w", "v"], [[1.0, 0.0], [0.5, 0.5]],
+                        ["w", "v"], [[0.0, 1.0], [0.5, -0.5]], freqs=[0, 3])
+    d = dictionary_from_pairs([("w", "w"), ("v", "v")], space.src.vocab,
+                              space.tgt.vocab)
+    before = space.src.matrix.copy(), space.tgt.matrix.copy()
+    with pytest.raises(ValueError, match="source token 'w'"):
+        refine_space(space, d, "weighted")
+    assert np.array_equal(space.src.matrix, before[0])
+    assert np.array_equal(space.tgt.matrix, before[1])

@@ -638,3 +638,22 @@ def test_huge_source_row_retrieves_its_direction(retrieval):
     assert report.p_at[1] == 100.0
     assert top[0][0] == "z"
     assert space.src.matrix[2].tolist() == [1e200, 1e200]  # queries are copies
+
+
+def test_r_s_of_raw_target_rows_equals_r_s_of_the_unit_copy():
+    # CSLS r_S in translate scales each block of target rows as it scores
+    # it; unit_rows is row-wise and the GEMM blocks keep their shapes, so
+    # every bit is that of scoring a unit copy of all targets, also for a
+    # last block of one row, a zero row and rows outside the safe norms
+    rng = np.random.default_rng(12)
+    n_src, d = 300, 20
+    step = scoring.block_rows(n_src)
+    n_tgt = 2 * step + 1
+    src = rng.normal(size=(n_src, d)) * np.logspace(-3, 3, n_src)[:, None]
+    tgt = rng.normal(size=(n_tgt, d)) * np.logspace(-3, 3, n_tgt)[:, None]
+    tgt[5] = 0.0
+    tgt[7] *= 1e200
+    tgt[-1] *= 1e-200
+    want = scoring.neighbourhood_mean(scoring.unit_rows(tgt), scoring.unit_rows(src))
+    got = scoring.neighbourhood_mean(tgt, scoring.unit_rows(src), unit_queries=True)
+    assert np.array_equal(got, want)

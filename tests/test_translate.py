@@ -158,9 +158,9 @@ def test_topk_csls_list_takes_one_neighbourhood_pass(monkeypatch):
     calls = []
     real = translate.neighbourhood_mean
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(translate, "neighbourhood_mean", spy)
     lists = translate_topk(space, space.src.vocab.tokens, k=3, retrieval="csls")
