@@ -111,7 +111,8 @@ def run_ablation(
         row = AblationRow(name=name, n_pairs=len(variant))
         rows.append(row)
         try:
-            _, space = align(src, tgt, variant, self_learn_config)
+            pair = CrossLingualSpace(src=src, tgt=tgt)  # align consumes it
+            _, space = align(pair, variant, self_learn_config)
         except Exception as exc:  # the whole row fails, the grid goes on
             _mark_failed(row, [model_name for model_name, _ in MODELS], exc)
             continue

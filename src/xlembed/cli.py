@@ -174,13 +174,14 @@ def cmd_align(args) -> int:
     from .embeddings import save_embeddings
     from .mapper import save_model
     from .pipeline import align, build_dictionary, save_pair
+    from .refine import CrossLingualSpace
 
-    src, tgt = _load_pair(args, normalized=True)
-    dictionary = build_dictionary(src.vocab, tgt.vocab, "file", file=args.dict)
-    model, space = align(
-        src, tgt, dictionary, _self_learn_config(args), args.reweight_s
+    pair = CrossLingualSpace(*_load_pair(args, normalized=True))
+    dictionary = build_dictionary(
+        pair.src.vocab, pair.tgt.vocab, "file", file=args.dict
     )
-    del src, tgt  # the saves need only the mapped space
+    # align consumes the pair: the saves need only the mapped space
+    model, space = align(pair, dictionary, _self_learn_config(args), args.reweight_s)
     save_model(model, args.out_model)
     if args.out_src and args.out_tgt:
         save_pair(space, args.out_src, args.out_tgt)

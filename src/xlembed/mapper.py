@@ -286,6 +286,7 @@ def reweight(
     x = src.matrix[dictionary.src_indices] @ model.src_map
     y = tgt.matrix[dictionary.tgt_indices]
     u, sig, vt = _svd_cross(x, y)
+    del x, y  # _mean_pair_cosine gathers and maps the pairs again
     scale = sig**s
     src_map, tgt_map = model.src_map @ (u * scale), vt.T * scale
     cos = _mean_pair_cosine(

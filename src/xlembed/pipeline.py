@@ -131,18 +131,27 @@ def build_dictionary(
     return dictionary
 
 
-def align(src, tgt, dictionary, self_learn_config=None, reweight_s=None):
+def align(pair, dictionary, self_learn_config=None, reweight_s=None):
     """Procrustes, or self-learning when a config is given, then the
-    optional re-weighting. Returns the model and the mapped space."""
+    optional re-weighting, of the two spaces of `pair` (a
+    CrossLingualSpace, before alignment). Returns the model and the mapped
+    space. align consumes the pair: its src and tgt become None (see
+    CrossLingualSpace). The source side is mapped first and dropped
+    before the target side is mapped, so when the caller holds no other
+    reference to the normalized source it is freed then, and a
+    re-weighted model, which maps both sides, holds at most three
+    matrices."""
+    src, tgt = pair.src, pair.tgt
+    pair.src = pair.tgt = None
     if self_learn_config is not None:
         model = self_learn(src, tgt, dictionary, self_learn_config)
     else:
         model = solve_procrustes(src, tgt, dictionary)
     if reweight_s is not None:
         model = reweight(model, src, tgt, dictionary, reweight_s)
-    src_mapped = apply_mapping(model, src, side="src")
-    tgt_mapped = apply_mapping(model, tgt, side="tgt")
-    return model, CrossLingualSpace(src=src_mapped, tgt=tgt_mapped)
+    src = apply_mapping(model, src, side="src")
+    tgt = apply_mapping(model, tgt, side="tgt")
+    return model, CrossLingualSpace(src=src, tgt=tgt)
 
 
 def refine_space(space, dictionary, mode, relative=False):
@@ -236,9 +245,10 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
             })
         s = config.get("mapper.reweight_s")
         s = None if s is None else float(s)  # provenance records 1 as 1.0
-        model, space = align(src, tgt, dictionary, slc, s)
+        pair = CrossLingualSpace(src=src, tgt=tgt)
         src_vocab, tgt_vocab = src.vocab, tgt.vocab
         del src, tgt  # refine and evaluation need only the vocabularies
+        model, space = align(pair, dictionary, slc, s)
         st.write("model.txt", save_model, model)
         st.details = dict(
             method=method,

@@ -23,11 +23,13 @@ RIDGE_LAMBDA = 1e-3
 
 @dataclass
 class CrossLingualSpace:
-    """Source and target spaces in shared coordinates, same dimension.
+    """Source and target spaces of the same dimension: in shared
+    coordinates, or (as the input of pipeline.align) the pair to align.
 
-    A refinement run with `consume` refines the space's own matrices and
-    sets its src and tgt to None, so a later use fails at once instead of
-    reading changed numbers."""
+    A refinement run with `consume`, and pipeline.align, consume the
+    space: they set its src and tgt to None (a refinement after writing
+    into their matrices), so a later use fails at once instead of reading
+    changed numbers."""
 
     src: EmbeddingSpace
     tgt: EmbeddingSpace
@@ -36,7 +38,7 @@ class CrossLingualSpace:
     def __post_init__(self):
         if self.src.dim != self.tgt.dim:
             raise ValueError(
-                f"aligned spaces must share dimension: "
+                f"the two spaces must share dimension: "
                 f"src d={self.src.dim}, tgt d={self.tgt.dim}"
             )
 

@@ -2,17 +2,22 @@
 
 Queries are scored against every target a block of query rows at a time,
 so no n_queries x n_targets matrix is ever allocated. A block has at most
-BLOCK_ROWS rows and at most BLOCK_BYTES bytes of scores (at least one row),
+BLOCK_ROWS rows and at most BLOCK_BYTES bytes of scores (but at least two rows),
 so its size stays constant as the number of targets grows. Each pass
 allocates its one block buffer once and reuses it for every block; the
 only other scratch is a copy of SUB_ROWS rows of the block, which the
-row-wise top-k steps partition. CSLS (Conneau et al. 2018) scores a pair
+row-wise top-k steps partition, and, when query rows are gathered or
+scaled block by block, one buffer of query rows. unit_in_place
+normalizes a matrix's own rows for the length of a `with` block and
+restores every bit afterwards, so retrieval needs no unit copy of the
+space it scores. CSLS (Conneau et al. 2018) scores a pair
 as 2*cos(x, y) - r_T(x) - r_S(y), where r_T(x) is the mean cosine of x's
 CSLS_K nearest targets and r_S(y) the mean cosine of y's CSLS_K nearest
 sources; both neighbourhood means are row-wise passes over blocks, and
 the CSLS scores overwrite the cosine block in place.
 """
 
+from contextlib import contextmanager
 from typing import Iterator, Optional
 
 import numpy as np
@@ -44,21 +49,78 @@ def unit_rows(matrix: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarra
     lies outside _SAFE_NORM is divided by its largest entry first."""
     if out is None:
         out = np.empty(matrix.shape)
-    lo, hi = _SAFE_NORM
     for rows in _blocks(matrix.shape[0]):
-        block = matrix[rows]
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(block, axis=1)
-        unsafe = np.flatnonzero(~((norms > lo) & (norms < hi)))
-        norms[unsafe] = 1.0  # all-zero rows stay zero; the others are redone
-        np.divide(block, norms[:, None], out=out[rows])
-        if unsafe.size:
-            x = out[rows][unsafe]  # divided by 1: the input rows
-            scale = np.abs(x).max(axis=1)
-            nonzero = np.flatnonzero(scale)
-            x = x[nonzero] / scale[nonzero, None]
-            out[rows][unsafe[nonzero]] = x / np.linalg.norm(x, axis=1)[:, None]
+        _unit_block(matrix[rows], out[rows])
     return out
+
+
+def _unit_block(block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """unit_rows of one block, written to `out`; returns the norm each row
+    was divided by (1 for an all-zero row)."""
+    lo, hi = _SAFE_NORM
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(block, axis=1)
+    unsafe = np.flatnonzero(~((norms > lo) & (norms < hi)))
+    norms[unsafe] = 1.0  # all-zero rows stay zero; the others are redone
+    np.divide(block, norms[:, None], out=out)
+    if unsafe.size:
+        x = out[unsafe]  # divided by 1: the input rows
+        scale = np.abs(x).max(axis=1)
+        nonzero = np.flatnonzero(scale)
+        x = x[nonzero] / scale[nonzero, None]
+        x_norms = np.linalg.norm(x, axis=1)
+        out[unsafe[nonzero]] = x / x_norms[:, None]
+        with np.errstate(over="ignore"):  # a finite row's norm may be inf
+            norms[unsafe[nonzero]] = scale[nonzero] * x_norms
+    return norms
+
+
+@contextmanager
+def unit_in_place(matrix: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield `matrix` with its rows replaced by unit_rows(matrix), and give
+    every entry its bits back when the block ends, also when it raises
+    (or when normalizing raised part way).
+
+    Entry works BLOCK_ROWS rows at a time: it builds the unit rows and
+    their norms, and records the raw value and block position of each
+    entry that unit * norm does not reproduce bit for bit (int64 views,
+    so -0.0 counts). Exit multiplies each normalized block by its norms
+    and writes the recorded raw values back. Scratch is the row norms
+    plus the recorded entries, 12 bytes each: about 2% of the entries of
+    a Procrustes-mapped space, 10-15% of Gaussian rows in general. Any
+    strided view works; a read-only matrix yields a unit copy instead.
+    Nothing else may read the matrix while the block runs."""
+    if not matrix.flags.writeable:
+        yield unit_rows(matrix)
+        return
+    n, d = matrix.shape
+    norms = np.empty(n)
+    records = []  # (rows, positions, raw values) of each normalized block
+    unit = np.empty((min(BLOCK_ROWS, n), d))
+    back = np.empty_like(unit)
+    pos_type = np.int32 if unit.size < 2**31 else np.int64
+    try:
+        for rows in _blocks(n):
+            block = matrix[rows]
+            m = rows.stop - rows.start
+            norms[rows] = _unit_block(block, unit[:m])
+            # a finite row's norm may be inf, and 0 * inf is nan: such
+            # entries are recorded, so the restore puts them back
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(unit[:m], norms[rows, None], out=back[:m])
+            lost = back[:m].view(np.int64) != block.view(np.int64)
+            positions = np.flatnonzero(lost).astype(pos_type)
+            values = block.take(positions)  # flat C-order, any strides
+            block[...] = unit[:m]
+            records.append((rows, positions, values))
+        del unit, back
+        yield matrix
+    finally:
+        for rows, positions, values in records:
+            block = matrix[rows]
+            with np.errstate(over="ignore", invalid="ignore"):
+                block *= norms[rows, None]
+            block.put(positions, values)
 
 
 def topk_mean(scores: np.ndarray, k: int) -> np.ndarray:
@@ -81,8 +143,9 @@ def _blocks(n_rows: int, size: Optional[int] = None) -> Iterator[slice]:
 
 def block_rows(n_targets: int) -> int:
     """Query rows per score block against n_targets targets: BLOCK_ROWS,
-    or fewer when the block would exceed BLOCK_BYTES, but at least one."""
-    return max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 * max(1, n_targets))))
+    or fewer when the block would exceed BLOCK_BYTES, but at least two,
+    so only a last block can be a lone row (see score_blocks)."""
+    return max(2, min(BLOCK_ROWS, BLOCK_BYTES // (8 * max(1, n_targets))))
 
 
 def _row_copies(block: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
@@ -95,14 +158,12 @@ def _row_copies(block: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
         yield rows, copy
 
 
-def neighbourhood_mean(
-    queries: np.ndarray, targets: np.ndarray, *, unit_queries: bool = False
-) -> np.ndarray:
+def neighbourhood_mean(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """For each unit query row, the mean cosine of its CSLS_K nearest unit
     target rows. With sources as targets this is CSLS's r_S of each
-    target row. `unit_queries` as in score_blocks."""
+    target row."""
     out = np.empty(queries.shape[0])
-    for rows, cos in score_blocks(queries, targets, unit_queries=unit_queries):
+    for rows, cos in score_blocks(queries, targets):
         out[rows] = topk_mean(cos, CSLS_K)
     return out
 
@@ -112,27 +173,44 @@ def score_blocks(
     targets: np.ndarray,
     r_src: Optional[np.ndarray] = None,
     *,
+    index: Optional[np.ndarray] = None,
     unit_queries: bool = False,
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield (rows, scores) for consecutive blocks of unit query rows
     against all unit target rows: cosine, or CSLS when r_src holds the
-    targets' r_S (see neighbourhood_mean). With `unit_queries` the query
-    rows may have any norm: each block is scaled by unit_rows into one
-    reused buffer before it is scored, which gives the bits of scoring
+    targets' r_S (see neighbourhood_mean). With `index` the query rows
+    are queries[index]: each block gathers its rows into one reused
+    buffer, so no copy of every query row is made. With `unit_queries`
+    the query rows may have any norm: each block is scaled by unit_rows
+    into that buffer before it is scored, which gives the bits of scoring
     unit_rows(queries) without a unit copy of every query.
+
+    A last block of one row is scored as two rows (the row twice): numpy
+    multiplies a single row by GEMV, which OpenBLAS rounds differently
+    from GEMM, so a row's scores would depend on the block it lands in.
 
     A yielded block is a view of a buffer that the next block overwrites,
     so copy whatever is kept beyond the current iteration."""
+    n = queries.shape[0] if index is None else len(index)
     step = block_rows(targets.shape[0])
-    buf = np.empty((min(step, queries.shape[0]), targets.shape[0]))
-    if unit_queries:
-        unit = np.empty((min(step, queries.shape[0]), queries.shape[1]))
-    for rows in _blocks(queries.shape[0], step):
+    size = max(2, min(step, n))  # a lone row is padded to two
+    buf = np.empty((size, targets.shape[0]))
+    lone_row = n % step == 1
+    if index is not None or unit_queries or lone_row:  # else no query copy
+        staged = np.empty((size, queries.shape[1]))
+    for rows in _blocks(n, step):
         m = rows.stop - rows.start
-        block = queries[rows]
+        if index is None:
+            block = queries[rows]
+        else:
+            block = np.take(queries, index[rows], axis=0, out=staged[:m])
         if unit_queries:
-            block = unit_rows(block, out=unit[:m])
-        scores = np.matmul(block, targets.T, out=buf[:m])
+            block = unit_rows(block, out=staged[:m])
+        if m == 1:
+            staged[:2] = block
+            scores = np.matmul(staged[:2], targets.T, out=buf[:2])[:1]
+        else:
+            scores = np.matmul(block, targets.T, out=buf[:m])
         if r_src is not None:
             # 2*cos - r_T - r_S in place, SUB_ROWS rows at a time; r_T
             # partitions a copy of the rows, so cos is still in order.
@@ -169,15 +247,23 @@ def topk(
     targets: np.ndarray,
     k: int,
     r_src: Optional[np.ndarray] = None,
+    *,
+    index: Optional[np.ndarray] = None,
+    unit_queries: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k target indices and their scores for every unit query row,
-    ranked as ranked_topk; cosine, or CSLS when r_src is given."""
+    ranked as ranked_topk; cosine, or CSLS when r_src is given. `index`
+    and `unit_queries` as in score_blocks."""
+    n = queries.shape[0] if index is None else len(index)
     k = min(k, targets.shape[0])
-    idx = np.empty((queries.shape[0], k), dtype=np.int64)
-    val = np.empty((queries.shape[0], k))
+    idx = np.empty((n, k), dtype=np.int64)
+    val = np.empty((n, k))
     if k == 0:
         return idx, val
-    for rows, scores in score_blocks(queries, targets, r_src):
+    blocks = score_blocks(
+        queries, targets, r_src, index=index, unit_queries=unit_queries
+    )
+    for rows, scores in blocks:
         idx[rows] = ranked_topk(scores, k)
         val[rows] = np.take_along_axis(scores, idx[rows], axis=1)
     return idx, val

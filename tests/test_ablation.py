@@ -17,6 +17,7 @@ from xlembed.ablation import (
 from xlembed.config import COSINE
 from xlembed.lexicon import filter_by_class
 from xlembed.mapper import SelfLearnConfig
+from xlembed.refine import CrossLingualSpace
 from xlembed.reports import ablation_markdown, ablation_tsv
 from synthetic import held_out_test, rotation_benchmark
 
@@ -118,7 +119,8 @@ def _per_cell_table(src, tgt, d, test, ks, config, train, sentiment_test):
         row = AblationRow(name=name, n_pairs=len(variant))
         for model_name, refine_mode in MODELS:
             try:
-                _, space = pipeline.align(src, tgt, variant, config)
+                pair = CrossLingualSpace(src, tgt)
+                _, space = pipeline.align(pair, variant, config)
                 space = pipeline.refine_space(space.copy(), variant, refine_mode)
                 cell = AblationCell(
                     translation=pipeline.evaluate_translation(space, test, ks, COSINE)

@@ -238,6 +238,7 @@ def test_align_self_learn_prints_the_saved_iterations_cosine(tmp_path, capsys):
     from xlembed.config import SelfLearnConfig
     from xlembed.mapper import load_model
     from xlembed.pipeline import align
+    from xlembed.refine import CrossLingualSpace
 
     args, src, tgt, dictionary = _overlap_align_inputs(tmp_path, capsys)
     m = tmp_path / "m.txt"
@@ -247,7 +248,9 @@ def test_align_self_learn_prints_the_saved_iterations_cosine(tmp_path, capsys):
          "--retrieval", "cosine"],
     )
     assert code == 0
-    model, _ = align(src, tgt, dictionary, SelfLearnConfig(retrieval="cosine"))
+    model, _ = align(
+        CrossLingualSpace(src, tgt), dictionary, SelfLearnConfig(retrieval="cosine")
+    )
     assert np.array_equal(load_model(m).src_map, model.src_map)
     best = max(model.dict_cosines)
     assert f"{model.dict_cosines[-1]:.6f}" != f"{best:.6f}"  # the run ended on a drop

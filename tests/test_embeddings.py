@@ -465,6 +465,7 @@ TINY_AND_HUGE_ROWS = [
     [1e-170, 0.0],      # squared sum is 0: used to be a false zero row
     [1e200, 1e200],     # squared sum overflows: used to become zeros
     [5e-324, -5e-324],  # subnormal entries
+    [1.5e308, 1.5e308],  # finite entries, norm above the largest float
 ]
 
 

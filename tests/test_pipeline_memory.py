@@ -8,9 +8,13 @@ scoring pass against every target).
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
+import xlembed.pipeline as pipeline
 import xlembed.scoring as scoring
+from xlembed import CrossLingualSpace, build_identical_dictionary, make_space
+from xlembed.mapper import apply_mapping
 from xlembed.pipeline import PipelineConfig, run_pipeline
 from synthetic import write_pipeline_fixture
 
@@ -21,11 +25,12 @@ N, D = 2000, 100
 def test_pipeline_peak_below_five_matrices_and_a_block_and_a_quarter(
     tmp_path, retrieval
 ):
-    """The two loaded inputs, two unit copies inside P@k and one score
-    block with its sub-block copies. A second block buffer or an
-    argpartition index block pushes CSLS past the bound; so does keeping
-    the normalized inputs past align. The run is made once untraced
-    first, so one-time lazy imports inside numpy are not counted."""
+    """The peak is P@k: the two aligned matrices, which it normalizes in
+    place, the entries it records to restore them, and one score block
+    with its sub-block copies. A second block buffer or an argpartition
+    index block pushes CSLS past the bound; so does keeping the
+    normalized inputs past align. The run is made once untraced first,
+    so one-time lazy imports inside numpy are not counted."""
     config_path = write_pipeline_fixture(tmp_path / "fx", n=N, d=D)
     raw = json.loads(config_path.read_text())
     raw["eval"]["translation"]["retrieval"] = retrieval
@@ -53,21 +58,24 @@ def large_fixture(tmp_path_factory):
     return write_pipeline_fixture(tmp_path_factory.mktemp("fx"), n=5000, d=300)
 
 
-@pytest.mark.parametrize("case", ["cosine", "csls", "meemi"])
+@pytest.mark.parametrize("case", ["cosine", "csls", "meemi", "reweight"])
 def test_pipeline_peak_below_three_matrices_and_scratch(
     tmp_path, large_fixture, case
 ):
     """Every stage holds at most three matrices: the two loaded sides,
-    normalized in place, and apply_mapping's output; refine works in place
-    on the aligned pair (MEEMI frees each side once it is mapped) and P@k
-    holds one unit matrix at a time. Scratch on top is _average's weighted
-    rows of the paired tokens, or one score block with its sub-block
-    copies. A normalized copy, a refined copy or a second unit matrix in
-    P@k (the unit targets next to the unit sources of CSLS r_S) each push
+    normalized in place, and apply_mapping's output (align maps the
+    target side of a re-weighted model after it drops the normalized
+    source); refine works in place on the aligned pair (MEEMI frees each
+    side once it is mapped) and P@k normalizes the aligned pair in place,
+    holding no unit matrix. Scratch on top is _average's weighted rows of
+    the paired tokens, or one score block with its sub-block copies. A
+    normalized copy, a refined copy or two unit matrices in P@k each push
     the run past the bound."""
     raw = json.loads(large_fixture.read_text())
     if case == "meemi":
         raw["refine"]["mode"] = "meemi"
+    elif case == "reweight":
+        raw["mapper"]["reweight_s"] = 0.5
     else:
         raw["eval"]["translation"]["retrieval"] = case
     config_path = large_fixture.parent / f"{case}.json"
@@ -92,3 +100,43 @@ def test_pipeline_peak_below_three_matrices_and_scratch(
         f"run_pipeline ({case}) peaked at {peak / matrix:.2f} matrices, "
         f"over the bound of {bound / matrix:.2f}"
     )
+
+
+def test_align_drops_the_normalized_source_before_the_target_is_mapped(
+    monkeypatch,
+):
+    """A re-weighted model maps both sides. align consumes the pair, so
+    when the target side is mapped only the normalized target and the
+    mapped source are alive (plus the two vocabularies), unless the caller
+    holds its own reference to the normalized source: a third matrix."""
+    n, d = 2000, 100
+    matrix = n * d * 8
+    rng = np.random.default_rng(3)
+    tokens = [f"w{i}" for i in range(n)]
+    vocab = make_space(tokens, np.zeros((n, 1))).vocab
+    dictionary = build_identical_dictionary(vocab, vocab)
+    live = []
+
+    def spy(model, space, side="src"):
+        if side == "tgt":
+            live.append(tracemalloc.get_traced_memory()[0])
+        return apply_mapping(model, space, side=side)
+
+    monkeypatch.setattr(pipeline, "apply_mapping", spy)
+    for keep_source in (False, True):
+        tracemalloc.start()
+        try:
+            pair = CrossLingualSpace(
+                src=make_space(tokens, rng.normal(size=(n, d))),
+                tgt=make_space(tokens, rng.normal(size=(n, d))),
+            )
+            kept = pair.src if keep_source else None
+            _, space = pipeline.align(pair, dictionary, reweight_s=0.5)
+        finally:
+            tracemalloc.stop()
+        assert pair.src is None and pair.tgt is None
+        assert space.src.matrix.shape == space.tgt.matrix.shape == (n, d)
+        del kept
+    dropped, kept = live
+    assert dropped < 2.75 * matrix, f"{dropped / matrix:.2f} matrices"
+    assert kept - dropped > 0.9 * matrix

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from xlembed import (
+    CrossLingualSpace,
     ProbeModel,
     SentimentDataset,
     embed_sentence,
@@ -170,7 +171,7 @@ def test_probe_predictions_equal_the_column_major_oracle(tmp_path, monkeypatch):
     )
     src, tgt = pipeline.normalize_pair(src, tgt, ("unit", "center", "unit"))
     dictionary = pipeline.build_dictionary(src.vocab, tgt.vocab, "identical")
-    _, space = pipeline.align(src, tgt, dictionary)
+    _, space = pipeline.align(CrossLingualSpace(src, tgt), dictionary)
     space = pipeline.refine_space(space, dictionary, "weighted")
     train, test = pipeline.load_sentiment_pair(
         tmp_path / "sent_train.tsv", tmp_path / "sent_test.tsv", TokenizerConfig()
