@@ -234,9 +234,7 @@ def self_learn(
     history: list[float] = []
     best_w = None
     best_score = -np.inf
-    iterations = 0
     for _ in range(cfg.max_iters):
-        iterations += 1
         u, _, vt = _svd_cross(src.matrix[cur_src], tgt.matrix[cur_tgt])
         w = u @ vt
         mapped = src_top @ w
@@ -257,7 +255,7 @@ def self_learn(
         cur_tgt = tgt_index[induced[:, 1]]
 
     return AlignmentModel(
-        src_map=best_w, iterations=iterations, dict_cosines=history
+        src_map=best_w, iterations=len(history), dict_cosines=history
     )
 
 

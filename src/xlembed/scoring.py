@@ -6,7 +6,7 @@ BLOCK_ROWS rows and at most BLOCK_BYTES bytes of scores (but at least two rows),
 so its size stays constant as the number of targets grows. Each pass
 allocates its one block buffer once and reuses it for every block; the
 only other scratch is a copy of SUB_ROWS rows of the block, which the
-row-wise top-k steps partition, and, when query rows are gathered or
+row-wise top-k steps partition, and, when query rows are gathered and
 scaled block by block, one buffer of query rows. unit_in_place
 normalizes a matrix's own rows for the length of a `with` block and
 restores every bit afterwards, so retrieval needs no unit copy of the
@@ -174,16 +174,15 @@ def score_blocks(
     r_src: Optional[np.ndarray] = None,
     *,
     index: Optional[np.ndarray] = None,
-    unit_queries: bool = False,
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield (rows, scores) for consecutive blocks of unit query rows
-    against all unit target rows: cosine, or CSLS when r_src holds the
-    targets' r_S (see neighbourhood_mean). With `index` the query rows
-    are queries[index]: each block gathers its rows into one reused
-    buffer, so no copy of every query row is made. With `unit_queries`
-    the query rows may have any norm: each block is scaled by unit_rows
-    into that buffer before it is scored, which gives the bits of scoring
-    unit_rows(queries) without a unit copy of every query.
+    """Yield (rows, scores) for consecutive blocks of query rows against
+    all unit target rows: cosine, or CSLS when r_src holds the targets'
+    r_S (see neighbourhood_mean). Without `index` the query rows are
+    `queries` as given (unit rows). With `index` they are
+    unit_rows(queries[index]) for rows of any norm: each block gathers
+    its rows into one reused buffer and scales them there, so neither a
+    copy nor a unit copy of every query row is made, and the bits are
+    those of scoring unit_rows(queries[index]).
 
     A last block of one row is scored as two rows (the row twice): numpy
     multiplies a single row by GEMV, which OpenBLAS rounds differently
@@ -195,8 +194,7 @@ def score_blocks(
     step = block_rows(targets.shape[0])
     size = max(2, min(step, n))  # a lone row is padded to two
     buf = np.empty((size, targets.shape[0]))
-    lone_row = n % step == 1
-    if index is not None or unit_queries or lone_row:  # else no query copy
+    if index is not None or n % step == 1:  # else no query copy
         staged = np.empty((size, queries.shape[1]))
     for rows in _blocks(n, step):
         m = rows.stop - rows.start
@@ -204,8 +202,7 @@ def score_blocks(
             block = queries[rows]
         else:
             block = np.take(queries, index[rows], axis=0, out=staged[:m])
-        if unit_queries:
-            block = unit_rows(block, out=staged[:m])
+            unit_rows(block, out=block)
         if m == 1:
             staged[:2] = block
             scores = np.matmul(staged[:2], targets.T, out=buf[:2])[:1]
@@ -249,21 +246,17 @@ def topk(
     r_src: Optional[np.ndarray] = None,
     *,
     index: Optional[np.ndarray] = None,
-    unit_queries: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k target indices and their scores for every unit query row,
-    ranked as ranked_topk; cosine, or CSLS when r_src is given. `index`
-    and `unit_queries` as in score_blocks."""
+    """Top-k target indices and their scores for every query row, ranked
+    as ranked_topk; cosine, or CSLS when r_src is given. The query rows
+    are `queries`, or unit_rows(queries[index]), as in score_blocks."""
     n = queries.shape[0] if index is None else len(index)
     k = min(k, targets.shape[0])
     idx = np.empty((n, k), dtype=np.int64)
     val = np.empty((n, k))
     if k == 0:
         return idx, val
-    blocks = score_blocks(
-        queries, targets, r_src, index=index, unit_queries=unit_queries
-    )
-    for rows, scores in blocks:
+    for rows, scores in score_blocks(queries, targets, r_src, index=index):
         idx[rows] = ranked_topk(scores, k)
         val[rows] = np.take_along_axis(scores, idx[rows], axis=1)
     return idx, val

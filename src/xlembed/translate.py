@@ -1,14 +1,16 @@
 """Word-translation evaluation: exhaustive top-k retrieval and P@k.
 
-Retrieval scores the space's own matrices and holds no unit copy of
-either side: translate_topk and precision_at_k normalize the target
-matrix (with CSLS the source matrix too) in place while they run, and
+Retrieval scores the space's own matrices: translate_topk and
+precision_at_k normalize the target matrix in place while they run (with
+CSLS the source matrix too, but only while its r_S is computed), and
 restore every bit before they return, also when they raise. So no other
-thread may read the space while either runs. Scratch above the space is
-one score block with its sub-row copies, one block of query rows, the
-row norms and the entries scoring.unit_in_place records: 12 bytes for
-about 2% of the entries of a Procrustes-mapped side, and for at most
-about 15% of any side.
+thread may read the space while either runs. Query rows are gathered raw
+and scaled one block at a time. Scratch above the space is one score
+block with its sub-row copies, one block of query rows, the row norms
+and the entries scoring.unit_in_place records: 12 bytes for about 2% of
+the entries of a Procrustes-mapped side, and for at most about 15% of
+any side. A space whose two sides share memory (one matrix for both
+included) is scored against a unit copy of its targets.
 """
 
 from contextlib import ExitStack
@@ -49,30 +51,23 @@ def _retrieve(
     """Top-k target indices and scores for the source rows at query_idx.
     CSLS r_S is taken over the whole source space, not just the queries.
 
-    The targets, and with CSLS the sources, are normalized in place by
-    unit_in_place until return (two sides on one matrix are normalized
-    once). topk gathers the query rows block by block and scales each
-    block unless the sources are already normalized. A side that is
-    read-only, not C-contiguous, or overlaps the other side without being
-    the same array is scored as a unit copy instead, as before in-place
-    scoring; the bits are the same either way."""
+    The targets are normalized in place by unit_in_place until return,
+    or copied to unit rows when they share memory with the sources (two
+    sides on one matrix included). With CSLS the sources are normalized
+    in place only while r_S is computed, and get their bits back before
+    any query row is read. topk then gathers the raw query rows block by
+    block and scales each block. A side that is read-only or not
+    C-contiguous is scored as a unit copy instead; the bits are the same
+    either way."""
     src, tgt = space.src.matrix, space.tgt.matrix
-    shared = src is tgt
-    overlap = not shared and np.may_share_memory(src, tgt)
     with ExitStack() as stack:
-        tgt_unit = _unit(tgt, stack, copy=overlap)
-        src_unit = None
-        if shared:
-            src_unit = tgt_unit
-        elif retrieval == CSLS:
-            src_unit = _unit(src, stack)
+        tgt_unit = _unit(tgt, stack, copy=np.may_share_memory(src, tgt))
         r_src = None
         if retrieval == CSLS:
-            r_src = neighbourhood_mean(tgt_unit, src_unit)
+            with ExitStack() as inner:
+                r_src = neighbourhood_mean(tgt_unit, _unit(src, inner))
         index = np.asarray(query_idx, dtype=np.intp)
-        if src_unit is not None and np.may_share_memory(src_unit, src):
-            return topk(src_unit, tgt_unit, k, r_src, index=index)  # in place
-        return topk(src, tgt_unit, k, r_src, index=index, unit_queries=True)
+        return topk(src, tgt_unit, k, r_src, index=index)
 
 
 def _unit(matrix: np.ndarray, stack: ExitStack, copy: bool = False) -> np.ndarray:

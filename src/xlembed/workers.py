@@ -13,9 +13,11 @@ ends without a result makes result() raise a RuntimeError naming `what`.
 Leaving the block kills a worker whose result was never collected, and
 always reaps it.
 
-The worker sends its result through a pipe: a protocol-5 pickle whose
-out-of-band buffers (e.g. ndarray data) follow it raw and are read straight
-into preallocated memory, so a returned array is not copied again.
+The worker sends its result through a pipe as one in-band protocol-5
+pickle: large buffers (e.g. ndarray data) are written to the pipe as they
+are and read straight into the bytearray the returned array owns, so the
+array is copied on neither side, and a C-contiguous array comes back
+writable and C-contiguous.
 Nothing here imports numpy.
 """
 
@@ -129,16 +131,8 @@ def _work(fn, args, write_fd):
             except Exception as exc:
                 error = exc
         warned = [(w.message, w.filename, w.lineno) for w in caught]
-        buffers = []
-        header = pickle.dumps(
-            (value, warned, error), protocol=5, buffer_callback=buffers.append
-        )
-        raw = [b.raw() for b in buffers]
         with open(write_fd, "wb") as pipe:
-            pickle.dump((len(header), [r.nbytes for r in raw]), pipe, protocol=5)
-            pipe.write(header)
-            for r in raw:
-                pipe.write(r)
+            pickle.dump((value, warned, error), pipe, protocol=5)
         code = 0
     finally:
         os._exit(code)
@@ -147,14 +141,9 @@ def _work(fn, args, write_fd):
 def _receive(pipe):
     """The worker's (value, warnings, error), or None if it ended early."""
     try:
-        size, sizes = pickle.load(pipe)
+        return pickle.load(pipe)
     except (EOFError, pickle.UnpicklingError):
         return None
-    header = pipe.read(size)
-    buffers = [bytearray(n) for n in sizes]
-    if len(header) != size or any(pipe.readinto(b) != len(b) for b in buffers):
-        return None
-    return pickle.loads(header, buffers=buffers)
 
 
 def _rewarn(message, filename, lineno):

@@ -665,6 +665,34 @@ def test_r_s_of_raw_target_rows_equals_r_s_of_the_unit_copy():
     assert _same_bits(tgt, raw)
 
 
+@pytest.mark.parametrize("retrieval", MODES)
+def test_indexed_topk_scores_the_gathered_rows_as_unit_rows(retrieval):
+    # topk(raw, ..., index=idx) gathers raw rows and scales each block;
+    # every bit is that of scoring unit_rows(raw[idx]), also for rows
+    # outside the safe norms, a zero row and a lone last block
+    rng = np.random.default_rng(13)
+    n_src, n_tgt, d = 400, 300, 20
+    step = scoring.block_rows(n_tgt)
+    raw = rng.normal(size=(n_src, d)) * np.logspace(-3, 3, n_src)[:, None]
+    raw[5] = 0.0
+    raw[7] *= 1e200
+    raw[9] *= 1e-200
+    idx = rng.integers(0, n_src, size=step + 1)
+    idx[:3] = [5, 7, 9]
+    idx[-1] = 7  # the lone row of the last block
+    assert len(idx) % step == 1
+    tgt = scoring.unit_rows(rng.normal(size=(n_tgt, d)))
+    r_src = None
+    if retrieval == "csls":
+        r_src = scoring.neighbourhood_mean(tgt, scoring.unit_rows(raw))
+    before = raw.copy()
+    want = scoring.topk(scoring.unit_rows(raw[idx]), tgt, 10, r_src)
+    got = scoring.topk(raw, tgt, 10, r_src, index=idx)
+    assert np.array_equal(got[0], want[0])
+    assert _same_bits(got[1], want[1])
+    assert _same_bits(raw, before)
+
+
 # ------------------------------------------------- unit rows in place
 
 def _same_bits(a, b):

@@ -471,6 +471,28 @@ def test_retrieval_scores_unit_rows_and_restores_both_matrices(layout, retrieval
     assert (space.src.matrix is space.tgt.matrix) == (layout == "shared")
 
 
+def test_csls_query_pass_reads_the_raw_source_matrix(monkeypatch):
+    """CSLS normalizes the sources in place only while r_S is computed:
+    the query pass gathers its rows from the raw source matrix."""
+    space = _layout_space("separate")
+    raw_src = _bits(space)[0]
+    seen = []
+
+    def spy(queries, *args, **kwargs):
+        seen.append(
+            queries is space.src.matrix
+            and np.array_equal(queries.view(np.int64), raw_src)
+        )
+        return scoring.topk(queries, *args, **kwargs)
+
+    monkeypatch.setattr(translate, "topk", spy)
+    tokens = space.src.vocab.tokens[::3]
+    translate_topk(space, tokens, 10, "csls")
+    precision_at_k(space, TestDictionary(entries=[(t, (t,)) for t in tokens]),
+                   ks=(1,), retrieval="csls")
+    assert seen == [True, True]
+
+
 @pytest.mark.parametrize("retrieval", ["cosine", "csls"])
 def test_retrieval_restores_both_matrices_after_an_error(monkeypatch, retrieval):
     space = _layout_space("separate")

@@ -158,6 +158,23 @@ def test_worker_that_dies_names_what(forked, end, how):
     )
 
 
+class _KilledWhilePickled:
+    def __reduce__(self):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_worker_killed_while_sending_names_what(forked):
+    """The array goes into the pipe first, so the stream ends part way."""
+    big = np.ones((1000, 300))
+    with pytest.raises(RuntimeError) as err:
+        with in_worker(lambda: (big, _KilledWhilePickled()), what="sending") as job:
+            job.result()
+    assert str(err.value) == (
+        "sending: the worker ended without a result "
+        f"(killed by signal {signal.SIGKILL.value})"
+    )
+
+
 def test_uncollected_worker_is_killed(forked):
     start = time.monotonic()
     with in_worker(time.sleep, 60, what="sleeps"):
