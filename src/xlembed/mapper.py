@@ -21,6 +21,7 @@ from .scoring import (
     check_retrieval,
     neighbourhood_mean,
     score_blocks,
+    unit_in_place,
     unit_rows,
 )
 
@@ -203,7 +204,13 @@ def self_learn(
 ) -> AlignmentModel:
     """Iterative alignment: solve, induce a larger dictionary over the most
     frequent tokens of each side, repeat until the mean dictionary cosine
-    stops improving. Deterministic; returns the best-scoring model."""
+    stops improving. Deterministic; returns the best-scoring model.
+
+    Each induction normalizes the target's top `cutoff` rows in place
+    (scoring.unit_in_place) and restores every bit before the next
+    Procrustes solve, also when it raises, so no unit copy of them is
+    held; a read-only target gets a unit copy instead. No other thread
+    may read the target space while self_learn runs."""
     cfg = config or SelfLearnConfig()
     _check_pair(src, tgt, seed)
     check_retrieval(cfg.retrieval)
@@ -216,7 +223,6 @@ def self_learn(
     # frequent tokens; src_index and tgt_index map them back to the vocabulary
     src_top, src_index = _most_frequent_rows(src, cutoff)
     tgt_top, tgt_index = _most_frequent_rows(tgt, cutoff)
-    tgt_unit = unit_rows(tgt_top)
 
     seed_pairs_all = np.stack([
         _positions(src_index, len(src.vocab))[seed.src_indices],
@@ -237,10 +243,10 @@ def self_learn(
     for _ in range(cfg.max_iters):
         u, _, vt = _svd_cross(src.matrix[cur_src], tgt.matrix[cur_tgt])
         w = u @ vt
-        mapped = src_top @ w
-        induced = _induce_pairs(
-            unit_rows(mapped, out=mapped), tgt_unit, cfg.retrieval, seed_pairs
-        )
+        mapped = src_top @ w  # before the block: src may share tgt's rows
+        unit_rows(mapped, out=mapped)
+        with unit_in_place(tgt_top) as tgt_unit:
+            induced = _induce_pairs(mapped, tgt_unit, cfg.retrieval, seed_pairs)
         del mapped
         score = _mean_pair_cosine(
             src_top, tgt_top, w, induced[:, 0], induced[:, 1]

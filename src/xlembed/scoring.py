@@ -9,12 +9,12 @@ only other scratch is a copy of SUB_ROWS rows of the block, which the
 row-wise top-k steps partition, and, when query rows are gathered and
 scaled block by block, one buffer of query rows. unit_in_place
 normalizes a matrix's own rows for the length of a `with` block and
-restores every bit afterwards, so retrieval needs no unit copy of the
-space it scores. CSLS (Conneau et al. 2018) scores a pair
-as 2*cos(x, y) - r_T(x) - r_S(y), where r_T(x) is the mean cosine of x's
-CSLS_K nearest targets and r_S(y) the mean cosine of y's CSLS_K nearest
-sources; both neighbourhood means are row-wise passes over blocks, and
-the CSLS scores overwrite the cosine block in place.
+restores every bit afterwards, so neither retrieval nor self-learning
+needs a unit copy of the space it scores. CSLS (Conneau et al. 2018)
+scores a pair as 2*cos(x, y) - r_T(x) - r_S(y), where r_T(x) is the mean
+cosine of x's CSLS_K nearest targets and r_S(y) the mean cosine of y's
+CSLS_K nearest sources; both neighbourhood means are row-wise passes over
+blocks, and the CSLS scores overwrite the cosine block in place.
 """
 
 from contextlib import contextmanager

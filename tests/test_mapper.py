@@ -1,4 +1,6 @@
+import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from xlembed import (
     self_learn,
     solve_procrustes,
 )
+from xlembed import mapper, scoring
 from xlembed.mapper import AlignmentModel, load_model, reweight, save_model
 from synthetic import (
     held_out_test,
@@ -598,7 +601,6 @@ def test_self_learn_induces_over_the_most_frequent_tokens_of_a_sidecar_vocabular
     # a sidecar vocabulary keeps the file's row order; the same rows in
     # reversed frequency order must induce the same dictionary, as token
     # pairs, as the file sorted by frequency
-    import xlembed.mapper as mapper
     from xlembed import dictionary_from_pairs, load_embeddings, save_embeddings
     from xlembed.corpus import write_vocab_tsv
 
@@ -640,3 +642,164 @@ def test_self_learn_induces_over_the_most_frequent_tokens_of_a_sidecar_vocabular
     assert len(induced["sorted"]) >= 2
     assert induced["reversed"] == induced["sorted"]
     assert np.array_equal(models["reversed"].src_map, models["sorted"].src_map)
+
+
+# ------------------------------------------- self-learning target in place
+#
+# Each induction normalizes the target's top rows in place and restores
+# them; everything else in the loop must see the raw rows.
+
+_CUTOFF = 500
+
+
+def _learning_pair(layout="plain"):
+    """800 tokens per side, frequencies descending in file order. layout:
+    "plain"; "readonly" (the target matrix is not writeable); "reversed"
+    (the target rows in reversed frequency order, as a sidecar vocabulary
+    leaves them); "shared" (both sides on one matrix)."""
+    src, tgt, _ = overlap_benchmark(
+        n_shared=200, n_unique=600, d=30, noise=0.15, seed=3
+    )
+    if layout == "readonly":
+        tgt.matrix.flags.writeable = False
+    elif layout == "reversed":
+        back = slice(None, None, -1)
+        tgt = make_space(
+            tgt.vocab.tokens[back], tgt.matrix[back].copy(), tgt.vocab.freqs[back]
+        )
+    elif layout == "shared":
+        tgt = make_space(tgt.vocab.tokens, src.matrix, tgt.vocab.freqs)
+    return src, tgt, build_identical_dictionary(src.vocab, tgt.vocab)
+
+
+def _learn(src, tgt, seed, retrieval):
+    return self_learn(src, tgt, seed, SelfLearnConfig(
+        induce_vocab_cutoff=_CUTOFF, max_iters=4, retrieval=retrieval
+    ))
+
+
+def _raw(matrix):
+    return matrix.copy().view(np.int64)
+
+
+@pytest.mark.parametrize("retrieval", ["cosine", "csls"])
+def test_self_learn_gives_the_target_back_bit_for_bit(retrieval):
+    src, tgt, seed = _learning_pair()
+    tgt.matrix[3, :4] = [-0.0, 5e-324, 1e-300, 0.0]  # hard to restore
+    before = _raw(tgt.matrix)
+    model = _learn(src, tgt, seed, retrieval)
+    assert model.iterations >= 2
+    assert np.array_equal(_raw(tgt.matrix), before)
+
+
+@pytest.mark.parametrize("retrieval", ["cosine", "csls"])
+def test_self_learn_restores_the_target_when_induction_raises(
+    monkeypatch, retrieval
+):
+    src, tgt, seed = _learning_pair()
+    before = _raw(tgt.matrix)
+    real, calls = mapper._induce_pairs, []
+
+    def failing_second(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise MemoryError("no room for the induction")
+        return real(*args)
+
+    monkeypatch.setattr(mapper, "_induce_pairs", failing_second)
+    with pytest.raises(MemoryError):
+        _learn(src, tgt, seed, retrieval)
+    assert len(calls) == 2
+    assert np.array_equal(_raw(tgt.matrix), before)
+
+
+@pytest.mark.parametrize("layout", ["plain", "reversed"])
+def test_self_learn_induces_on_unit_top_rows_and_never_writes_the_rest(
+    monkeypatch, layout
+):
+    # in frequency order the top rows are normalized in place and the rows
+    # beyond the cutoff stay raw; in reversed order the top rows are a
+    # gathered copy, so the target matrix is never written at all
+    src, tgt, seed = _learning_pair(layout)
+    before = _raw(tgt.matrix)
+    real, seen = mapper._induce_pairs, []
+
+    def checking(src_unit, tgt_unit, *rest):
+        seen.append(np.allclose(np.linalg.norm(tgt_unit, axis=1), 1.0))
+        if layout == "plain":
+            assert np.shares_memory(tgt_unit, tgt.matrix)
+            assert np.array_equal(_raw(tgt.matrix[_CUTOFF:]), before[_CUTOFF:])
+        else:
+            assert np.array_equal(_raw(tgt.matrix), before)
+        return real(src_unit, tgt_unit, *rest)
+
+    monkeypatch.setattr(mapper, "_induce_pairs", checking)
+    model = _learn(src, tgt, seed, "csls")
+    assert seen == [True] * model.iterations
+
+
+def test_self_learn_solves_and_scores_on_the_raw_target(monkeypatch):
+    src, tgt, seed = _learning_pair()
+    before = _raw(tgt.matrix)
+    real_svd, real_cos, calls = mapper._svd_cross, mapper._mean_pair_cosine, []
+
+    def svd_spy(x, y):
+        calls.append("svd")
+        assert np.array_equal(_raw(tgt.matrix), before)
+        return real_svd(x, y)
+
+    def cos_spy(src_rows, tgt_rows, *rest):
+        calls.append("cos")
+        assert np.array_equal(_raw(tgt.matrix), before)
+        assert np.array_equal(_raw(tgt_rows), before[: len(tgt_rows)])
+        return real_cos(src_rows, tgt_rows, *rest)
+
+    monkeypatch.setattr(mapper, "_svd_cross", svd_spy)
+    monkeypatch.setattr(mapper, "_mean_pair_cosine", cos_spy)
+    model = _learn(src, tgt, seed, "csls")
+    assert calls == ["svd", "cos"] * model.iterations
+
+
+@contextlib.contextmanager
+def _unit_copy(matrix):
+    yield scoring.unit_rows(matrix)
+
+
+@pytest.mark.parametrize("retrieval", ["cosine", "csls"])
+@pytest.mark.parametrize("layout", ["plain", "readonly", "reversed", "shared"])
+def test_self_learn_in_place_matches_a_unit_copy_oracle(
+    monkeypatch, layout, retrieval
+):
+    got = _learn(*_learning_pair(layout), retrieval)
+    monkeypatch.setattr(mapper, "unit_in_place", _unit_copy)
+    want = _learn(*_learning_pair(layout), retrieval)
+    assert got.iterations == want.iterations >= 2
+    assert got.dict_cosines == want.dict_cosines
+    assert np.array_equal(got.src_map.view(np.int64), want.src_map.view(np.int64))
+
+
+@pytest.mark.parametrize("retrieval", ["cosine", "csls"])
+def test_self_learn_holds_no_unit_copy_of_the_target(retrieval):
+    """self_learn alone at 5000 x 300, cutoff 2500, holds above its inputs
+    the two dictionary gathers of each Procrustes solve and the scratch of
+    one induction (the mapped top source rows, one score block, the
+    entries unit_in_place records): about 1.6-1.7 matrices. A unit copy
+    of the target's top rows, half a matrix here, held across the solve,
+    pushes it past 1.9 (2.1-2.2). The run is made once untraced first, so
+    one-time lazy imports inside numpy are not counted."""
+    src, tgt, _ = overlap_benchmark(
+        n_shared=1000, n_unique=4000, d=300, noise=0.15, seed=1
+    )
+    seed = build_identical_dictionary(src.vocab, tgt.vocab)
+    cfg = SelfLearnConfig(induce_vocab_cutoff=2500, max_iters=3, retrieval=retrieval)
+    self_learn(src, tgt, seed, cfg)
+    tracemalloc.start()
+    try:
+        self_learn(src, tgt, seed, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrix = src.matrix.nbytes
+    assert peak < 1.9 * matrix, (
+        f"self_learn ({retrieval}) peaked at {peak / matrix:.2f} matrices"
+    )
