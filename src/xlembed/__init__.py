@@ -22,7 +22,6 @@ _EXPORTS = {
     "corpus": (
         "CorpusStats",
         "TokenClass",
-        "TokenizerConfig",
         "Vocabulary",
         "build_vocabulary",
         "classify_token",

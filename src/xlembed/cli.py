@@ -4,8 +4,9 @@ Subcommands: stats, vocab, dict, align, refine, eval-translate,
 eval-sentiment, ablation, pipeline. Exit code 0 on success. A usage error
 (a bad flag or value, checked before any file is read) exits 2 with
 argparse's message; any other failure writes a machine-readable JSON error
-object to stderr and exits 1. Thread count is controlled only by the BLAS
-environment variable (OMP_NUM_THREADS); the tool reads no other
+object to stderr and exits 1 (130 for a KeyboardInterrupt). An error
+from writing a file names the file. Thread count is controlled only by
+the BLAS environment variable (OMP_NUM_THREADS); the tool reads no other
 environment.
 """
 
@@ -28,17 +29,13 @@ from .config import (
     check_value,
 )
 from .corpus import (
-    TokenizerConfig,
     count_corpus,
     iter_corpus_lines,
     read_vocab_tsv,
     scan_corpus,
+    write_text,
     write_vocab_tsv,
 )
-
-
-def _tok_config(args) -> TokenizerConfig:
-    return TokenizerConfig(lowercase=not args.no_lowercase)
 
 
 def _load_pair(args, normalized=False):
@@ -112,7 +109,7 @@ def _add_schema_flag(p, flag: str, key: str) -> None:
 
 def _write(text: str, out) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        write_text(text, out)
     else:
         sys.stdout.write(text)
 
@@ -131,10 +128,9 @@ def _add_self_learn_args(p) -> None:
 
 
 def cmd_stats(args) -> int:
-    cfg = _tok_config(args)
     print("corpus\ttweets\tduplicates\ttokens\tunique")
     for path in args.corpus:
-        _, stats = count_corpus(iter_corpus_lines(path), cfg)
+        _, stats = count_corpus(iter_corpus_lines(path), not args.no_lowercase)
         print(
             f"{path}\t{stats.n_tweets}\t{stats.n_duplicates}"
             f"\t{stats.n_tokens}\t{stats.n_unique}"
@@ -143,9 +139,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_vocab(args) -> int:
-    cfg = _tok_config(args)
     vocab, stats = scan_corpus(
-        iter_corpus_lines(args.corpus), cfg, min_count=args.min_count
+        iter_corpus_lines(args.corpus), not args.no_lowercase, args.min_count
     )
     write_vocab_tsv(vocab, args.out)
     print(
@@ -238,7 +233,7 @@ def cmd_eval_sentiment(args) -> int:
     # the majority baseline reads no embeddings
     space = None if args.majority_baseline else _space(args)
     train_set, test_set = load_sentiment_pair(
-        args.train, args.test, _tok_config(args)
+        args.train, args.test, not args.no_lowercase
     )
     if space is None:
         report = eval_majority(train_set, test_set)
@@ -265,7 +260,7 @@ def cmd_ablation(args) -> int:
     sentiment_train = sentiment_test = None
     if args.sentiment_train:
         sentiment_train, sentiment_test = load_sentiment_pair(
-            args.sentiment_train, args.sentiment_test, _tok_config(args)
+            args.sentiment_train, args.sentiment_test, not args.no_lowercase
         )
     table = run_ablation(
         src, tgt, dictionary, test,
@@ -412,15 +407,17 @@ def main(argv=None) -> int:
     warnings.formatwarning = lambda msg, category, *_: f"{category.__name__}: {msg}\n"
     try:
         return args.func(args)
+    except KeyboardInterrupt:
+        error, code = {"error": "interrupted", "type": "KeyboardInterrupt"}, 130
     except Exception as exc:
         cause = exc.cause if isinstance(exc, PipelineError) else exc
-        error = {"error": str(cause), "type": type(cause).__name__}
+        error, code = {"error": str(cause), "type": type(cause).__name__}, 1
         if isinstance(exc, PipelineError):
             error.update(stage=exc.stage, partial_artifacts=exc.artifacts)
-        sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
-        return 1
     finally:
         warnings.formatwarning = default_format
+    sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
+    return code
 
 
 if __name__ == "__main__":

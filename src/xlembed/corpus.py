@@ -6,10 +6,12 @@ synthetic bilingual dictionaries are filtered later on.
 """
 
 import codecs
+import os
 import re
 import unicodedata
 import warnings
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
@@ -45,13 +47,6 @@ def parse_classes(names) -> set:
     return {CLASS_BY_NAME[n] for n in names}
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
-    lowercase: bool = True
-
-
-DEFAULT_TOKENIZER = TokenizerConfig()
-
 # Alternation order defines precedence: URLs, mentions and hashtags stay
 # whole; emoticons beat single punctuation; emoji clusters beat the
 # catch-all; numbers beat words so "3.5" stays one token.
@@ -71,18 +66,18 @@ _CASED_GROUPS = {"url", "mention", "hashtag", "word", "number", "punct"}
 _NUMERAL_RE = re.compile(r"[0-9]+(?:[.,][0-9]+)?\Z")
 
 
-def tokenize(line: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str]:
+def tokenize(line: str, lowercase: bool = True) -> list[str]:
     """Split one tweet into tokens.
 
     Emoji grapheme clusters and lexicon emoticons are kept whole and never
     case-folded; URLs, @-mentions and #-hashtags are single tokens; all
-    other tokens are NFC-normalized and lowercased when config.lowercase.
+    other tokens are NFC-normalized, and lowercased when `lowercase`.
     """
     text = unicodedata.normalize("NFC", line)
     out = []
     for m in _TOKEN_RE.finditer(text):
         tok = m.group(0)
-        if config.lowercase and m.lastgroup in _CASED_GROUPS:
+        if lowercase and m.lastgroup in _CASED_GROUPS:
             tok = tok.lower()
         out.append(tok)
     return out
@@ -211,7 +206,7 @@ BATCH_LINES = 4096
 
 
 def count_corpus(
-    lines: Iterable[str], config: TokenizerConfig = DEFAULT_TOKENIZER
+    lines: Iterable[str], lowercase: bool = True
 ) -> tuple[Counter, CorpusStats]:
     """Deduplicate tweets, tokenize, and count: the token counts and the
     corpus statistics.
@@ -239,15 +234,15 @@ def count_corpus(
     cut = -(-len(kept) // BATCH_LINES) // 2 * BATCH_LINES
     if cut:
         with in_worker(
-            _count_tokens, kept[cut:], config,
+            _count_tokens, kept[cut:], lowercase,
             what="count_corpus (second half of the distinct tweets)",
         ) as job:
-            counts, n_tokens = _count_tokens(kept[:cut], config)
+            counts, n_tokens = _count_tokens(kept[:cut], lowercase)
             more, n_more = job.result()
         counts.update(more)
         n_tokens += n_more
     else:
-        counts, n_tokens = _count_tokens(kept, config)
+        counts, n_tokens = _count_tokens(kept, lowercase)
     stats = CorpusStats(
         n_tweets=len(kept),
         n_duplicates=n_lines - len(kept),
@@ -257,7 +252,7 @@ def count_corpus(
     return counts, stats
 
 
-def _count_tokens(tweets: list, config: TokenizerConfig) -> tuple[Counter, int]:
+def _count_tokens(tweets: list, lowercase: bool) -> tuple[Counter, int]:
     """The token counts and the token total of the given tweets.
 
     No token spans whitespace, and NFC never composes across it, so the
@@ -273,7 +268,7 @@ def _count_tokens(tweets: list, config: TokenizerConfig) -> tuple[Counter, int]:
     counts: Counter = Counter()
     n_tokens = 0
     for chunk, count in chunks.items():
-        toks = tokenize(chunk, config)
+        toks = tokenize(chunk, lowercase)
         n_tokens += len(toks) * count
         for tok in toks:
             counts[tok] += count
@@ -281,23 +276,43 @@ def _count_tokens(tweets: list, config: TokenizerConfig) -> tuple[Counter, int]:
 
 
 def scan_corpus(
-    lines: Iterable[str],
-    config: TokenizerConfig = DEFAULT_TOKENIZER,
-    min_count: int = 5,
+    lines: Iterable[str], lowercase: bool = True, min_count: int = 5
 ) -> tuple[Vocabulary, CorpusStats]:
     """count_corpus, then the Vocabulary of the tokens seen at least
     min_count times."""
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    counts, stats = count_corpus(lines, config)
+    counts, stats = count_corpus(lines, lowercase)
     vocab = vocabulary_from_counts(counts, min_count) if counts else Vocabulary(
         tokens=[], freqs=[], classes=[]
     )
     return vocab, stats
 
 
+@contextmanager
+def open_output(path, binary: bool = False):
+    """The file at `path`, opened for writing: UTF-8 text, or bytes with
+    `binary`. Every output file is opened here. An OSError with an errno
+    but no filename, raised while the file is open (a full disk fails a
+    write or the close), gets `path` as its filename, so its message names
+    the file."""
+    try:
+        with open(path, "wb" if binary else "w",
+                  encoding=None if binary else "utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        if exc.errno is not None and exc.filename is None:
+            exc.filename = os.fspath(path)
+        raise
+
+
+def write_text(text: str, path) -> None:
+    with open_output(path) as fh:
+        fh.write(text)
+
+
 def write_vocab_tsv(vocab: Vocabulary, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for tok, freq, cls in zip(vocab.tokens, vocab.freqs, vocab.classes):
             fh.write(f"{tok}\t{freq}\t{cls.value}\n")
 

@@ -12,7 +12,13 @@ from itertools import islice
 import numpy as np
 
 from .config import CENTER_COLUMNS, DEFAULT_NORMALIZE, UNIT_ROWS
-from .corpus import Vocabulary, classify_token, read_vocab_tsv, undecodable_line
+from .corpus import (
+    Vocabulary,
+    classify_token,
+    open_output,
+    read_vocab_tsv,
+    undecodable_line,
+)
 from .scoring import unit_rows
 
 # Rows per parse or format block of the word2vec-text reader and writer.
@@ -78,7 +84,7 @@ def make_space(tokens, matrix, freqs=None) -> EmbeddingSpace:
     return EmbeddingSpace(vocab=vocab, matrix=matrix)
 
 
-def load_embeddings(path, expected_dim=None, vocab_tsv=None) -> EmbeddingSpace:
+def load_embeddings(path, vocab_tsv=None) -> EmbeddingSpace:
     """Parse a word2vec text file (header `n d`, rows `token v1 .. vd`).
 
     The file must be UTF-8. Rows are parsed BLOCK_ROWS lines at a time into
@@ -94,7 +100,7 @@ def load_embeddings(path, expected_dim=None, vocab_tsv=None) -> EmbeddingSpace:
     declared rows is an error.
     """
     try:
-        tokens, matrix = _read_word2vec(path, expected_dim)
+        tokens, matrix = _read_word2vec(path)
     except UnicodeDecodeError as exc:
         raise EmbeddingFormatError(undecodable_line(path, exc)) from None
     if vocab_tsv is not None:
@@ -124,7 +130,7 @@ def load_embeddings(path, expected_dim=None, vocab_tsv=None) -> EmbeddingSpace:
     return EmbeddingSpace(vocab=vocab, matrix=matrix)
 
 
-def _read_word2vec(path, expected_dim):
+def _read_word2vec(path):
     """Tokens and float64 matrix of a word2vec text file, duplicates dropped."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
@@ -141,10 +147,6 @@ def _read_word2vec(path, expected_dim):
             ) from None
         if d < 1 or n < 0:
             raise EmbeddingFormatError(f"{path}: line 1: invalid header n={n} d={d}")
-        if expected_dim is not None and d != expected_dim:
-            raise EmbeddingFormatError(
-                f"{path}: line 1: dimension {d} does not match expected {expected_dim}"
-            )
         try:
             # filled block by block, so parse scratch stays one block: held
             # blocks would leave a matrix-sized hole in the malloc heap
@@ -265,7 +267,7 @@ def save_embeddings(space: EmbeddingSpace, path) -> None:
     n, d = space.matrix.shape
     row_format = "%s " + " ".join(["%.6f"] * d) + "\n"
     tokens = space.vocab.tokens
-    with open(path, "wb") as fh:
+    with open_output(path, binary=True) as fh:
         fh.write(f"{n} {d}\n".encode())
         for start in range(0, n, BLOCK_ROWS):
             block = space.matrix[start : start + BLOCK_ROWS]

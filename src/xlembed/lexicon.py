@@ -12,7 +12,13 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .corpus import TokenClass, Vocabulary, classify_token, undecodable_line
+from .corpus import (
+    TokenClass,
+    Vocabulary,
+    classify_token,
+    open_output,
+    undecodable_line,
+)
 
 
 @dataclass
@@ -115,7 +121,7 @@ def filter_by_class(
 
 def save_dictionary(dictionary: BilingualDictionary, path) -> None:
     """Write `src<TAB>tgt<TAB>class<TAB>f_src<TAB>f_tgt` lines."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for i in range(len(dictionary)):
             fh.write(
                 f"{dictionary.src_tokens[i]}\t{dictionary.tgt_tokens[i]}\t"

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .config import CSLS, SelfLearnConfig
-from .corpus import undecodable_line
+from .corpus import open_output, undecodable_line
 from .embeddings import EmbeddingSpace
 from .lexicon import BilingualDictionary
 from .scoring import (
@@ -324,7 +324,7 @@ def save_model(model: AlignmentModel, path) -> None:
     d rows of the target map unless it is the identity."""
     d = model.dim
     line = " ".join(["%.17g"] * d) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(f"{d} {model.s:.17g}\n")
         for m in (model.src_map, model.tgt_map):
             if m is not None:

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import __version__
 from .config import PipelineConfig, PipelineError, SelfLearnConfig
-from .corpus import TokenizerConfig, parse_classes
+from .corpus import parse_classes, write_text
 from .embeddings import load_embeddings, normalize, save_embeddings
 from .lexicon import (
     build_identical_dictionary,
@@ -58,15 +58,10 @@ def load_pair(src, tgt):
     the same warnings (the source side's first), and the source side's error
     if both fail.
     """
-    with in_worker(_load, tgt, what=str(tgt[0])) as job:
-        src_space = _load(src)
+    with in_worker(load_embeddings, *tgt, what=str(tgt[0])) as job:
+        src_space = load_embeddings(*src)
         tgt_space = job.result()
     return src_space, tgt_space
-
-
-def _load(side):
-    path, vocab_tsv = side
-    return load_embeddings(path, vocab_tsv=vocab_tsv)
 
 
 def save_pair(space, src_path, tgt_path, saved=lambda path: None):
@@ -179,10 +174,10 @@ def evaluate_translation(
     )
 
 
-def load_sentiment_pair(train, test, tokenizer, scheme=None):
+def load_sentiment_pair(train, test, lowercase=True, scheme=None):
     """Train and test sets; the test set takes the train set's scheme."""
-    train_set = load_sentiment_tsv(train, tokenizer, scheme)
-    return train_set, load_sentiment_tsv(test, tokenizer, train_set.scheme)
+    train_set = load_sentiment_tsv(train, lowercase, scheme)
+    return train_set, load_sentiment_tsv(test, lowercase, train_set.scheme)
 
 
 def evaluate_sentiment(space, train_set, test_set):
@@ -196,7 +191,9 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
     """Execute all configured stages, writing artifacts into out_dir.
 
     Returns the manifest. Raises PipelineError carrying the failing stage
-    and the artifacts written so far.
+    and the artifacts written so far. A KeyboardInterrupt or SystemExit in
+    a stage is re-raised as it is, after the manifest records the run as
+    "interrupted".
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -207,7 +204,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
 
     with run.stage("config") as st:
         text = json.dumps(config.raw, sort_keys=True, indent=2) + "\n"
-        st.write("config.json", _write_text, text)
+        st.write("config.json", write_text, text)
 
     with run.stage("load-embeddings") as st:
         src, tgt = load_pair(
@@ -282,9 +279,9 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
                 exclude_identical=config.get("eval.translation.exclude_identical"),
                 oov_as_wrong=config.get("eval.translation.oov_as_wrong"),
             )
-            st.write("translation_report.tsv", _write_text,
+            st.write("translation_report.tsv", write_text,
                      translation_tsv(report, header=st.header))
-            st.write("translation_report.md", _write_text,
+            st.write("translation_report.md", write_text,
                      translation_markdown(report))
             st.details = dict(
                 p_at={str(k): report.p_at[k] for k in sorted(report.p_at)},
@@ -302,13 +299,13 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
             train_set, test_set = load_sentiment_pair(
                 config.path("eval.sentiment.train"),
                 config.path("eval.sentiment.test"),
-                TokenizerConfig(lowercase=config.get("tokenizer.lowercase")),
+                config.get("tokenizer.lowercase"),
                 config.get("eval.sentiment.scheme"),
             )
             probe, sreport = evaluate_sentiment(space, train_set, test_set)
-            st.write("sentiment_report.tsv", _write_text,
+            st.write("sentiment_report.tsv", write_text,
                      sentiment_tsv(sreport, header=st.header))
-            st.write("sentiment_report.md", _write_text,
+            st.write("sentiment_report.md", write_text,
                      sentiment_markdown(sreport))
             st.details = dict(
                 accuracy=round(sreport.accuracy, 4),
@@ -317,10 +314,6 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
             )
 
     return run.finish()
-
-
-def _write_text(text: str, path: Path) -> None:
-    path.write_text(text, encoding="utf-8")
 
 
 class _Run:
@@ -336,13 +329,19 @@ class _Run:
     def stage(self, name: str):
         """The block of one stage. When it ends, the stage's record (outputs
         in write order, details) goes to provenance.jsonl; when it raises,
-        the run finishes as an error and PipelineError names the stage."""
+        the run finishes as an error and PipelineError names the stage. An
+        interrupt (KeyboardInterrupt, SystemExit) finishes the run as
+        "interrupted" and goes on as it is, so no `except Exception`
+        stops it."""
         st = _Stage(self, name)
         try:
             yield st
         except Exception as exc:
-            self.finish({"stage": name, "message": str(exc)})
+            self.finish("error", {"stage": name, "message": str(exc)})
             raise PipelineError(name, exc, self.artifacts) from exc
+        except (KeyboardInterrupt, SystemExit) as exc:
+            self.finish("interrupted", {"stage": name, "message": type(exc).__name__})
+            raise
         self.records.append({
             "stage": name,
             "config_hash": self.config_hash,
@@ -352,20 +351,20 @@ class _Run:
             "details": st.details,
         })
 
-    def finish(self, error: Optional[dict] = None) -> dict:
+    def finish(self, status: str = "ok", error: Optional[dict] = None) -> dict:
         """Write provenance.jsonl, then manifest.json; return the manifest."""
         records = "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records)
-        _write_text(records, self.out / "provenance.jsonl")
+        write_text(records, self.out / "provenance.jsonl")
         self.artifacts.append("provenance.jsonl")
         manifest = {
             "config_hash": self.config_hash,
-            "status": "ok" if error is None else "error",
+            "status": status,
             "error": error,
             "artifacts": sorted(self.artifacts) + ["manifest.json"],
             "version": __version__,
         }
         text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-        _write_text(text, self.out / "manifest.json")
+        write_text(text, self.out / "manifest.json")
         return manifest
 
 

@@ -54,13 +54,6 @@ class CrossLingualSpace:
             provenance=list(self.provenance),
         )
 
-    def _derive(self, src_matrix, tgt_matrix, record) -> "CrossLingualSpace":
-        return CrossLingualSpace(
-            src=EmbeddingSpace(vocab=self.src.vocab, matrix=src_matrix),
-            tgt=EmbeddingSpace(vocab=self.tgt.vocab, matrix=tgt_matrix),
-            provenance=self.provenance + [record],
-        )
-
 
 def _neighbourhoods(s, t, n: int):
     """The pair neighbourhoods of ids 0..n-1, largest first. The
@@ -149,7 +142,10 @@ def _average(
     }
     if weighted:
         record["relative_frequencies"] = bool(relative)
-    refined = space._derive(src, tgt, record)
+    refined = CrossLingualSpace(
+        replace(space.src, matrix=src), replace(space.tgt, matrix=tgt),
+        space.provenance + [record],
+    )
     space.src = space.tgt = None
     return refined
 

@@ -13,12 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .config import SCHEME_LABELS
-from .corpus import (
-    DEFAULT_TOKENIZER,
-    TokenizerConfig,
-    iter_corpus_lines,
-    tokenize,
-)
+from .corpus import iter_corpus_lines, tokenize
 from .embeddings import EmbeddingSpace
 
 EPOCHS = 500
@@ -52,9 +47,7 @@ class SentimentDataset:
 
 
 def load_sentiment_tsv(
-    path,
-    config: TokenizerConfig = DEFAULT_TOKENIZER,
-    scheme: Optional[int] = None,
+    path, lowercase: bool = True, scheme: Optional[int] = None
 ) -> SentimentDataset:
     """Read `label<TAB>raw text` lines; text goes through the tokenizer.
 
@@ -72,7 +65,7 @@ def load_sentiment_tsv(
         if len(parts) != 2:
             raise ValueError(f"{path}: line {lineno}: expected `label<TAB>text`")
         label, text = parts
-        tokens = tokenize(text, config)
+        tokens = tokenize(text, lowercase)
         if not tokens:
             warnings.warn(
                 f"{path}: line {lineno}: text tokenizes to nothing, dropped"

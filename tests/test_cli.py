@@ -1,4 +1,5 @@
 import ctypes
+import errno
 import json
 import os
 import subprocess
@@ -612,6 +613,59 @@ def test_pipeline_rerun_is_byte_identical(fixture_dir, tmp_path, capsys):
         assert (r1 / name).read_bytes() == (r2 / name).read_bytes(), name
 
 
+def _shuffle_vec_rows(path, rng):
+    header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(header + "".join(rng.permutation(rows)), encoding="utf-8")
+
+
+def _vec_rows(path):
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    return header, {row.split(" ", 1)[0]: row for row in rows}
+
+
+@pytest.mark.parametrize(
+    "mapper, refine",
+    [
+        ({"method": "procrustes"}, {"mode": "weighted"}),
+        ({"method": "self-learn", "retrieval": "csls", "induce_vocab_cutoff": 400},
+         {"mode": "meemi"}),
+    ],
+    ids=["procrustes-weighted", "self-learn-csls-meemi"],
+)
+def test_pipeline_ignores_the_row_order_of_the_embedding_files(
+    tmp_path, mapper, refine
+):
+    # the sidecars, not the file order, give the frequencies, so shuffled
+    # .vec rows give the same run; model.txt differs only in the order in
+    # which the `center` step sums its column means
+    from xlembed import PipelineConfig, pipeline
+
+    runs = {}
+    for name in ("file-order", "shuffled"):
+        fx = tmp_path / name
+        config = write_pipeline_fixture(fx, n=600, d=30, noise=0.1, seed=3)
+        if name == "shuffled":
+            rng = np.random.default_rng(0)
+            for vec in ("src.vec", "tgt.vec"):
+                _shuffle_vec_rows(fx / vec, rng)
+        cfg = json.loads(config.read_text(encoding="utf-8"))
+        cfg.update(mapper=mapper, refine=refine)
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        runs[name] = tmp_path / f"run-{name}"
+        pipeline.run_pipeline(PipelineConfig.from_file(config), runs[name])
+    a, b = runs["file-order"], runs["shuffled"]
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        if name == "model.txt":
+            ma, mb = (np.array((r / name).read_text().split(), float) for r in (a, b))
+            np.testing.assert_allclose(ma, mb, rtol=0, atol=1e-12)
+        elif name.endswith(".vec"):
+            assert _vec_rows(a / name) == _vec_rows(b / name), name
+        else:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 @pytest.mark.skipif(
     not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity")
     or len(os.sched_getaffinity(0)) < 2,
@@ -861,6 +915,93 @@ def test_pipeline_failure_names_its_stage_and_lists_every_file(
     on_disk = sorted(p.name for p in run_dir.iterdir() if p.name != "manifest.json")
     assert sorted(payload["partial_artifacts"]) == on_disk
     assert manifest["artifacts"] == on_disk + ["manifest.json"]
+
+
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+def test_interrupted_stage_records_the_run_and_goes_on(
+    fixture_dir, tmp_path, monkeypatch, interrupt
+):
+    # the interrupt is raised again as it is, not wrapped in PipelineError,
+    # after provenance holds the finished stages and the manifest the stage
+    from xlembed import PipelineConfig, pipeline
+
+    def stop(*args, **kwargs):
+        raise interrupt()
+
+    monkeypatch.setattr(pipeline, "build_dictionary", stop)
+    run_dir = tmp_path / "run"
+    with pytest.raises(interrupt):
+        pipeline.run_pipeline(
+            PipelineConfig.from_file(fixture_dir / "config.json"), run_dir
+        )
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["status"] == "interrupted"
+    assert manifest["error"] == {"stage": "dictionary", "message": interrupt.__name__}
+    records = (run_dir / "provenance.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(r)["stage"] for r in records] == STAGES[:3]
+    on_disk = sorted(p.name for p in run_dir.iterdir() if p.name != "manifest.json")
+    assert manifest["artifacts"] == on_disk + ["manifest.json"]
+    assert on_disk == ["config.json", "provenance.jsonl"]
+
+
+def test_interrupted_pipeline_exits_130_with_a_json_error(
+    fixture_dir, tmp_path, capsys, monkeypatch
+):
+    from xlembed import pipeline
+
+    def stop(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline, "build_dictionary", stop)
+    run_dir = tmp_path / "run"
+    code, _, err = _run(
+        capsys,
+        ["pipeline", "--config", str(fixture_dir / "config.json"), "--out", str(run_dir)],
+    )
+    assert code == 130
+    assert json.loads(err.splitlines()[-1]) == {
+        "error": "interrupted", "type": "KeyboardInterrupt"
+    }
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["status"] == "interrupted"
+    assert manifest["error"]["stage"] == "dictionary"
+
+
+_FULL = "/dev/full"
+
+
+@pytest.mark.skipif(not os.path.exists(_FULL), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "case", ["align-model", "align-src", "align-tgt", "dict", "vocab", "eval-translate"]
+)
+def test_write_error_names_the_file(fixture_dir, tmp_path, capsys, case):
+    # a full disk fails a write or the close; the target side of `align`
+    # is written in a forked worker when two CPUs are available
+    vocabs = ["--src-vocab", str(fixture_dir / "src_vocab.tsv"),
+              "--tgt-vocab", str(fixture_dir / "tgt_vocab.tsv")]
+    pair = ["--src-emb", str(fixture_dir / "src.vec"),
+            "--tgt-emb", str(fixture_dir / "tgt.vec"), *vocabs]
+    dictionary = tmp_path / "d.tsv"
+    assert _run(capsys, ["dict", *vocabs, "--out", str(dictionary)])[0] == 0
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("hola mundo \U0001F602 5\n", encoding="utf-8")
+    align = ["align", *pair, "--dict", str(dictionary)]
+    model = ["--out-model", str(tmp_path / "m.txt")]
+    argv = {
+        "align-model": [*align, "--out-model", _FULL],
+        "align-src": [*align, *model, "--out-src", _FULL,
+                      "--out-tgt", str(tmp_path / "t.vec")],
+        "align-tgt": [*align, *model, "--out-src", str(tmp_path / "s.vec"),
+                      "--out-tgt", _FULL],
+        "dict": ["dict", *vocabs, "--out", _FULL],
+        "vocab": ["vocab", str(corpus), "--min-count", "1", "--out", _FULL],
+        "eval-translate": ["eval-translate", *pair, "--test",
+                           str(fixture_dir / "gold.txt"), "--out", _FULL],
+    }[case]
+    code, _, err = _run(capsys, argv)
+    assert code == 1
+    want = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), _FULL)
+    assert json.loads(err.splitlines()[-1]) == {"error": str(want), "type": "OSError"}
 
 
 def test_pipeline_bad_config_path_error(tmp_path, capsys):

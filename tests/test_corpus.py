@@ -1,4 +1,5 @@
 import os
+import pickle
 import unicodedata
 import warnings
 from collections import Counter
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from xlembed import (
     CorpusStats,
     TokenClass,
-    TokenizerConfig,
     Vocabulary,
     build_vocabulary,
     classify_token,
@@ -98,8 +98,7 @@ def test_tokenize_nfc_applied():
 
 
 def test_tokenize_no_lowercase_config():
-    cfg = TokenizerConfig(lowercase=False)
-    assert tokenize("Buenos Dias", cfg) == ["Buenos", "Dias"]
+    assert tokenize("Buenos Dias", lowercase=False) == ["Buenos", "Dias"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -263,7 +262,7 @@ def test_scan_corpus_token_totals():
     assert stats.n_unique == 5
 
 
-def count_corpus_per_line(lines, config=TokenizerConfig()):
+def count_corpus_per_line(lines, lowercase=True):
     """The per-line count that tokenizes every kept tweet whole; the oracle
     for count_corpus, which tokenizes each distinct whitespace chunk once."""
     seen = set()
@@ -276,16 +275,16 @@ def count_corpus_per_line(lines, config=TokenizerConfig()):
             continue
         seen.add(key)
         n_tweets += 1
-        toks = tokenize(line, config)
+        toks = tokenize(line, lowercase)
         n_tokens += len(toks)
         counts.update(toks)
     return counts, CorpusStats(n_tweets, n_duplicates, n_tokens, len(counts))
 
 
-def scan_corpus_per_line(lines, config=TokenizerConfig(), min_count=5):
+def scan_corpus_per_line(lines, lowercase=True, min_count=5):
     """The oracle for scan_corpus: count_corpus_per_line, then the
     vocabulary."""
-    counts, stats = count_corpus_per_line(lines, config)
+    counts, stats = count_corpus_per_line(lines, lowercase)
     vocab = vocabulary_from_counts(counts, min_count) if counts else Vocabulary(
         tokens=[], freqs=[], classes=[]
     )
@@ -328,14 +327,14 @@ def expected_count_calls(path, n_distinct):
     return [cut] if path == "forked" else [cut, n_distinct - cut]
 
 
-def _assert_same_scan(lines, config, min_count):
+def _assert_same_scan(lines, lowercase, min_count):
     n_distinct = len({line.strip() for line in lines})
     for path in COUNT_PATHS:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # empty after cutoff
             with count_path(path) as calls:
-                got_vocab, got_stats = scan_corpus(lines, config, min_count)
-            want_vocab, want_stats = scan_corpus_per_line(lines, config, min_count)
+                got_vocab, got_stats = scan_corpus(lines, lowercase, min_count)
+            want_vocab, want_stats = scan_corpus_per_line(lines, lowercase, min_count)
         assert calls == expected_count_calls(path, n_distinct)
         assert got_stats == want_stats
         assert got_vocab.tokens == want_vocab.tokens
@@ -371,7 +370,7 @@ def test_scan_corpus_equals_per_line_scan(data, lowercase, min_count):
             st.tuples(_PAD, st.sampled_from(pool), _PAD).map("".join), max_size=12
         )
     )
-    _assert_same_scan(lines, TokenizerConfig(lowercase=lowercase), min_count)
+    _assert_same_scan(lines, lowercase, min_count)
 
 
 @pytest.mark.parametrize("lowercase", [True, False])
@@ -385,7 +384,7 @@ def test_scan_corpus_equals_per_line_scan_on_chunk_edges(lowercase):
         "  xD\u3000D:\txDado aD: Dx\x1c",
         "Hola\u0085hola\x1cHOLA",
     ]
-    _assert_same_scan(lines, TokenizerConfig(lowercase=lowercase), 1)
+    _assert_same_scan(lines, lowercase, 1)
 
 
 # -------------------------------------------------------- corpus reading
@@ -424,6 +423,39 @@ def test_iter_corpus_lines_clean_file_is_silent(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert list(iter_corpus_lines(p)) == ["hola \ufffd literal"]
+
+
+# ------------------------------------------------------ output files
+
+@pytest.mark.parametrize(
+    "error, filename",
+    [
+        (OSError(28, "No space left on device"), "{path}"),
+        (OSError(28, "No space left on device", "other.txt"), "other.txt"),
+        (OSError("no errno"), None),
+    ],
+    ids=["errno", "named", "no-errno"],
+)
+def test_open_output_names_the_file_of_an_unnamed_errno_error(
+    tmp_path, error, filename
+):
+    # an error without an errno keeps its message: a filename would print
+    # "[Errno None] None: '<path>'"
+    path = tmp_path / "out.txt"
+    message = str(error)
+    with pytest.raises(OSError) as got:
+        with corpus.open_output(path) as fh:
+            fh.write("x")
+            raise error
+    assert got.value is error
+    assert error.filename == (filename and filename.format(path=path))
+    if filename is None:
+        assert str(error) == message
+    # the filename survives the pickle that brings a worker's error back
+    back = pickle.loads(pickle.dumps(error))
+    assert (back.errno, back.filename, str(back)) == (
+        error.errno, error.filename, str(error)
+    )
 
 
 # ------------------------------------------------------- vocab TSV

@@ -100,14 +100,6 @@ def test_load_rejects_a_header_too_large_to_allocate(tmp_path):
     )
 
 
-def test_load_rejects_dim_mismatch(tmp_path):
-    p = tmp_path / "v.vec"
-    p.write_text("1 2\nfoo 1.0 2.0\n", encoding="utf-8")
-    with pytest.raises(EmbeddingFormatError):
-        load_embeddings(p, expected_dim=5)
-    assert load_embeddings(p, expected_dim=2).dim == 2
-
-
 def test_load_duplicate_token_keeps_first(tmp_path):
     p = tmp_path / "v.vec"
     p.write_text("3 1\na 1.0\na 2.0\nb 3.0\n", encoding="utf-8")

@@ -161,7 +161,6 @@ def test_probe_predictions_equal_the_column_major_oracle(tmp_path, monkeypatch):
     # the pipeline fixture's probe, trained once with each formulation,
     # predicts the same class for every test sentence
     from xlembed import pipeline, sentiment
-    from xlembed.corpus import TokenizerConfig
     from synthetic import write_pipeline_fixture
 
     write_pipeline_fixture(tmp_path, n=120, d=10)
@@ -174,7 +173,7 @@ def test_probe_predictions_equal_the_column_major_oracle(tmp_path, monkeypatch):
     _, space = pipeline.align(CrossLingualSpace(src, tgt), dictionary)
     space = pipeline.refine_space(space, dictionary, "weighted")
     train, test = pipeline.load_sentiment_pair(
-        tmp_path / "sent_train.tsv", tmp_path / "sent_test.tsv", TokenizerConfig()
+        tmp_path / "sent_train.tsv", tmp_path / "sent_test.tsv", True
     )
     probe = train_probe(train, space.src)
     monkeypatch.setattr(sentiment, "probe_loss_grad", _column_major_loss_grad)
@@ -394,14 +393,13 @@ def test_load_sentiment_tsv_names_the_line_of_a_bad_label(tmp_path):
 
 
 def test_test_set_label_outside_the_train_scheme_names_the_test_line(tmp_path):
-    from xlembed.corpus import DEFAULT_TOKENIZER
     from xlembed.pipeline import load_sentiment_pair
 
     train, test = tmp_path / "train.tsv", tmp_path / "test.tsv"
     train.write_text("positive\tbien\nnegative\tmal\n", encoding="utf-8")
     test.write_text("positive\tbueno\nneutral\tnormal\n", encoding="utf-8")
     with pytest.raises(ValueError) as err:
-        load_sentiment_pair(train, test, DEFAULT_TOKENIZER)
+        load_sentiment_pair(train, test, True)
     assert str(err.value) == (
         f"{test}: line 2: label 'neutral' not in 2-class scheme"
     )
