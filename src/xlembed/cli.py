@@ -4,16 +4,18 @@ Subcommands: stats, vocab, dict, align, refine, eval-translate,
 eval-sentiment, ablation, pipeline. Exit code 0 on success. A usage error
 (a bad flag or value, checked before any file is read) exits 2 with
 argparse's message; any other failure writes a machine-readable JSON error
-object to stderr and exits 1 (130 for a KeyboardInterrupt). An error
-from writing a file names the file. Thread count is controlled only by
-the BLAS environment variable (OMP_NUM_THREADS); the tool reads no other
-environment.
+object to stderr and exits 1 (130 for a KeyboardInterrupt, 143 for a
+SIGTERM). An error from writing a file names the file. Thread count is
+controlled only by the BLAS environment variable (OMP_NUM_THREADS); the
+tool reads no other environment.
 """
 
 import argparse
 import ctypes
 import json
+import signal
 import sys
+import threading
 import warnings
 from contextlib import suppress
 from datetime import datetime, timezone
@@ -388,9 +390,19 @@ def build_parser() -> argparse.ArgumentParser:
 _TEXT_COMMANDS = (cmd_stats, cmd_vocab)
 
 
+def _terminate(signum, frame):
+    """The SIGTERM handler while a command runs: the run ends as an
+    interrupt ends it, and a pipeline's manifest records it."""
+    raise SystemExit(143)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.func is cmd_refine and args.relative and args.mode != "weighted":
+        parser.error(
+            f"argument --relative: applies only to --mode weighted, not {args.mode}"
+        )
     if args.func not in _TEXT_COMMANDS:
         # numpy and the numeric modules load here, before the mmap threshold
         # is fixed, so their import-time allocations are placed under
@@ -405,10 +417,16 @@ def main(argv=None) -> int:
     # path and line, so a run's stderr is the same from any checkout.
     default_format = warnings.formatwarning
     warnings.formatwarning = lambda msg, category, *_: f"{category.__name__}: {msg}\n"
+    # Only the main thread may set a handler. The previous one is put back,
+    # as tests and library callers run main in-process.
+    main_thread = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _terminate) if main_thread else None
     try:
         return args.func(args)
     except KeyboardInterrupt:
         error, code = {"error": "interrupted", "type": "KeyboardInterrupt"}, 130
+    except SystemExit:  # raised by _terminate
+        error, code = {"error": "terminated", "type": "SystemExit"}, 143
     except Exception as exc:
         cause = exc.cause if isinstance(exc, PipelineError) else exc
         error, code = {"error": str(cause), "type": type(cause).__name__}, 1
@@ -416,6 +434,8 @@ def main(argv=None) -> int:
             error.update(stage=exc.stage, partial_artifacts=exc.artifacts)
     finally:
         warnings.formatwarning = default_format
+        if main_thread:  # previous is None for a handler not set from Python
+            signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)
     sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
     return code
 

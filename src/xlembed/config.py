@@ -256,5 +256,11 @@ class PipelineConfig:
         mode = self.get("dictionary.mode")
         if mode in ("external-seed", "file") and self.get("dictionary.file") is None:
             problems.append(f"dictionary.file: required by dictionary.mode {mode!r}")
+        rmode = self.get("refine.mode")
+        if self.get("refine.relative_frequencies") is True and rmode != "weighted":
+            problems.append(
+                f"refine.relative_frequencies: applies only to refine.mode "
+                f"'weighted', not {rmode!r}"
+            )
         if problems:
             raise ValueError("invalid pipeline config:\n  " + "\n  ".join(problems))

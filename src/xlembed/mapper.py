@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .config import CSLS, SelfLearnConfig
-from .corpus import open_output, undecodable_line
+from .corpus import open_output
 from .embeddings import EmbeddingSpace
 from .lexicon import BilingualDictionary
 from .scoring import (
@@ -330,60 +330,3 @@ def save_model(model: AlignmentModel, path) -> None:
             if m is not None:
                 for row in m:
                     fh.write(line % tuple(row.tolist()))
-
-
-def _read_map(path, lines: list, first: int, d: int) -> np.ndarray:
-    """The d rows of d floats on lines first .. first + d - 1."""
-    rows = []
-    for lineno in range(first, first + d):
-        fields = lines[lineno - 1].split() if lineno <= len(lines) else []
-        if len(fields) != d:
-            raise ValueError(
-                f"{path}: line {lineno}: expected {d} floats, got {len(fields)}"
-            )
-        row = []
-        for v in fields:
-            try:
-                row.append(float(v))
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: bad float value {v!r}"
-                ) from None
-        rows.append(row)
-    return np.array(rows, dtype=np.float64)
-
-
-def load_model(path) -> AlignmentModel:
-    """Read a save_model file: d rows of the source map, then either only
-    blank lines or the d rows of the target map. A malformed header, a row
-    of the wrong length, a non-float value or a non-blank line after the
-    maps is an error naming the file and the line."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise ValueError(undecodable_line(path, exc)) from None
-    header = lines[0].split()
-    try:
-        d, s = int(header[0]), float(header[1])
-        ok = len(header) == 2 and d >= 1
-    except (IndexError, ValueError):
-        ok = False
-    if not ok:
-        raise ValueError(
-            f"{path}: line 1: expected header `d s` with an integer d >= 1 "
-            f"and a float s"
-        )
-    src_map = _read_map(path, lines, 2, d)
-    tgt_map = None
-    end = d + 2
-    if end <= len(lines) and lines[end - 1].strip():
-        tgt_map = _read_map(path, lines, end, d)
-        end += d
-    for lineno in range(end, len(lines) + 1):
-        if lines[lineno - 1].strip():
-            raise ValueError(
-                f"{path}: line {lineno}: unexpected content after the "
-                f"{end - 2} rows of the model's maps"
-            )
-    return AlignmentModel(src_map, tgt_map, s=s)

@@ -8,7 +8,7 @@ write-once: the runner refuses a non-empty directory.
 """
 
 import json
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import fields
 from pathlib import Path
 from typing import Optional
@@ -153,7 +153,11 @@ def refine_space(space, dictionary, mode, relative=False):
     """Apply one of REFINE_MODES to an aligned space. Every mode but "none"
     refines the space's own matrices and consumes it (its src and tgt
     become None), so a run holds no second pair of matrices; "none" returns
-    `space` itself."""
+    `space` itself. Only "weighted" takes relative=True."""
+    if relative and mode != "weighted":
+        raise ValueError(
+            f"relative frequencies apply only to refine mode 'weighted', not {mode!r}"
+        )
     if mode == "plain":
         return average_plain(space, dictionary, consume=True)
     if mode == "weighted":
@@ -198,7 +202,11 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if any(out.iterdir()):
-        raise ValueError(f"run directory {out} is not empty; runs are write-once")
+        message = f"run directory {out} is not empty; runs are write-once"
+        with suppress(OSError, ValueError, KeyError, TypeError):  # no readable manifest
+            earlier = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            message += f"; its manifest.json has status {earlier['status']!r}"
+        raise ValueError(message)
     seed = config.get("seed")
     run = _Run(out, config.config_hash(), seed)
 

@@ -2,8 +2,10 @@ import ctypes
 import errno
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -21,6 +23,14 @@ def child_env(**extra) -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+@pytest.fixture(autouse=True)
+def sigterm_handler_restored():
+    # main sets its SIGTERM handler only while a command runs
+    before = signal.getsignal(signal.SIGTERM)
+    yield
+    assert signal.getsignal(signal.SIGTERM) is before
 
 
 def _run(capsys, argv):
@@ -237,7 +247,7 @@ def test_align_self_learn_prints_the_saved_iterations_cosine(tmp_path, capsys):
     # self-learning stops when the score falls and keeps its best
     # iteration: the printed cosine is that one's, not the last one's
     from xlembed.config import SelfLearnConfig
-    from xlembed.mapper import load_model
+    from xlembed.mapper import save_model
     from xlembed.pipeline import align
     from xlembed.refine import CrossLingualSpace
 
@@ -252,7 +262,8 @@ def test_align_self_learn_prints_the_saved_iterations_cosine(tmp_path, capsys):
     model, _ = align(
         CrossLingualSpace(src, tgt), dictionary, SelfLearnConfig(retrieval="cosine")
     )
-    assert np.array_equal(load_model(m).src_map, model.src_map)
+    save_model(model, tmp_path / "expected.txt")
+    assert m.read_bytes() == (tmp_path / "expected.txt").read_bytes()
     best = max(model.dict_cosines)
     assert f"{model.dict_cosines[-1]:.6f}" != f"{best:.6f}"  # the run ended on a drop
     assert out.split()[-1] == f"{best:.6f}"
@@ -264,13 +275,17 @@ def test_align_reweight_prints_and_records_the_saved_maps_cosine(
 ):
     # the mean cosine of the dictionary pairs with both sides mapped by the
     # saved model, not that of the orthogonal map it was re-weighted from
-    from xlembed.mapper import apply_mapping, load_model, solve_procrustes
+    from xlembed.mapper import apply_mapping, save_model, solve_procrustes
+    from xlembed.pipeline import align
+    from xlembed.refine import CrossLingualSpace
 
     args, src, tgt, dictionary = _overlap_align_inputs(tmp_path, capsys)
     m = tmp_path / "m.txt"
     code, out, _ = _run(capsys, ["align", *args, "--out-model", str(m), "--reweight-s", s])
     assert code == 0
-    model = load_model(m)
+    model, _ = align(CrossLingualSpace(src, tgt), dictionary, None, float(s))
+    save_model(model, tmp_path / "expected.txt")
+    assert m.read_bytes() == (tmp_path / "expected.txt").read_bytes()
     x = apply_mapping(model, src).matrix[dictionary.src_indices]
     y = apply_mapping(model, tgt, side="tgt").matrix[dictionary.tgt_indices]
     cos = np.mean(
@@ -452,11 +467,18 @@ def test_majority_baseline_reads_no_embeddings(fixture_dir, capsys):
          "argument --retrieval: must be one of ('cosine', 'csls'), got 'dot'"),
         (["ablation", "--test", "gold.txt", "--retrieval", "dot"],
          "argument --retrieval: must be one of ('cosine', 'csls'), got 'dot'"),
+        (["refine", "--dict", "d.tsv", "--mode", "plain", "--relative",
+          "--out-src", "a.vec", "--out-tgt", "b.vec"],
+         "argument --relative: applies only to --mode weighted, not plain"),
+        (["refine", "--dict", "d.tsv", "--mode", "meemi", "--relative",
+          "--out-src", "a.vec", "--out-tgt", "b.vec"],
+         "argument --relative: applies only to --mode weighted, not meemi"),
     ],
     ids=["align-normalize", "ablation-empty-step", "eval-translate-ks",
          "ablation-ks", "align-max-iters", "align-max-iters-float",
          "align-reweight-s", "align-cutoff", "align-tol-nan", "ablation-cutoff",
-         "align-retrieval", "eval-translate-retrieval", "ablation-retrieval"],
+         "align-retrieval", "eval-translate-retrieval", "ablation-retrieval",
+         "refine-relative-plain", "refine-relative-meemi"],
 )
 def test_bad_normalize_and_ks_fail_before_any_file_is_read(
     tmp_path, capsys, argv, message
@@ -967,6 +989,63 @@ def test_interrupted_pipeline_exits_130_with_a_json_error(
     assert manifest["error"]["stage"] == "dictionary"
 
 
+# The child restores Python's SIGINT handler: a child started with SIGINT
+# ignored (e.g. from a shell's background job) would otherwise inherit that.
+_SIGINT_CHILD = (
+    "import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+    "from xlembed.cli import main; sys.exit(main())"
+)
+
+
+@pytest.mark.parametrize(
+    "signum, code, error",
+    [
+        (signal.SIGINT, 130, {"error": "interrupted", "type": "KeyboardInterrupt"}),
+        (signal.SIGTERM, 143, {"error": "terminated", "type": "SystemExit"}),
+    ],
+    ids=["SIGINT", "SIGTERM"],
+)
+def test_signalled_pipeline_records_the_interrupted_stage(
+    fixture_dir, tmp_path, capsys, signum, code, error
+):
+    # self-learning with tol -1 never converges, so the align stage is
+    # still running when the signal comes
+    cfg = json.loads((fixture_dir / "config.json").read_text(encoding="utf-8"))
+    cfg["mapper"] = {"method": "self-learn", "tol": -1, "max_iters": 10**9}
+    path = fixture_dir / "endless.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    run_dir = tmp_path / "run"
+    argv = ["pipeline", "--config", str(path), "--out", str(run_dir)]
+    child = subprocess.Popen(
+        [sys.executable, "-c", _SIGINT_CHILD, *argv], env=child_env(),
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,  # its own process group holds its workers
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not (run_dir / "dictionary.tsv").exists():
+            assert child.poll() is None, child.stderr.read()
+            assert time.monotonic() < deadline, "no dictionary.tsv after 60 s"
+            time.sleep(0.01)
+        time.sleep(0.5)  # the dictionary stage ends as its file is written
+        child.send_signal(signum)
+        _, err = child.communicate(timeout=60)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+    assert child.returncode == code, err
+    assert json.loads(err.splitlines()[-1]) == error
+    with pytest.raises(ProcessLookupError):  # no worker outlived the run
+        os.killpg(child.pid, 0)
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["status"] == "interrupted"
+    assert manifest["error"]["stage"] == "align"
+    rerun, _, err = _run(capsys, argv)
+    assert rerun == 1
+    assert "status 'interrupted'" in json.loads(err.splitlines()[-1])["error"]
+
+
 _FULL = "/dev/full"
 
 
@@ -1061,6 +1140,7 @@ def test_pipeline_unreadable_config_names_file_and_line(
         ("sentiment", "scheme", 4),
         ("translation", "ks", [True]),
         (None, "evaluation", {"translation": {}}),
+        ("dictionary", "mode", "file"),  # without dictionary.file
     ],
 )
 def test_pipeline_bad_value_fails_before_any_stage(
@@ -1090,6 +1170,51 @@ def test_pipeline_bad_value_fails_before_any_stage(
     if key == "max_iter":
         assert "did you mean 'max_iters'" in payload["error"]
     assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("mode", ["none", "plain", "meemi"])
+def test_relative_frequencies_outside_weighted_mode_is_an_error(fixture_dir, mode):
+    from xlembed import PipelineConfig
+    from xlembed.pipeline import refine_space
+
+    raw = json.loads((fixture_dir / "config.json").read_text(encoding="utf-8"))
+    raw["refine"] = {"mode": mode, "relative_frequencies": True}
+    with pytest.raises(ValueError) as err:
+        PipelineConfig(raw=raw, base_dir=fixture_dir)
+    assert str(err.value).endswith(
+        f"refine.relative_frequencies: applies only to refine.mode 'weighted', "
+        f"not {mode!r}"
+    )
+    with pytest.raises(ValueError, match="apply only to refine mode 'weighted'"):
+        refine_space(None, None, mode, relative=True)
+
+
+def test_exclude_identical_test_pairs_in_the_pipeline_and_the_cli(
+    fixture_dir, tmp_path, capsys
+):
+    # every gold pair of the fixture is an identical string; the ten pairs
+    # of language-specific tokens added here are all that is left
+    fx = fixture_dir
+    with open(fx / "gold.txt", "a", encoding="utf-8") as fh:
+        fh.writelines(f"sa{i:05d} sb{i:05d}\n" for i in range(10))
+    cfg = json.loads((fx / "config.json").read_text(encoding="utf-8"))
+    cfg["eval"] = {
+        "translation": {"test_dictionary": "gold.txt", "exclude_identical": True}
+    }
+    path = fx / "strict.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    run_dir = tmp_path / "run"
+    argv = ["pipeline", "--config", str(path), "--out", str(run_dir)]
+    assert _run(capsys, argv)[0] == 0
+    code, out, _ = _run(capsys, [
+        "eval-translate", "--src-emb", str(fx / "src.vec"),
+        "--tgt-emb", str(fx / "tgt.vec"), "--test", str(fx / "gold.txt"),
+        "--exclude-identical-test-pairs",
+    ])
+    assert code == 0
+    report = (run_dir / "translation_report.tsv").read_text(encoding="utf-8")
+    assert "\ntotal\t10\n" in report
+    assert "\ntotal\t10\n" in out
 
 
 def test_pipeline_config_is_validated_when_built(fixture_dir, tmp_path):
@@ -1126,20 +1251,29 @@ def test_cli_align_matches_pipeline_bytes(
     vocabs = ["--src-vocab", str(fx / "src_vocab.tsv"),
               "--tgt-vocab", str(fx / "tgt_vocab.tsv")]
     assert _run(capsys, ["dict", *vocabs, "--out", str(d)])[0] == 0
+    align = ["align", "--src-emb", str(fx / "src.vec"),
+             "--tgt-emb", str(fx / "tgt.vec"), *vocabs, "--dict", str(d), *align_args]
     cli = tmp_path / "cli"
     cli.mkdir()
     code, _, _ = _run(
         capsys,
         [
-            "align", "--src-emb", str(fx / "src.vec"),
-            "--tgt-emb", str(fx / "tgt.vec"), *vocabs, "--dict", str(d),
+            *align,
             "--out-model", str(cli / "model.txt"),
             "--out-src", str(cli / "src_aligned.vec"),
             "--out-tgt", str(cli / "tgt_aligned.vec"),
-            *align_args,
         ],
     )
     assert code == 0
+    # one side alone is saved with the bytes save_pair gives it
+    for flag in ("--out-src", "--out-tgt"):
+        name = f"{flag[6:]}_aligned.vec"
+        one = tmp_path / flag
+        one.mkdir()
+        argv = [*align, "--out-model", str(one / "model.txt"), flag, str(one / name)]
+        assert _run(capsys, argv)[0] == 0
+        assert sorted(p.name for p in one.iterdir()) == ["model.txt", name]
+        assert (one / name).read_bytes() == (cli / name).read_bytes(), name
     cfg = json.loads((fx / "config.json").read_text(encoding="utf-8"))
     cfg.pop("eval")
     cfg["dictionary"] = {"mode": "file", "file": str(d)}

@@ -20,7 +20,7 @@ from xlembed import (
     solve_procrustes,
 )
 from xlembed import mapper, scoring
-from xlembed.mapper import AlignmentModel, load_model, reweight, save_model
+from xlembed.mapper import AlignmentModel, reweight, save_model
 from synthetic import (
     held_out_test,
     overlap_benchmark,
@@ -473,30 +473,23 @@ def test_apply_tgt_side_identity_for_plain_model():
 
 # ---------------------------------------------------------- persistence
 
+def _read_model_file(path):
+    """A save_model file read with numpy alone: the header's d and s, and
+    the rows below it (d rows, or 2d for a re-weighted model)."""
+    with open(path, encoding="utf-8") as fh:
+        d, s = fh.readline().split()
+    return int(d), float(s), np.loadtxt(path, skiprows=1, ndmin=2)
+
+
 def test_model_save_load_round_trip(tmp_path):
     src, tgt, _ = rotation_benchmark(n=50, d=6, seed=70)
     d = build_identical_dictionary(src.vocab, tgt.vocab)
     model = solve_procrustes(src, tgt, d)
     path = tmp_path / "model.txt"
     save_model(model, path)
-    back = load_model(path)
-    assert np.array_equal(back.src_map, model.src_map)  # %.17g round-trips float64
-    assert back.s == 0.0
-
-
-def test_reweighted_model_apply_after_reload_round_trips(tmp_path):
-    src, tgt, _ = rotation_benchmark(n=50, d=6, seed=71)
-    d = build_identical_dictionary(src.vocab, tgt.vocab)
-    model = reweight(solve_procrustes(src, tgt, d), src, tgt, d, s=0.5)
-    path = tmp_path / "model.txt"
-    save_model(model, path)
-    back = load_model(path)
-    assert back.s == 0.5
-    for side, space in (("src", src), ("tgt", tgt)):
-        assert np.array_equal(
-            apply_mapping(back, space, side=side).matrix,
-            apply_mapping(model, space, side=side).matrix,
-        )
+    dim, s, rows = _read_model_file(path)
+    assert (dim, s) == (6, 0.0)
+    assert np.array_equal(rows, model.src_map)  # %.17g round-trips float64
 
 
 def _per_value_model_bytes(model):
@@ -540,59 +533,12 @@ def test_save_model_bytes_equal_per_value_writer(tmp_path_factory, case):
         assert path.read_bytes() == _per_value_model_bytes(model)
     else:
         assert path.read_bytes() == _two_map_model_bytes(model)
-    back = load_model(path)
-    assert np.array_equal(back.src_map, src_map)
-    assert back.s == s
-    if tgt_map is None:
-        assert back.tgt_map is None
-    else:
-        assert np.array_equal(back.tgt_map, tgt_map)
-
-
-@pytest.mark.parametrize(
-    "text, line, needle",
-    [
-        ("2 0\n1 0\n0 1\n3 2\n", 5, "expected 2 floats, got 0"),
-        ("2 0\n1 0\n0 1\n3 2\n2 3\nextra junk\n", 6, "unexpected content"),
-        ("2 0\n1 0\n0 1\n\n3 2\n", 5, "unexpected content"),
-        ("2 0\n1 x\n0 1\n", 2, "bad float value 'x'"),
-        ("2 0\n1 0\n0 1\n3 y\n", 4, "bad float value 'y'"),
-        ("2 0\n1 0\n", 3, "expected 2 floats, got 0"),
-        ("2 0\n1 0 0\n0 1\n", 2, "expected 2 floats, got 3"),
-        ("2\n1 0\n0 1\n", 1, "header"),
-        ("two 0\n", 1, "header"),
-        ("2 zero\n", 1, "header"),
-        ("0 0\n", 1, "header"),
-    ],
-)
-def test_load_model_errors_name_file_and_line(tmp_path, text, line, needle):
-    path = tmp_path / "model.txt"
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(ValueError) as err:
-        load_model(path)
-    assert f"{path}: line {line}: " in str(err.value)
-    assert needle in str(err.value)
-
-
-def test_load_model_rejects_undecodable_bytes(tmp_path):
-    path = tmp_path / "model.txt"
-    path.write_bytes(b"2 0\n1 \xff\n0 1\n")
-    with pytest.raises(ValueError) as err:
-        load_model(path)
-    assert str(err.value) == f"{path}: line 2: invalid UTF-8 byte 0xff at column 3"
-
-
-def test_load_model_accepts_trailing_blank_lines(tmp_path):
-    path = tmp_path / "model.txt"
-    path.write_text("2 0\n1 0\n0 1\n\n\n", encoding="utf-8")
-    model = load_model(path)
-    assert model.src_map.tolist() == [[1.0, 0.0], [0.0, 1.0]]
-    assert model.tgt_map is None
-    path.write_text("2 0.5\n1 0\n0 1\n3 0\n0 2\n\n\n", encoding="utf-8")
-    model = load_model(path)
-    assert model.src_map.tolist() == [[1.0, 0.0], [0.0, 1.0]]
-    assert model.tgt_map.tolist() == [[3.0, 0.0], [0.0, 2.0]]
-    assert model.s == 0.5
+    # numpy reads the maps and s back bit for bit
+    dim, back_s, rows = _read_model_file(path)
+    maps = src_map if tgt_map is None else np.vstack([src_map, tgt_map])
+    assert dim == model.dim
+    assert rows.tobytes() == maps.tobytes()
+    assert back_s.hex() == s.hex()
 
 
 def test_self_learn_induces_over_the_most_frequent_tokens_of_a_sidecar_vocabulary(
@@ -642,6 +588,18 @@ def test_self_learn_induces_over_the_most_frequent_tokens_of_a_sidecar_vocabular
     assert len(induced["sorted"]) >= 2
     assert induced["reversed"] == induced["sorted"]
     assert np.array_equal(models["reversed"].src_map, models["sorted"].src_map)
+
+
+def test_self_learn_warns_of_seed_pairs_outside_the_induction_cutoff():
+    # rows 30..39 are not among the 30 most frequent tokens, so their seed
+    # pairs cannot be re-included in the induced dictionaries
+    src, tgt, _ = rotation_benchmark(n=40, d=4, seed=72)
+    seed = build_identical_dictionary(src.vocab, tgt.vocab)
+    with pytest.warns(UserWarning) as caught:
+        self_learn(src, tgt, seed, SelfLearnConfig(induce_vocab_cutoff=30, max_iters=2))
+    assert [str(w.message) for w in caught] == [
+        "10 seed pairs fall outside the induction cutoff (30) and are not re-included"
+    ]
 
 
 # ------------------------------------------- self-learning target in place
