@@ -200,7 +200,7 @@ def cmd_refine(args) -> int:
     dictionary = build_dictionary(
         space.src.vocab, space.tgt.vocab, "file", file=args.dict
     )
-    space = refine_space(space, dictionary, args.mode, relative=args.relative)
+    space = refine_space(space, dictionary, args.mode)
     save_pair(space, args.out_src, args.out_tgt)
     print(f"refine mode {args.mode}: {len(dictionary)} pairs applied")
     return 0
@@ -251,10 +251,6 @@ def cmd_ablation(args) -> int:
     from .pipeline import build_dictionary, load_sentiment_pair
     from .reports import ablation_markdown, ablation_tsv
 
-    if bool(args.sentiment_train) != bool(args.sentiment_test):
-        raise ValueError(
-            "--sentiment-train and --sentiment-test must be given together"
-        )
     # src and tgt stay alive: the grid aligns each of its variants
     src, tgt = _load_pair(args, normalized=True)
     dictionary = build_dictionary(src.vocab, tgt.vocab, "identical")
@@ -336,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_args(p)
     p.add_argument("--dict", required=True)
     p.add_argument("--mode", choices=REFINE_MODES[1:], required=True)
-    p.add_argument("--relative", action="store_true",
-                   help="weight by relative corpus frequencies")
     p.add_argument("--out-src", required=True)
     p.add_argument("--out-tgt", required=True)
     p.set_defaults(func=cmd_refine)
@@ -399,10 +393,17 @@ def _terminate(signum, frame):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.func is cmd_refine and args.relative and args.mode != "weighted":
-        parser.error(
-            f"argument --relative: applies only to --mode weighted, not {args.mode}"
-        )
+    # usage errors that involve two flags, also caught before any file is read
+    outputs = {}
+    for flag in ("--out-model", "--out-src", "--out-tgt"):
+        path = getattr(args, flag[2:].replace("-", "_"), None)
+        if path:  # resolved, as save_pair compares its two paths
+            other = outputs.setdefault(Path(path).resolve(), flag)
+            if other != flag:
+                parser.error(f"argument {flag}: names the same file as {other}")
+    if args.func is cmd_ablation:
+        if bool(args.sentiment_train) != bool(args.sentiment_test):
+            parser.error("give both --sentiment-train and --sentiment-test, or neither")
     if args.func not in _TEXT_COMMANDS:
         # numpy and the numeric modules load here, before the mmap threshold
         # is fixed, so their import-time allocations are placed under

@@ -36,7 +36,7 @@ DEFAULT_KS = (1, 5, 10)
 
 DICT_MODES = ("identical", "external-seed", "file")
 MAPPER_METHODS = ("procrustes", "self-learn")
-REFINE_MODES = ("none", "plain", "weighted", "meemi")
+REFINE_MODES = ("none", "plain", "weighted", "weighted-relative", "meemi")
 
 
 @dataclass
@@ -126,7 +126,6 @@ SCHEMA = {
     "mapper.tol": ("number", SelfLearnConfig.tol, None),
     "mapper.reweight_s": ("number", None, _check(lambda v: 0 <= v <= 1, "in [0, 1]")),
     "refine.mode": ("string", "none", _one_of(REFINE_MODES)),
-    "refine.relative_frequencies": ("boolean", False, None),
     "save_aligned_embeddings": ("boolean", True, None),
     "eval.translation.test_dictionary": ("path", REQUIRED, None),
     "eval.translation.ks": (
@@ -256,11 +255,5 @@ class PipelineConfig:
         mode = self.get("dictionary.mode")
         if mode in ("external-seed", "file") and self.get("dictionary.file") is None:
             problems.append(f"dictionary.file: required by dictionary.mode {mode!r}")
-        rmode = self.get("refine.mode")
-        if self.get("refine.relative_frequencies") is True and rmode != "weighted":
-            problems.append(
-                f"refine.relative_frequencies: applies only to refine.mode "
-                f"'weighted', not {rmode!r}"
-            )
         if problems:
             raise ValueError("invalid pipeline config:\n  " + "\n  ".join(problems))

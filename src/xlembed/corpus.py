@@ -107,8 +107,6 @@ class Vocabulary:
     tokens: list[str]
     freqs: list[int]
     classes: list[TokenClass]
-    total_tokens: int = 0   # stream total before any min-count cutoff
-    n_unique: int = 0       # distinct tokens before the cutoff
     index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -118,10 +116,6 @@ class Vocabulary:
         self.index = {tok: i for i, tok in enumerate(self.tokens)}
         if len(self.index) != len(self.tokens):
             raise ValueError("vocabulary contains duplicate tokens")
-        if self.total_tokens == 0:
-            self.total_tokens = sum(self.freqs)
-        if self.n_unique == 0:
-            self.n_unique = len(self.tokens)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -147,7 +141,6 @@ def build_vocabulary(tokens: Iterable[str], min_count: int = 5) -> Vocabulary:
 
 def vocabulary_from_counts(counts: Counter, min_count: int = 5) -> Vocabulary:
     """Build a Vocabulary from merged counts (shard merging is Counter +)."""
-    total = sum(counts.values())
     kept = sorted(
         (t for t, c in counts.items() if c >= min_count),
         key=lambda t: (-counts[t], t),
@@ -158,8 +151,6 @@ def vocabulary_from_counts(counts: Counter, min_count: int = 5) -> Vocabulary:
         tokens=kept,
         freqs=[counts[t] for t in kept],
         classes=[classify_token(t) for t in kept],
-        total_tokens=total,
-        n_unique=len(counts),
     )
 
 

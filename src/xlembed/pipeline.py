@@ -149,18 +149,25 @@ def align(pair, dictionary, self_learn_config=None, reweight_s=None):
     return model, CrossLingualSpace(src=src, tgt=tgt)
 
 
-def refine_space(space, dictionary, mode, relative=False):
+# The refine stage's record of the transform each mode but "none" applies;
+# the stage adds the number of dictionary pairs.
+_REFINE_RECORDS = {
+    "plain": dict(transform="average_plain"),
+    "weighted": dict(transform="average_weighted", relative_frequencies=False),
+    "weighted-relative": dict(transform="average_weighted", relative_frequencies=True),
+    "meemi": dict(transform="meemi"),
+}
+
+
+def refine_space(space, dictionary, mode):
     """Apply one of REFINE_MODES to an aligned space. Every mode but "none"
     refines the space's own matrices and consumes it (its src and tgt
     become None), so a run holds no second pair of matrices; "none" returns
-    `space` itself. Only "weighted" takes relative=True."""
-    if relative and mode != "weighted":
-        raise ValueError(
-            f"relative frequencies apply only to refine mode 'weighted', not {mode!r}"
-        )
+    `space` itself."""
     if mode == "plain":
         return average_plain(space, dictionary, consume=True)
-    if mode == "weighted":
+    if mode in ("weighted", "weighted-relative"):
+        relative = mode == "weighted-relative"
         return average_weighted(space, dictionary, relative=relative, consume=True)
     if mode == "meemi":
         return meemi_transform(space, dictionary, consume=True)
@@ -264,15 +271,14 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
 
     with run.stage("refine") as st:
         rmode = config.get("refine.mode")
-        space = refine_space(
-            space, dictionary, rmode,
-            relative=config.get("refine.relative_frequencies"),
-        )
+        space = refine_space(space, dictionary, rmode)
         if config.get("save_aligned_embeddings"):
             save_pair(
                 space, out / "src_aligned.vec", out / "tgt_aligned.vec", st.saved
             )
-        st.details = dict(mode=rmode, provenance=space.provenance)
+        record = _REFINE_RECORDS.get(rmode)
+        provenance = [dict(record, pairs=len(dictionary))] if record else []
+        st.details = dict(mode=rmode, provenance=provenance)
 
     if config.has("eval.translation"):
         with run.stage("eval-translate") as st:

@@ -10,7 +10,7 @@ midpoints and moves every row.
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class CrossLingualSpace:
 
     src: EmbeddingSpace
     tgt: EmbeddingSpace
-    provenance: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.src.dim != self.tgt.dim:
@@ -51,7 +50,6 @@ class CrossLingualSpace:
         return CrossLingualSpace(
             src=replace(self.src, matrix=self.src.matrix.copy()),
             tgt=replace(self.tgt, matrix=self.tgt.matrix.copy()),
-            provenance=list(self.provenance),
         )
 
 
@@ -94,13 +92,12 @@ def _average(
         raise ValueError("dictionary indices outside the vocabulary")
     w = np.ones(k + len(tgt_tok))
     if weighted:
-        totals = (space.src.vocab.total_tokens, space.tgt.vocab.total_tokens)
-        if relative and min(totals) <= 0:
-            raise ValueError("relative weighting needs positive corpus totals")
-        src_total, tgt_total = totals if relative else (1, 1)
+        totals = [sum(s.vocab.freqs) if relative else 1 for s in (space.src, space.tgt)]
+        if min(totals) <= 0:
+            raise ValueError("relative weighting needs positive frequency totals")
         w = np.concatenate([
-            dictionary.f_src[src_first] / src_total,
-            dictionary.f_tgt[tgt_first] / tgt_total,
+            dictionary.f_src[src_first] / totals[0],
+            dictionary.f_tgt[tgt_first] / totals[1],
         ])
 
     # weighted input rows, all read before any row is written; "clip"
@@ -136,16 +133,8 @@ def _average(
         src[src_tok[ids[on_src]]] = acc[on_src]
         tgt[tgt_tok[ids[~on_src] - k]] = acc[~on_src]
 
-    record = {
-        "transform": "average_weighted" if weighted else "average_plain",
-        "pairs": len(dictionary),
-    }
-    if weighted:
-        record["relative_frequencies"] = bool(relative)
-    refined = CrossLingualSpace(
-        replace(space.src, matrix=src), replace(space.tgt, matrix=tgt),
-        space.provenance + [record],
-    )
+    # new sides over the written matrices, whose rows are checked again
+    refined = CrossLingualSpace(replace(space.src), replace(space.tgt))
     space.src = space.tgt = None
     return refined
 
@@ -169,8 +158,9 @@ def average_weighted(
     consume=False,
 ) -> CrossLingualSpace:
     """Replace both members of each pair by the frequency-weighted mean
-    (f1*v1 + f2*v2) / (f1 + f2); `relative` divides each frequency by its
-    side's corpus total first. `consume` as in average_plain."""
+    (f1*v1 + f2*v2) / (f1 + f2); `relative` divides each frequency by the
+    sum of its side's vocabulary frequencies first. `consume` as in
+    average_plain."""
     if not consume:
         space = space.copy()
     return _average(space, dictionary, weighted=True, relative=relative)
@@ -204,10 +194,9 @@ def meemi_transform(
     m_src = _fit_side(x, mid, d, "source side")
     m_tgt = _fit_side(y, mid, d, "target side")
     del x, y, mid
-    record = {"transform": "meemi", "pairs": int(len(dictionary))}
     src, tgt = space.src, space.tgt
     if consume:  # so each old matrix is freed as soon as its side is mapped
         space.src = space.tgt = None
     src = replace(src, matrix=src.matrix @ m_src)
     tgt = replace(tgt, matrix=tgt.matrix @ m_tgt)
-    return CrossLingualSpace(src, tgt, space.provenance + [record])
+    return CrossLingualSpace(src, tgt)

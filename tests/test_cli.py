@@ -467,18 +467,32 @@ def test_majority_baseline_reads_no_embeddings(fixture_dir, capsys):
          "argument --retrieval: must be one of ('cosine', 'csls'), got 'dot'"),
         (["ablation", "--test", "gold.txt", "--retrieval", "dot"],
          "argument --retrieval: must be one of ('cosine', 'csls'), got 'dot'"),
+        # --mode weighted-relative replaced the --relative flag
         (["refine", "--dict", "d.tsv", "--mode", "plain", "--relative",
           "--out-src", "a.vec", "--out-tgt", "b.vec"],
-         "argument --relative: applies only to --mode weighted, not plain"),
+         "unrecognized arguments: --relative"),
         (["refine", "--dict", "d.tsv", "--mode", "meemi", "--relative",
           "--out-src", "a.vec", "--out-tgt", "b.vec"],
-         "argument --relative: applies only to --mode weighted, not meemi"),
+         "unrecognized arguments: --relative"),
+        (["ablation", "--test", "gold.txt", "--sentiment-train", "train.tsv"],
+         "give both --sentiment-train and --sentiment-test, or neither"),
+        # two outputs that resolve to one file
+        (["align", "--dict", "d.tsv", "--out-model", "m.txt", "--out-src", "m.txt"],
+         "argument --out-src: names the same file as --out-model"),
+        (["align", "--dict", "d.tsv", "--out-model", "m.txt",
+          "--out-src", "a.vec", "--out-tgt", "./a.vec"],
+         "argument --out-tgt: names the same file as --out-src"),
+        (["refine", "--dict", "d.tsv", "--mode", "plain",
+          "--out-src", "a.vec", "--out-tgt", "./a.vec"],
+         "argument --out-tgt: names the same file as --out-src"),
     ],
     ids=["align-normalize", "ablation-empty-step", "eval-translate-ks",
          "ablation-ks", "align-max-iters", "align-max-iters-float",
          "align-reweight-s", "align-cutoff", "align-tol-nan", "ablation-cutoff",
          "align-retrieval", "eval-translate-retrieval", "ablation-retrieval",
-         "refine-relative-plain", "refine-relative-meemi"],
+         "refine-relative-plain", "refine-relative-meemi",
+         "ablation-sentiment-train-alone", "align-model-src-one-file",
+         "align-src-tgt-one-file", "refine-src-tgt-one-file"],
 )
 def test_bad_normalize_and_ks_fail_before_any_file_is_read(
     tmp_path, capsys, argv, message
@@ -1172,21 +1186,79 @@ def test_pipeline_bad_value_fails_before_any_stage(
     assert not run_dir.exists()
 
 
-@pytest.mark.parametrize("mode", ["none", "plain", "meemi"])
-def test_relative_frequencies_outside_weighted_mode_is_an_error(fixture_dir, mode):
+@pytest.mark.parametrize("mode", ["none", "plain", "weighted", "meemi"])
+def test_removed_relative_frequencies_key_is_unknown(fixture_dir, mode):
+    # refine.mode "weighted-relative" replaced the key; a config that still
+    # sets it fails validation, in every mode
     from xlembed import PipelineConfig
-    from xlembed.pipeline import refine_space
 
     raw = json.loads((fixture_dir / "config.json").read_text(encoding="utf-8"))
     raw["refine"] = {"mode": mode, "relative_frequencies": True}
     with pytest.raises(ValueError) as err:
         PipelineConfig(raw=raw, base_dir=fixture_dir)
-    assert str(err.value).endswith(
-        f"refine.relative_frequencies: applies only to refine.mode 'weighted', "
-        f"not {mode!r}"
+    assert str(err.value) == (
+        "invalid pipeline config:\n  unknown key refine.relative_frequencies"
     )
-    with pytest.raises(ValueError, match="apply only to refine mode 'weighted'"):
-        refine_space(None, None, mode, relative=True)
+
+
+@pytest.mark.parametrize(
+    "mode, transform",
+    [
+        ("none", ""),
+        ("plain", '{"pairs": 50, "transform": "average_plain"}'),
+        ("weighted", '{"pairs": 50, "relative_frequencies": false, '
+                     '"transform": "average_weighted"}'),
+        ("weighted-relative", '{"pairs": 50, "relative_frequencies": true, '
+                              '"transform": "average_weighted"}'),
+        ("meemi", '{"pairs": 50, "transform": "meemi"}'),
+    ],
+    ids=["none", "plain", "weighted", "weighted-relative", "meemi"],
+)
+def test_pipeline_refine_record_of_each_mode(
+    fixture_dir, tmp_path, capsys, mode, transform
+):
+    cfg = json.loads((fixture_dir / "config.json").read_text(encoding="utf-8"))
+    cfg["refine"] = {"mode": mode}
+    cfg.pop("eval")
+    path = fixture_dir / f"{mode}.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    run_dir = tmp_path / "run"
+    assert _run(capsys, ["pipeline", "--config", str(path), "--out", str(run_dir)])[0] == 0
+    records = (run_dir / "provenance.jsonl").read_text(encoding="utf-8").splitlines()
+    refine = json.loads(records[-1])
+    assert refine["stage"] == "refine"
+    assert json.dumps(refine["details"], sort_keys=True) == (
+        f'{{"mode": "{mode}", "provenance": [{transform}]}}'
+    )
+
+
+def test_pipeline_file_size_limit_names_the_file_and_lists_partial_files(tmp_path):
+    # RLIMIT_FSIZE fails the writes of both aligned files (the model and
+    # the dictionary fit); with SIGXFSZ ignored, a write past the limit
+    # raises EFBIG instead of killing the process
+    resource = pytest.importorskip("resource")
+    config = write_pipeline_fixture(tmp_path / "fx", n=200, d=10)
+    run_dir = tmp_path / "run"
+
+    def limit_file_size():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (12 << 10, 12 << 10))
+
+    res = subprocess.run(
+        [sys.executable, "-m", "xlembed.cli", "pipeline",
+         "--config", str(config), "--out", str(run_dir)],
+        env=child_env(), capture_output=True, text=True,
+        preexec_fn=limit_file_size,
+    )
+    assert res.returncode == 1, res.stderr
+    error = json.loads(res.stderr.splitlines()[-1])
+    path = run_dir / "src_aligned.vec"  # the source side's error wins
+    assert error["error"] == str(OSError(errno.EFBIG, os.strerror(errno.EFBIG), str(path)))
+    assert error["stage"] == "refine"
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["status"] == "error"
+    assert manifest["error"]["stage"] == "refine"
+    assert {"src_aligned.vec", "tgt_aligned.vec"} <= set(manifest["artifacts"])
 
 
 def test_exclude_identical_test_pairs_in_the_pipeline_and_the_cli(
@@ -1289,17 +1361,23 @@ def test_cli_align_matches_pipeline_bytes(
 
 
 def test_readme_config_reference_matches_schema(fixture_dir):
-    # the README's example validates, and its key table names every key
+    # the README's example validates, its key table names every key and no
+    # other, and the refine.mode row every refine mode
     from pathlib import Path
 
-    from xlembed.config import SCHEMA, PipelineConfig
+    from xlembed.config import REFINE_MODES, SCHEMA, PipelineConfig
 
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Pipeline config", 1)[1].split("\n## ", 1)[0]
     example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
     PipelineConfig(raw=example, base_dir=fixture_dir).validate()
-    missing = [key for key in SCHEMA if f"| `{key}` |" not in section]
-    assert not missing
+    rows = {
+        line.split("`")[1]: line
+        for line in section.splitlines() if line.startswith("| `")
+    }
+    assert sorted(rows) == sorted(SCHEMA)  # no key missing, none removed
+    values = rows["refine.mode"].split("|")[2]  # the type column
+    assert [m for m in REFINE_MODES if f"`{m}`" not in values] == []
 
 
 # -------------------------------------------------------------- startup

@@ -155,8 +155,6 @@ def test_build_vocabulary_counts_and_order():
     vocab = build_vocabulary(["a", "b", "a"], min_count=1)
     assert vocab.tokens == ["a", "b"]
     assert vocab.freqs == [2, 1]
-    assert vocab.total_tokens == 3
-    assert vocab.n_unique == 2
 
 
 def test_build_vocabulary_tie_broken_lexicographically():
@@ -168,8 +166,7 @@ def test_build_vocabulary_min_count_drops_rare():
     stream = ["x"] * 5 + ["y"] * 4
     vocab = build_vocabulary(stream, min_count=5)
     assert vocab.tokens == ["x"]
-    # dropped mass still counted in the totals
-    assert vocab.total_tokens == 9
+    assert vocab.freqs == [5]
 
 
 def test_build_vocabulary_empty_warns():
@@ -207,7 +204,6 @@ def test_vocabulary_counts_conserved(stream):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # empty-stream case
         vocab = build_vocabulary(stream, min_count=1)
-    assert vocab.total_tokens == len(stream)
     assert sum(vocab.freqs) == len(stream)
     # strictly sorted: freq desc, token asc on ties
     keys = list(zip([-f for f in vocab.freqs], vocab.tokens))
@@ -340,8 +336,6 @@ def _assert_same_scan(lines, lowercase, min_count):
         assert got_vocab.tokens == want_vocab.tokens
         assert got_vocab.freqs == want_vocab.freqs
         assert got_vocab.classes == want_vocab.classes
-        assert got_vocab.total_tokens == want_vocab.total_tokens
-        assert got_vocab.n_unique == want_vocab.n_unique
 
 
 _SPACES = [" ", "\t", "\u2000", "\u2001", "\u3000", "\u0085", "\x1c", "\xa0"]
@@ -510,4 +504,3 @@ def test_read_vocab_tsv_rejects_negative_count_keeps_zero(tmp_path):
     path.write_text("mundo\t3\tword\nhola\t0\tword\n", encoding="utf-8")
     vocab = read_vocab_tsv(path)
     assert vocab.freqs == [3, 0]
-    assert vocab.total_tokens == 3
