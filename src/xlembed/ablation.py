@@ -7,7 +7,6 @@ from typing import Optional
 
 from .config import COSINE, DEFAULT_KS, SelfLearnConfig
 from .corpus import TokenClass
-from .embeddings import EmbeddingSpace
 from .lexicon import BilingualDictionary, TestDictionary, filter_by_class
 from .pipeline import (
     align,
@@ -86,8 +85,7 @@ def _run_cell(
 
 
 def run_ablation(
-    src: EmbeddingSpace,
-    tgt: EmbeddingSpace,
+    pair: CrossLingualSpace,
     dictionary: BilingualDictionary,
     test: TestDictionary,
     ks: tuple = DEFAULT_KS,
@@ -96,13 +94,15 @@ def run_ablation(
     sentiment_test: Optional[SentimentDataset] = None,
     self_learn_config: Optional[SelfLearnConfig] = None,
 ) -> AblationTable:
-    """Run {All, Numerals, Emoji, Words} x {base, weighted} full pipelines.
+    """Run {All, Numerals, Emoji, Words} x {base, weighted} full pipelines
+    on `pair`, the normalized CrossLingualSpace of load_pair.
 
-    Each dictionary variant is aligned once and both cells of its row refine
-    and evaluate that mapped space. Per-cell failures (for instance an empty
-    class subset, which fails the alignment and so marks both cells) are
-    recorded in the cell, warned once per failed row or cell, and do not
-    abort the grid.
+    Each dictionary variant is aligned once, on a CrossLingualSpace of its
+    own over the sides of `pair` (so `pair` is not consumed), and both
+    cells of its row refine and evaluate that mapped space. Per-cell
+    failures (for instance an empty class subset, which fails the
+    alignment and so marks both cells) are recorded in the cell, warned
+    once per failed row or cell, and do not abort the grid.
     """
     has_sentiment = sentiment_train is not None and sentiment_test is not None
     rows = []
@@ -111,8 +111,8 @@ def run_ablation(
         row = AblationRow(name=name, n_pairs=len(variant))
         rows.append(row)
         try:
-            pair = CrossLingualSpace(src=src, tgt=tgt)  # align consumes it
-            _, space = align(pair, variant, self_learn_config)
+            own = CrossLingualSpace(pair.src, pair.tgt)  # align consumes it
+            _, space = align(own, variant, self_learn_config)
         except Exception as exc:  # the whole row fails, the grid goes on
             _mark_failed(row, [model_name for model_name, _ in MODELS], exc)
             continue

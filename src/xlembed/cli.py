@@ -40,21 +40,14 @@ from .corpus import (
 )
 
 
-def _load_pair(args, normalized=False):
+def _pair(args):
+    """The pair of --src-emb and --tgt-emb, normalized by a command that has
+    --normalize."""
     from .pipeline import load_pair, normalize_pair
 
-    src, tgt = load_pair(
-        (args.src_emb, args.src_vocab), (args.tgt_emb, args.tgt_vocab)
-    )
-    if normalized:
-        return normalize_pair(src, tgt, args.normalize)
-    return src, tgt
-
-
-def _space(args):
-    from .refine import CrossLingualSpace
-
-    return CrossLingualSpace(*_load_pair(args))
+    pair = load_pair((args.src_emb, args.src_vocab), (args.tgt_emb, args.tgt_vocab))
+    normalize_pair(pair, getattr(args, "normalize", ()))
+    return pair
 
 
 def _self_learn_config(args):
@@ -171,9 +164,8 @@ def cmd_align(args) -> int:
     from .embeddings import save_embeddings
     from .mapper import save_model
     from .pipeline import align, build_dictionary, save_pair
-    from .refine import CrossLingualSpace
 
-    pair = CrossLingualSpace(*_load_pair(args, normalized=True))
+    pair = _pair(args)
     dictionary = build_dictionary(
         pair.src.vocab, pair.tgt.vocab, "file", file=args.dict
     )
@@ -196,7 +188,7 @@ def cmd_align(args) -> int:
 def cmd_refine(args) -> int:
     from .pipeline import build_dictionary, refine_space, save_pair
 
-    space = _space(args)
+    space = _pair(args)
     dictionary = build_dictionary(
         space.src.vocab, space.tgt.vocab, "file", file=args.dict
     )
@@ -211,7 +203,7 @@ def cmd_eval_translate(args) -> int:
     from .pipeline import evaluate_translation
     from .reports import translation_tsv
 
-    space = _space(args)
+    space = _pair(args)
     test, coverage = load_test_dictionary(
         args.test, space.src.vocab, space.tgt.vocab
     )
@@ -233,7 +225,7 @@ def cmd_eval_sentiment(args) -> int:
     from .sentiment import eval_majority
 
     # the majority baseline reads no embeddings
-    space = None if args.majority_baseline else _space(args)
+    space = None if args.majority_baseline else _pair(args)
     train_set, test_set = load_sentiment_pair(
         args.train, args.test, not args.no_lowercase
     )
@@ -251,17 +243,16 @@ def cmd_ablation(args) -> int:
     from .pipeline import build_dictionary, load_sentiment_pair
     from .reports import ablation_markdown, ablation_tsv
 
-    # src and tgt stay alive: the grid aligns each of its variants
-    src, tgt = _load_pair(args, normalized=True)
-    dictionary = build_dictionary(src.vocab, tgt.vocab, "identical")
-    test, _ = load_test_dictionary(args.test, src.vocab, tgt.vocab)
+    pair = _pair(args)
+    dictionary = build_dictionary(pair.src.vocab, pair.tgt.vocab, "identical")
+    test, _ = load_test_dictionary(args.test, pair.src.vocab, pair.tgt.vocab)
     sentiment_train = sentiment_test = None
     if args.sentiment_train:
         sentiment_train, sentiment_test = load_sentiment_pair(
             args.sentiment_train, args.sentiment_test, not args.no_lowercase
         )
     table = run_ablation(
-        src, tgt, dictionary, test,
+        pair, dictionary, test,
         ks=args.ks,
         retrieval=args.retrieval,
         sentiment_train=sentiment_train,

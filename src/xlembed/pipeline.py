@@ -14,7 +14,9 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .config import PipelineConfig, PipelineError, SelfLearnConfig
+from .config import (
+    DICT_MODES, REFINE_MODES, PipelineConfig, PipelineError, SelfLearnConfig,
+)
 from .corpus import parse_classes, write_text
 from .embeddings import load_embeddings, normalize, save_embeddings
 from .lexicon import (
@@ -47,8 +49,9 @@ from .workers import in_worker
 # -- the stages, shared by run_pipeline, the CLI and the ablation grid ------
 
 def load_pair(src, tgt):
-    """Load the two spaces of a pair; each side is an (embeddings path,
-    sidecar vocab path or None) pair.
+    """Load the pair to align: a CrossLingualSpace of the two spaces, whose
+    dimensions are checked once, when both loads have ended. Each side is
+    an (embeddings path, sidecar vocab path or None) pair.
 
     When the process can fork and may use at least 2 CPUs, a forked worker
     loads the target side while this process loads the source side
@@ -61,7 +64,7 @@ def load_pair(src, tgt):
     with in_worker(load_embeddings, *tgt, what=str(tgt[0])) as job:
         src_space = load_embeddings(*src)
         tgt_space = job.result()
-    return src_space, tgt_space
+    return CrossLingualSpace(src=src_space, tgt=tgt_space)
 
 
 def save_pair(space, src_path, tgt_path, saved=lambda path: None):
@@ -100,22 +103,25 @@ def save_pair(space, src_path, tgt_path, saved=lambda path: None):
         raise errors[0]
 
 
-def normalize_pair(src, tgt, steps):
-    """Apply the same normalization steps to both spaces, in place: the
-    returned spaces share the matrices of `src` and `tgt`, which hold the
-    normalized values."""
-    if not steps:
-        return src, tgt
-    return normalize(src, steps, in_place=True), normalize(tgt, steps, in_place=True)
+def normalize_pair(pair, steps):
+    """Apply the same normalization steps to both sides of `pair`, in place:
+    each side keeps its matrix, which then holds the normalized values."""
+    if steps:
+        pair.src = normalize(pair.src, steps, in_place=True)
+        pair.tgt = normalize(pair.tgt, steps, in_place=True)
 
 
 def build_dictionary(
     src_vocab, tgt_vocab, mode, file=None, classes=None, k=None, seed=None
 ):
     """The seed dictionary of one of DICT_MODES, optionally restricted to
-    the named token classes."""
+    the named token classes. Modes "file" and "external-seed" read `file`."""
+    if mode not in DICT_MODES:
+        raise ValueError(f"dictionary mode must be one of {DICT_MODES}, got {mode!r}")
     if mode == "identical":
         dictionary = build_identical_dictionary(src_vocab, tgt_vocab)
+    elif file is None:
+        raise ValueError(f"dictionary mode {mode!r} needs a file")
     elif mode == "file":
         dictionary = load_dictionary(file, src_vocab, tgt_vocab)
     else:  # external-seed
@@ -128,14 +134,13 @@ def build_dictionary(
 
 def align(pair, dictionary, self_learn_config=None, reweight_s=None):
     """Procrustes, or self-learning when a config is given, then the
-    optional re-weighting, of the two spaces of `pair` (a
-    CrossLingualSpace, before alignment). Returns the model and the mapped
-    space. align consumes the pair: its src and tgt become None (see
-    CrossLingualSpace). The source side is mapped first and dropped
-    before the target side is mapped, so when the caller holds no other
-    reference to the normalized source it is freed then, and a
-    re-weighted model, which maps both sides, holds at most three
-    matrices."""
+    optional re-weighting, of `pair` (the CrossLingualSpace of load_pair,
+    normalized). Returns the model and the mapped space. align consumes
+    the pair: its src and tgt become None (see CrossLingualSpace). The
+    source side is mapped first and dropped before the target side is
+    mapped, so when the caller holds no other reference to the normalized
+    source it is freed then, and a re-weighted model, which maps both
+    sides, holds at most three matrices."""
     src, tgt = pair.src, pair.tgt
     pair.src = pair.tgt = None
     if self_learn_config is not None:
@@ -163,7 +168,10 @@ def refine_space(space, dictionary, mode):
     """Apply one of REFINE_MODES to an aligned space. Every mode but "none"
     refines the space's own matrices and consumes it (its src and tgt
     become None), so a run holds no second pair of matrices; "none" returns
-    `space` itself."""
+    `space` itself. Any other mode is a ValueError, raised before the space
+    is touched."""
+    if mode not in REFINE_MODES:
+        raise ValueError(f"refine mode must be one of {REFINE_MODES}, got {mode!r}")
     if mode == "plain":
         return average_plain(space, dictionary, consume=True)
     if mode in ("weighted", "weighted-relative"):
@@ -222,23 +230,24 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
         st.write("config.json", write_text, text)
 
     with run.stage("load-embeddings") as st:
-        src, tgt = load_pair(
+        pair = load_pair(
             (config.path("src.embeddings"), config.path("src.vocab")),
             (config.path("tgt.embeddings"), config.path("tgt.vocab")),
         )
         st.details = dict(
-            src_tokens=len(src.vocab), tgt_tokens=len(tgt.vocab), dim=src.dim
+            src_tokens=len(pair.src.vocab), tgt_tokens=len(pair.tgt.vocab),
+            dim=pair.dim,
         )
 
     with run.stage("normalize") as st:
         steps = tuple(config.get("normalize"))
-        src, tgt = normalize_pair(src, tgt, steps)
+        normalize_pair(pair, steps)
         st.details = dict(steps=list(steps))
 
     with run.stage("dictionary") as st:
         mode = config.get("dictionary.mode")
         dictionary = build_dictionary(
-            src.vocab, tgt.vocab, mode,
+            pair.src.vocab, pair.tgt.vocab, mode,
             file=config.path("dictionary.file"),
             classes=config.get("dictionary.classes"),
             k=config.get("dictionary.k"),
@@ -257,9 +266,6 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
             })
         s = config.get("mapper.reweight_s")
         s = None if s is None else float(s)  # provenance records 1 as 1.0
-        pair = CrossLingualSpace(src=src, tgt=tgt)
-        src_vocab, tgt_vocab = src.vocab, tgt.vocab
-        del src, tgt  # refine and evaluation need only the vocabularies
         model, space = align(pair, dictionary, slc, s)
         st.write("model.txt", save_model, model)
         st.details = dict(
@@ -284,7 +290,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
         with run.stage("eval-translate") as st:
             test, coverage = load_test_dictionary(
                 config.path("eval.translation.test_dictionary"),
-                src_vocab, tgt_vocab, synthetic=dictionary,
+                space.src.vocab, space.tgt.vocab, synthetic=dictionary,
             )
             report = evaluate_translation(
                 space, test,

@@ -23,8 +23,10 @@ RIDGE_LAMBDA = 1e-3
 
 @dataclass
 class CrossLingualSpace:
-    """Source and target spaces of the same dimension: in shared
-    coordinates, or (as the input of pipeline.align) the pair to align.
+    """Source and target spaces of the same dimension, checked when the
+    space is made: the pair to align, as pipeline.load_pair returns it and
+    every stage up to pipeline.align takes it, or the two sides in shared
+    coordinates.
 
     A refinement run with `consume`, and pipeline.align, consume the
     space: they set its src and tgt to None (a refinement after writing

@@ -28,12 +28,12 @@ def _benchmark(seed=0, noise=0.05):
     )
     d = build_identical_dictionary(src.vocab, tgt.vocab)
     test = held_out_test(src.vocab.tokens, 250, 120)
-    return src, tgt, d, test
+    return CrossLingualSpace(src, tgt), d, test
 
 
 def test_grid_shape_and_partition():
-    src, tgt, d, test = _benchmark()
-    table = run_ablation(src, tgt, d, test)
+    pair, d, test = _benchmark()
+    table = run_ablation(pair, d, test)
     assert [r.name for r in table.rows] == ["All", "Numerals", "Emoji", "Words"]
     assert all(set(r.cells) == {BASE, WEIGHTED} for r in table.rows)
     # class subsets partition the All dictionary (emoticons counted as emoji)
@@ -43,8 +43,8 @@ def test_grid_shape_and_partition():
 
 
 def test_all_cells_produce_reports_on_clean_benchmark():
-    src, tgt, d, test = _benchmark()
-    table = run_ablation(src, tgt, d, test)
+    pair, d, test = _benchmark()
+    table = run_ablation(pair, d, test)
     for row in table.rows:
         for cell in row.cells.values():
             assert cell.error is None
@@ -58,7 +58,7 @@ def test_empty_class_subset_marks_cell_not_abort():
     assert len(filter_by_class(d, {TokenClass.EMOJI})) == 0
     test = held_out_test(src.vocab.tokens, 50, 30)
     with pytest.warns(UserWarning) as record:
-        table = run_ablation(src, tgt, d, test)
+        table = run_ablation(CrossLingualSpace(src, tgt), d, test)
     # one warning per failed row, naming the variant, both models and the error
     assert [str(w.message) for w in record] == [
         f"ablation row {name}, model base and weighted: "
@@ -79,8 +79,8 @@ def test_all_row_at_least_each_class_p1():
     # five seeds; the combined dictionary must not lose to any single class
     # by more than one point
     for seed in range(5):
-        src, tgt, d, test = _benchmark(seed=seed)
-        table = run_ablation(src, tgt, d, test, ks=(1,))
+        pair, d, test = _benchmark(seed=seed)
+        table = run_ablation(pair, d, test, ks=(1,))
         p_all = table.rows[0].cells[BASE].translation.p_at[1]
         for row in table.rows[1:]:
             cell = row.cells[BASE]
@@ -95,16 +95,14 @@ def test_all_row_at_least_each_class_p1():
 def test_sentiment_columns_present_when_datasets_given():
     from xlembed import SentimentDataset
 
-    src, tgt, d, test = _benchmark()
-    words = [t for t in src.vocab.tokens if t.startswith("w")]
+    pair, d, test = _benchmark()
+    words = [t for t in pair.src.vocab.tokens if t.startswith("w")]
     train = SentimentDataset(
         examples=[([words[i]], "positive") for i in range(10)]
         + [([words[i]], "negative") for i in range(10, 20)],
         scheme=2,
     )
-    table = run_ablation(
-        src, tgt, d, test, sentiment_train=train, sentiment_test=train
-    )
+    table = run_ablation(pair, d, test, sentiment_train=train, sentiment_test=train)
     assert table.has_sentiment
     cell = table.rows[0].cells[WEIGHTED]
     assert cell.sentiment is not None
@@ -163,7 +161,7 @@ def test_self_learning_grid_aligns_each_variant_once(monkeypatch, with_classes):
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
         table = run_ablation(
-            src, tgt, d, test, ks=(1, 5), self_learn_config=config,
+            CrossLingualSpace(src, tgt), d, test, ks=(1, 5), self_learn_config=config,
             sentiment_train=train, sentiment_test=train,
         )
     assert len(calls) == len(VARIANTS)
@@ -184,7 +182,7 @@ def test_self_learning_grid_aligns_each_variant_once(monkeypatch, with_classes):
 
 def test_failed_cell_warns_and_keeps_the_rest_of_its_row(monkeypatch):
     # a refine or evaluation failure marks only its own cell
-    src, tgt, d, test = _benchmark()
+    pair, d, test = _benchmark()
     refine_space = ablation.refine_space
 
     def failing_weighted(space, dictionary, mode):
@@ -194,7 +192,7 @@ def test_failed_cell_warns_and_keeps_the_rest_of_its_row(monkeypatch):
 
     monkeypatch.setattr(ablation, "refine_space", failing_weighted)
     with pytest.warns(UserWarning) as record:
-        table = run_ablation(src, tgt, d, test, ks=(1,))
+        table = run_ablation(pair, d, test, ks=(1,))
     assert [str(w.message) for w in record] == [
         f"ablation row {name}, model weighted: RuntimeError: refine broke; "
         "reported as n/a"

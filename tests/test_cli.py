@@ -235,11 +235,10 @@ def _overlap_align_inputs(tmp_path, capsys):
     assert _run(capsys, ["dict", *vocabs, "--out", str(d)])[0] == 0
     args = ["--src-emb", str(tmp_path / "s.vec"),
             "--tgt-emb", str(tmp_path / "t.vec"), *vocabs, "--dict", str(d)]
-    src, tgt = normalize_pair(
-        *load_pair((tmp_path / "s.vec", tmp_path / "sv.tsv"),
-                   (tmp_path / "t.vec", tmp_path / "tv.tsv")),
-        DEFAULT_NORMALIZE,
-    )
+    pair = load_pair((tmp_path / "s.vec", tmp_path / "sv.tsv"),
+                     (tmp_path / "t.vec", tmp_path / "tv.tsv"))
+    normalize_pair(pair, DEFAULT_NORMALIZE)
+    src, tgt = pair.src, pair.tgt
     return args, src, tgt, build_dictionary(src.vocab, tgt.vocab, "file", file=d)
 
 
@@ -851,6 +850,51 @@ def test_pipeline_stage_error_reports_stage(tmp_path, capsys):
     assert manifest["error"]["stage"] == "align"
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["align", "refine", "eval-translate", "eval-sentiment", "ablation", "pipeline"],
+)
+def test_pair_of_two_dimensions_fails_when_loading_ends(tmp_path, capsys, command):
+    # a 6-dimensional source and a 5-dimensional target: every command that
+    # reads the pair fails when it is loaded, before any stage writes a file
+    fx = tmp_path / "fx"
+    write_pipeline_fixture(fx, n=100, d=6)
+    header, *rows = (fx / "tgt.vec").read_text(encoding="utf-8").splitlines()
+    (fx / "tgt.vec").write_text(
+        f"{header.split()[0]} 5\n" + "".join(r.rsplit(" ", 1)[0] + "\n" for r in rows),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    pair = ["--src-emb", str(fx / "src.vec"), "--tgt-emb", str(fx / "tgt.vec"),
+            "--src-vocab", str(fx / "src_vocab.tsv"),
+            "--tgt-vocab", str(fx / "tgt_vocab.tsv")]
+    argv = {
+        "align": ["--dict", str(fx / "gold.txt"), "--out-model", str(out / "m.txt")],
+        "refine": ["--dict", str(fx / "gold.txt"), "--mode", "weighted",
+                   "--out-src", str(out / "s.vec"), "--out-tgt", str(out / "t.vec")],
+        "eval-translate": ["--test", str(fx / "gold.txt")],
+        "eval-sentiment": ["--train", str(fx / "sent_train.tsv"),
+                           "--test", str(fx / "sent_test.tsv")],
+        "ablation": ["--test", str(fx / "gold.txt")],
+    }
+    if command == "pipeline":
+        argv = ["pipeline", "--config", str(fx / "config.json"), "--out", str(out)]
+    else:
+        argv = [command, *pair, *argv[command]]
+    code, stdout, err = _run(capsys, argv)
+    assert code == 1 and stdout == ""
+    payload = json.loads(err.splitlines()[-1])
+    assert payload["error"] == "the two spaces must share dimension: src d=6, tgt d=5"
+    assert payload["type"] == "ValueError"
+    if command == "pipeline":
+        assert payload["stage"] == "load-embeddings"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config.json", "manifest.json", "provenance.jsonl"
+        ]
+    else:
+        assert not out.exists()
+
+
 STAGES = [
     "config", "load-embeddings", "normalize", "dictionary", "align", "refine",
     "eval-translate", "eval-sentiment",
@@ -1219,6 +1263,7 @@ def test_pipeline_refine_record_of_each_mode(
 ):
     cfg = json.loads((fixture_dir / "config.json").read_text(encoding="utf-8"))
     cfg["refine"] = {"mode": mode}
+    cfg["save_aligned_embeddings"] = True
     cfg.pop("eval")
     path = fixture_dir / f"{mode}.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -1230,6 +1275,22 @@ def test_pipeline_refine_record_of_each_mode(
     assert json.dumps(refine["details"], sort_keys=True) == (
         f'{{"mode": "{mode}", "provenance": [{transform}]}}'
     )
+    # the fixture's two sidecars sum to one total, so absolute and relative
+    # weights agree there; doubled target counts keep the relative weights
+    # and change the absolute ones, so only "weighted" moves a row
+    doubled = fixture_dir / "tgt_vocab_x2.tsv"
+    with open(fixture_dir / "tgt_vocab.tsv", encoding="utf-8") as fh:
+        doubled.write_text("".join(
+            f"{tok}\t{2 * int(count)}\t{cls}"
+            for tok, count, cls in (line.split("\t") for line in fh)
+        ), encoding="utf-8")
+    cfg["tgt"]["vocab"] = doubled.name
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    rerun = tmp_path / "rerun"
+    assert _run(capsys, ["pipeline", "--config", str(path), "--out", str(rerun)])[0] == 0
+    for name in ("src_aligned.vec", "tgt_aligned.vec"):
+        same = (run_dir / name).read_bytes() == (rerun / name).read_bytes()
+        assert same == (mode != "weighted"), name
 
 
 def test_pipeline_file_size_limit_names_the_file_and_lists_partial_files(tmp_path):

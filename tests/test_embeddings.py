@@ -523,16 +523,19 @@ def test_normalize_in_place_normalizes_the_spaces_own_matrix():
 
 def test_normalize_pair_normalizes_both_spaces_in_place():
     from xlembed.pipeline import normalize_pair
+    from xlembed.refine import CrossLingualSpace
 
     rng = np.random.default_rng(5)
     src = make_space([f"s{i}" for i in range(20)], rng.normal(size=(20, 4)))
     tgt = make_space([f"t{i}" for i in range(25)], rng.normal(size=(25, 4)))
     want = normalize(src, DEFAULT_NORMALIZE), normalize(tgt, DEFAULT_NORMALIZE)
-    out = normalize_pair(src, tgt, DEFAULT_NORMALIZE)
-    for space, got, expected in zip((src, tgt), out, want):
+    pair = CrossLingualSpace(src, tgt)
+    normalize_pair(pair, DEFAULT_NORMALIZE)
+    for space, got, expected in zip((src, tgt), (pair.src, pair.tgt), want):
         assert got.matrix is space.matrix
         assert np.array_equal(got.matrix, expected.matrix)
-    assert normalize_pair(src, tgt, ()) == (src, tgt)
+    normalize_pair(pair, ())
+    assert pair.src.matrix is src.matrix and pair.tgt.matrix is tgt.matrix
 
 
 def test_non_finite_value_in_the_last_check_block_is_rejected():

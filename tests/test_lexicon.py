@@ -298,3 +298,24 @@ def test_sample_seed_picks_most_frequent_gold_of_a_file_order_vocabulary():
     test = TestDictionary(entries=[("w", ("rare", "tied", "common"))])
     d = sample_seed(test, 1, rng_seed=0, src_vocab=va, tgt_vocab=vb)
     assert d.pairs() == [("w", "common")]
+
+
+
+# --------------------------------------------------- pipeline dictionary
+
+@pytest.mark.parametrize(
+    "mode, message",
+    [
+        ("identicl", "dictionary mode must be one of ('identical', "
+                     "'external-seed', 'file'), got 'identicl'"),
+        ("file", "dictionary mode 'file' needs a file"),
+        ("external-seed", "dictionary mode 'external-seed' needs a file"),
+    ],
+)
+def test_build_dictionary_rejects_an_unknown_mode_or_a_missing_file(mode, message):
+    from xlembed.pipeline import build_dictionary
+
+    v = _vocab([("a", 2), ("b", 1)])
+    with pytest.raises(ValueError) as err:
+        build_dictionary(v, v, mode, k=1, seed=0)
+    assert str(err.value) == message

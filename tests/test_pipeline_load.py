@@ -86,7 +86,7 @@ def test_load_pair_equals_two_loads(tmp_path, path, sidecar):
     tgt = _write_side(tmp_path, "t", n=600, seed=2, sidecar=sidecar)
     pair, _ = _recorded(lambda: load_pair(src, tgt))
     assert calls == ([src[0]] if mode == "forked" else [src[0], tgt[0]])
-    for got, (vec, tsv) in zip(pair, (src, tgt)):
+    for got, (vec, tsv) in zip((pair.src, pair.tgt), (src, tgt)):
         expected, _ = _recorded(lambda: load_embeddings(vec, vocab_tsv=tsv))
         _assert_same_space(got, expected)
 
@@ -95,7 +95,7 @@ def test_load_pair_empty_target(tmp_path, path):
     src = _write_side(tmp_path, "s")
     tgt = tmp_path / "empty.vec"
     tgt.write_text("0 5\n", encoding="utf-8")
-    got = load_pair(src, (tgt, None))[1]
+    got = load_pair(src, (tgt, None)).tgt
     assert got.matrix.shape == (0, 5) and got.vocab.tokens == []
 
 

@@ -530,6 +530,26 @@ def test_refine_space_none_returns_its_input():
     assert space.src is not None and space.tgt is not None
 
 
+@pytest.mark.parametrize("mode", ["weighted_relative", "relative", ""])
+def test_refine_space_unknown_mode_is_an_error(mode):
+    from xlembed.config import REFINE_MODES
+    from xlembed.pipeline import refine_space
+
+    space = _aligned_pair()
+    d = build_identical_dictionary(space.src.vocab, space.tgt.vocab)
+    src, tgt = space.src, space.tgt
+    before = src.matrix.copy(), tgt.matrix.copy()
+    with pytest.raises(ValueError) as err:
+        refine_space(space, d, mode)
+    assert str(err.value) == (
+        f"refine mode must be one of {REFINE_MODES}, got {mode!r}"
+    )
+    # raised before the space is consumed or written
+    assert space.src is src and space.tgt is tgt
+    assert np.array_equal(src.matrix, before[0])
+    assert np.array_equal(tgt.matrix, before[1])
+
+
 @pytest.mark.parametrize("mode", sorted(REFINERS))
 def test_public_refiners_leave_their_input_unchanged(mode):
     space = _aligned_pair()

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from xlembed import (
-    CrossLingualSpace,
     ProbeModel,
     SentimentDataset,
     embed_sentence,
@@ -164,13 +163,13 @@ def test_probe_predictions_equal_the_column_major_oracle(tmp_path, monkeypatch):
     from synthetic import write_pipeline_fixture
 
     write_pipeline_fixture(tmp_path, n=120, d=10)
-    src, tgt = pipeline.load_pair(
+    pair = pipeline.load_pair(
         (tmp_path / "src.vec", tmp_path / "src_vocab.tsv"),
         (tmp_path / "tgt.vec", tmp_path / "tgt_vocab.tsv"),
     )
-    src, tgt = pipeline.normalize_pair(src, tgt, ("unit", "center", "unit"))
-    dictionary = pipeline.build_dictionary(src.vocab, tgt.vocab, "identical")
-    _, space = pipeline.align(CrossLingualSpace(src, tgt), dictionary)
+    pipeline.normalize_pair(pair, ("unit", "center", "unit"))
+    dictionary = pipeline.build_dictionary(pair.src.vocab, pair.tgt.vocab, "identical")
+    _, space = pipeline.align(pair, dictionary)
     space = pipeline.refine_space(space, dictionary, "weighted")
     train, test = pipeline.load_sentiment_pair(
         tmp_path / "sent_train.tsv", tmp_path / "sent_test.tsv", True
