@@ -1,8 +1,9 @@
 """Tweet corpus processing: tokenization, token classing, vocabularies.
 
 Input corpora are plain text, one tweet per line, UTF-8. Tokens fall into
-four classes (numeral, emoji, emoticon, word); the class drives how the
-synthetic bilingual dictionaries are filtered later on.
+four classes (numeral, emoji, emoticon, word), which classify_token decides
+from the token string alone; the class drives how the synthetic bilingual
+dictionaries are filtered later on.
 """
 
 import codecs
@@ -36,14 +37,14 @@ CLASS_BY_NAME = {c.value: c for c in TokenClass}
 
 
 def parse_classes(names) -> set:
-    """Token classes for the given names; unknown names raise a ValueError
-    that lists the valid ones."""
+    """Token classes for the given names. No name at all, or an unknown
+    name, raises a ValueError that lists the valid ones."""
+    valid = f"valid names: {', '.join(CLASS_BY_NAME)}"
+    if not names:
+        raise ValueError(f"must name at least one token class, got []; {valid}")
     unknown = [n for n in names if n not in CLASS_BY_NAME]
     if unknown:
-        raise ValueError(
-            f"unknown token class(es) {unknown}; "
-            f"valid names: {', '.join(CLASS_BY_NAME)}"
-        )
+        raise ValueError(f"unknown token class(es) {unknown}; {valid}")
     return {CLASS_BY_NAME[n] for n in names}
 
 
@@ -96,7 +97,8 @@ def classify_token(token: str) -> TokenClass:
 
 @dataclass
 class Vocabulary:
-    """Ordered token list with per-token frequency and class label.
+    """Ordered token list with per-token frequency. A token's class is not
+    stored: classify_token gives it from the token string.
 
     Row indices of embedding matrices refer to positions in `tokens`.
     Vocabularies built by build_vocabulary are ordered by descending
@@ -106,11 +108,10 @@ class Vocabulary:
 
     tokens: list[str]
     freqs: list[int]
-    classes: list[TokenClass]
     index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (len(self.tokens) == len(self.freqs) == len(self.classes)):
+        if len(self.tokens) != len(self.freqs):
             raise ValueError("vocabulary fields have mismatched lengths")
         self.freqs = list(map(int, self.freqs))
         self.index = {tok: i for i, tok in enumerate(self.tokens)}
@@ -140,18 +141,15 @@ def build_vocabulary(tokens: Iterable[str], min_count: int = 5) -> Vocabulary:
 
 
 def vocabulary_from_counts(counts: Counter, min_count: int = 5) -> Vocabulary:
-    """Build a Vocabulary from merged counts (shard merging is Counter +)."""
+    """The Vocabulary of the tokens counted at least min_count times, by
+    descending count, ties in token order."""
     kept = sorted(
         (t for t, c in counts.items() if c >= min_count),
         key=lambda t: (-counts[t], t),
     )
     if not kept:
         warnings.warn("vocabulary is empty after min-count cutoff")
-    return Vocabulary(
-        tokens=kept,
-        freqs=[counts[t] for t in kept],
-        classes=[classify_token(t) for t in kept],
-    )
+    return Vocabulary(tokens=kept, freqs=[counts[t] for t in kept])
 
 
 # Replacement characters inserted by the corpus decoder in this process. A
@@ -275,7 +273,7 @@ def scan_corpus(
         raise ValueError("min_count must be >= 1")
     counts, stats = count_corpus(lines, lowercase)
     vocab = vocabulary_from_counts(counts, min_count) if counts else Vocabulary(
-        tokens=[], freqs=[], classes=[]
+        tokens=[], freqs=[]
     )
     return vocab, stats
 
@@ -303,18 +301,23 @@ def write_text(text: str, path) -> None:
 
 
 def write_vocab_tsv(vocab: Vocabulary, path: str) -> None:
+    """Write `token<TAB>count<TAB>class` lines; classify_token gives the
+    class."""
     with open_output(path) as fh:
-        for tok, freq, cls in zip(vocab.tokens, vocab.freqs, vocab.classes):
-            fh.write(f"{tok}\t{freq}\t{cls.value}\n")
+        for tok, freq in zip(vocab.tokens, vocab.freqs):
+            fh.write(f"{tok}\t{freq}\t{classify_token(tok).value}\n")
 
 
 def read_vocab_tsv(path: str) -> Vocabulary:
     """Read a UTF-8 vocabulary TSV (token, count, class), preserving file
-    order. Undecodable bytes and duplicate tokens are errors naming the line."""
+    order. Undecodable bytes, duplicate tokens and unknown class names are
+    errors naming the line. The class column is not kept: rows whose class
+    differs from classify_token(token) get one warning giving their count
+    and the first one."""
     tokens: list[str] = []
     freqs: list[int] = []
-    classes: list[TokenClass] = []
     first_line: dict[str, int] = {}
+    differ = []  # (line, token, listed class) of rows classify_token contradicts
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -346,15 +349,23 @@ def read_vocab_tsv(path: str) -> Vocabulary:
                         f"{path}: line {lineno}: negative count field {parts[1]!r}"
                     )
                 freqs.append(count)
-                try:
-                    classes.append(TokenClass(parts[2]))
-                except ValueError:
+                if parts[2] not in CLASS_BY_NAME:
                     raise ValueError(
                         f"{path}: line {lineno}: unknown token class {parts[2]!r}"
-                    ) from None
+                    )
+                if CLASS_BY_NAME[parts[2]] is not classify_token(tok):
+                    differ.append((lineno, tok, parts[2]))
     except UnicodeDecodeError as exc:
         raise ValueError(undecodable_line(path, exc)) from None
-    return Vocabulary(tokens=tokens, freqs=freqs, classes=classes)
+    if differ:
+        lineno, tok, listed = differ[0]
+        warnings.warn(
+            f"{path}: {len(differ)} of {len(tokens)} rows list a class other "
+            f"than their token's (first on line {lineno}: {tok!r} listed as "
+            f"{listed!r}, classified {classify_token(tok).value!r}); the class "
+            f"comes from the token, not from this column"
+        )
+    return Vocabulary(tokens=tokens, freqs=freqs)
 
 
 def undecodable_line(path, exc: UnicodeDecodeError) -> str:

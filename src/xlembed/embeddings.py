@@ -12,13 +12,7 @@ from itertools import islice
 import numpy as np
 
 from .config import CENTER_COLUMNS, DEFAULT_NORMALIZE, UNIT_ROWS
-from .corpus import (
-    Vocabulary,
-    classify_token,
-    open_output,
-    read_vocab_tsv,
-    undecodable_line,
-)
+from .corpus import Vocabulary, open_output, read_vocab_tsv, undecodable_line
 from .scoring import unit_rows
 
 # Rows per parse or format block of the word2vec-text reader and writer.
@@ -76,12 +70,7 @@ def make_space(tokens, matrix, freqs=None) -> EmbeddingSpace:
     matrix = np.asarray(matrix, dtype=np.float64)
     if freqs is None:
         freqs = range(len(tokens), 0, -1)
-    vocab = Vocabulary(
-        tokens=list(tokens),
-        freqs=freqs,
-        classes=[classify_token(t) for t in tokens],
-    )
-    return EmbeddingSpace(vocab=vocab, matrix=matrix)
+    return EmbeddingSpace(vocab=Vocabulary(list(tokens), freqs), matrix=matrix)
 
 
 def load_embeddings(path, vocab_tsv=None) -> EmbeddingSpace:
@@ -119,15 +108,9 @@ def load_embeddings(path, vocab_tsv=None) -> EmbeddingSpace:
                 f"tokens are missing from {path}; they are not in the space"
             )
         freqs = [side.freqs[side.index[t]] if t in side.index else 0 for t in tokens]
-        classes = [
-            side.classes[side.index[t]] if t in side.index else classify_token(t)
-            for t in tokens
-        ]
     else:
         freqs = range(len(tokens), 0, -1)
-        classes = [classify_token(t) for t in tokens]
-    vocab = Vocabulary(tokens=tokens, freqs=freqs, classes=classes)
-    return EmbeddingSpace(vocab=vocab, matrix=matrix)
+    return EmbeddingSpace(vocab=Vocabulary(tokens, freqs), matrix=matrix)
 
 
 def _read_word2vec(path):

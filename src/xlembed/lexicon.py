@@ -27,7 +27,6 @@ class BilingualDictionary:
     tgt_tokens: list[str]
     src_indices: np.ndarray
     tgt_indices: np.ndarray
-    classes: list[TokenClass]
     f_src: np.ndarray
     f_tgt: np.ndarray
 
@@ -74,7 +73,6 @@ def dictionary_from_pairs(
         tgt_tokens=tgt_tokens,
         src_indices=src_idx,
         tgt_indices=tgt_idx,
-        classes=[classify_token(s) for s in src_tokens],
         f_src=[src_vocab.freqs[i] for i in src_idx],
         f_tgt=[tgt_vocab.freqs[i] for i in tgt_idx],
     )
@@ -102,30 +100,31 @@ _CLASS_GROUPS = {
 def filter_by_class(
     dictionary: BilingualDictionary, keep: set
 ) -> BilingualDictionary:
-    """Retain pairs whose class is in `keep` (emoji and emoticon grouped)."""
+    """Retain pairs whose source token's class (classify_token) is in
+    `keep` (emoji and emoticon grouped)."""
     effective = set()
     for cls in keep:
         effective |= _CLASS_GROUPS.get(cls, {cls})
-    mask = [cls in effective for cls in dictionary.classes]
+    mask = [classify_token(s) in effective for s in dictionary.src_tokens]
     idx = np.flatnonzero(mask)
     return BilingualDictionary(
         src_tokens=[dictionary.src_tokens[i] for i in idx],
         tgt_tokens=[dictionary.tgt_tokens[i] for i in idx],
         src_indices=dictionary.src_indices[idx],
         tgt_indices=dictionary.tgt_indices[idx],
-        classes=[dictionary.classes[i] for i in idx],
         f_src=dictionary.f_src[idx],
         f_tgt=dictionary.f_tgt[idx],
     )
 
 
 def save_dictionary(dictionary: BilingualDictionary, path) -> None:
-    """Write `src<TAB>tgt<TAB>class<TAB>f_src<TAB>f_tgt` lines."""
+    """Write `src<TAB>tgt<TAB>class<TAB>f_src<TAB>f_tgt` lines, the class
+    of src by classify_token."""
     with open_output(path) as fh:
         for i in range(len(dictionary)):
             fh.write(
                 f"{dictionary.src_tokens[i]}\t{dictionary.tgt_tokens[i]}\t"
-                f"{dictionary.classes[i].value}\t"
+                f"{classify_token(dictionary.src_tokens[i]).value}\t"
                 f"{int(dictionary.f_src[i])}\t{int(dictionary.f_tgt[i])}\n"
             )
 

@@ -114,8 +114,9 @@ def normalize_pair(pair, steps):
 def build_dictionary(
     src_vocab, tgt_vocab, mode, file=None, classes=None, k=None, seed=None
 ):
-    """The seed dictionary of one of DICT_MODES, optionally restricted to
-    the named token classes. Modes "file" and "external-seed" read `file`."""
+    """The seed dictionary of one of DICT_MODES, restricted to the named
+    token classes unless `classes` is None (an empty list is an error).
+    Modes "file" and "external-seed" read `file`."""
     if mode not in DICT_MODES:
         raise ValueError(f"dictionary mode must be one of {DICT_MODES}, got {mode!r}")
     if mode == "identical":
@@ -127,7 +128,7 @@ def build_dictionary(
     else:  # external-seed
         gold, _ = load_test_dictionary(file, src_vocab, tgt_vocab)
         dictionary = sample_seed(gold, k, seed, src_vocab, tgt_vocab)
-    if classes:
+    if classes is not None:
         dictionary = filter_by_class(dictionary, parse_classes(classes))
     return dictionary
 

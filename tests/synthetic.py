@@ -9,7 +9,6 @@ applies.
 import numpy as np
 
 from xlembed import EmbeddingSpace, TestDictionary, Vocabulary
-from xlembed.corpus import classify_token
 
 
 def unit_gaussian_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -23,11 +22,7 @@ def random_orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def _space(tokens, matrix, freqs) -> EmbeddingSpace:
-    vocab = Vocabulary(
-        tokens=list(tokens),
-        freqs=np.asarray(freqs, dtype=np.int64),
-        classes=[classify_token(t) for t in tokens],
-    )
+    vocab = Vocabulary(tokens=list(tokens), freqs=np.asarray(freqs, dtype=np.int64))
     return EmbeddingSpace(vocab=vocab, matrix=matrix)
 
 

@@ -202,6 +202,20 @@ def test_dict_bad_class_fails_before_the_vocabularies_are_read(tmp_path, capsys)
     assert "nope.tsv" not in err
 
 
+def test_dict_empty_class_list_fails_before_the_vocabularies_are_read(
+    tmp_path, capsys
+):
+    # the empty list once kept every pair
+    missing = str(tmp_path / "nope.tsv")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["dict", "--src-vocab", missing, "--tgt-vocab", missing,
+              "--out", str(tmp_path / "d.tsv"), "--classes", ""])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --classes: must name at least one token class, got []" in err
+    assert "nope.tsv" not in err
+
+
 # ------------------------------------------------- align/refine/eval chain
 
 @pytest.fixture()
@@ -631,6 +645,52 @@ def test_pipeline_smoke_and_manifest(fixture_dir, tmp_path, capsys):
     report = (run_dir / "translation_report.tsv").read_text(encoding="utf-8")
     assert report.startswith("#")  # provenance header
     assert "P@5\t" in report
+
+
+def _pipeline_run(capsys, config: dict, fixture_dir, out):
+    path = fixture_dir / f"{out.name}.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, _, _ = _run(capsys, ["pipeline", "--config", str(path), "--out", str(out)])
+    assert code == 0
+
+
+def test_pipeline_class_filter_reads_the_tokens_not_the_sidecar_column(
+    fixture_dir, tmp_path, capsys
+):
+    # sidecars that list an emoji as a word and a numeral as an emoji keep
+    # the emoji-only dictionary's bytes, and each warns once
+    from xlembed import PipelineConfig
+
+    cfg = json.loads((fixture_dir / "config.json").read_text(encoding="utf-8"))
+    cfg["dictionary"]["classes"] = ["emoji"]
+    _pipeline_run(capsys, cfg, fixture_dir, tmp_path / "right")
+    wrong = {"1000": "emoji", "\U0001F400": "word"}
+    for name in ("src_vocab.tsv", "tgt_vocab.tsv"):
+        path = fixture_dir / name
+        rows = [row.split("\t") for row in path.read_text("utf-8").splitlines()]
+        assert {tok: cls for tok, _, cls in rows if tok in wrong} == {
+            "1000": "numeral", "\U0001F400": "emoji"
+        }
+        path.write_text(
+            "".join(f"{tok}\t{f}\t{wrong.get(tok, cls)}\n" for tok, f, cls in rows),
+            encoding="utf-8",
+        )
+    with pytest.warns(UserWarning) as caught:
+        _pipeline_run(capsys, cfg, fixture_dir, tmp_path / "wrong")
+    assert [str(w.message) for w in caught] == [
+        f"{fixture_dir / name}: 2 of 100 rows list a class other than their "
+        f"token's (first on line 1: '1000' listed as 'emoji', classified "
+        f"'numeral'); the class comes from the token, not from this column"
+        for name in ("src_vocab.tsv", "tgt_vocab.tsv")
+    ]
+    right = (tmp_path / "right" / "dictionary.tsv").read_bytes()
+    assert (tmp_path / "wrong" / "dictionary.tsv").read_bytes() == right
+    kept = [row.split("\t")[0] for row in right.decode("utf-8").splitlines()]
+    assert "\U0001F400" in kept and "1000" not in kept
+    # null, like an absent key, keeps every class
+    cfg["dictionary"]["classes"] = None
+    config = PipelineConfig(raw=cfg, base_dir=fixture_dir)
+    assert config.get("dictionary.classes") is None
 
 
 def test_pipeline_rerun_is_byte_identical(fixture_dir, tmp_path, capsys):
@@ -1199,6 +1259,7 @@ def test_pipeline_unreadable_config_names_file_and_line(
         ("translation", "ks", [True]),
         (None, "evaluation", {"translation": {}}),
         ("dictionary", "mode", "file"),  # without dictionary.file
+        ("dictionary", "classes", []),  # once kept every pair
     ],
 )
 def test_pipeline_bad_value_fails_before_any_stage(

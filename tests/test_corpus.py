@@ -187,7 +187,6 @@ def test_vocabulary_rejects_duplicates():
         Vocabulary(
             tokens=["a", "a"],
             freqs=np.array([2, 1], dtype=np.int64),
-            classes=[TokenClass.WORD, TokenClass.WORD],
         )
 
 
@@ -282,7 +281,7 @@ def scan_corpus_per_line(lines, lowercase=True, min_count=5):
     vocabulary."""
     counts, stats = count_corpus_per_line(lines, lowercase)
     vocab = vocabulary_from_counts(counts, min_count) if counts else Vocabulary(
-        tokens=[], freqs=[], classes=[]
+        tokens=[], freqs=[]
     )
     return vocab, stats
 
@@ -335,7 +334,6 @@ def _assert_same_scan(lines, lowercase, min_count):
         assert got_stats == want_stats
         assert got_vocab.tokens == want_vocab.tokens
         assert got_vocab.freqs == want_vocab.freqs
-        assert got_vocab.classes == want_vocab.classes
 
 
 _SPACES = [" ", "\t", "\u2000", "\u2001", "\u3000", "\u0085", "\x1c", "\xa0"]
@@ -461,7 +459,10 @@ def test_vocab_tsv_round_trip(tmp_path):
     back = read_vocab_tsv(path)
     assert back.tokens == vocab.tokens
     assert back.freqs == vocab.freqs
-    assert back.classes == vocab.classes
+    rows = [line.split("\t") for line in path.read_text("utf-8").splitlines()]
+    assert [cls for _, _, cls in rows] == [
+        classify_token(tok).value for tok in vocab.tokens
+    ]
 
 
 def test_read_vocab_tsv_rejects_malformed(tmp_path):
@@ -504,3 +505,29 @@ def test_read_vocab_tsv_rejects_negative_count_keeps_zero(tmp_path):
     path.write_text("mundo\t3\tword\nhola\t0\tword\n", encoding="utf-8")
     vocab = read_vocab_tsv(path)
     assert vocab.freqs == [3, 0]
+
+
+def test_read_vocab_tsv_rejects_an_unknown_class_name(tmp_path):
+    path = tmp_path / "v.tsv"
+    path.write_text("mundo\t3\tword\nhola\t2\tverb\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_vocab_tsv(path)
+    assert str(err.value) == f"{path}: line 2: unknown token class 'verb'"
+
+
+def test_read_vocab_tsv_warns_once_on_classes_other_than_the_tokens(tmp_path):
+    # the class column is checked, not kept: one warning per file gives the
+    # count and the first row whose class is not classify_token's
+    path = tmp_path / "v.tsv"
+    path.write_text(
+        "si\t3\tword\n5\t2\temoji\n\U0001F602\t1\tword\n", encoding="utf-8"
+    )
+    with pytest.warns(UserWarning) as caught:
+        vocab = read_vocab_tsv(path)
+    assert [str(w.message) for w in caught] == [
+        f"{path}: 2 of 3 rows list a class other than their token's (first on "
+        f"line 2: '5' listed as 'emoji', classified 'numeral'); the class "
+        f"comes from the token, not from this column"
+    ]
+    assert vocab.tokens == ["si", "5", "\U0001F602"]
+    assert vocab.freqs == [3, 2, 1]

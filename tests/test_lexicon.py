@@ -109,6 +109,15 @@ def test_filter_emoji_includes_emoticons():
     assert {s for s, _ in d.pairs()} == {"\U0001F602", ":-)"}
 
 
+def test_filter_keeps_pairs_by_the_class_of_their_source_token():
+    # a hand-built dictionary is filtered by its source strings
+    va = _vocab([("5", 2), ("cinco", 1)])
+    vb = _vocab([("five", 2), ("5", 1)])
+    d = dictionary_from_pairs([("5", "five"), ("cinco", "5")], va, vb)
+    assert filter_by_class(d, {TokenClass.NUMERAL}).pairs() == [("5", "five")]
+    assert filter_by_class(d, {TokenClass.WORD}).pairs() == [("cinco", "5")]
+
+
 def test_filter_partition_covers_dictionary():
     full = _class_dictionary()
     parts = [
@@ -291,10 +300,7 @@ def test_sample_seed_picks_most_frequent_gold_of_a_file_order_vocabulary():
     from xlembed import Vocabulary
 
     va = _vocab([("w", 5)])
-    vb = Vocabulary(
-        tokens=["rare", "common", "tied"], freqs=[1, 9, 9],
-        classes=[TokenClass.WORD] * 3,
-    )
+    vb = Vocabulary(tokens=["rare", "common", "tied"], freqs=[1, 9, 9])
     test = TestDictionary(entries=[("w", ("rare", "tied", "common"))])
     d = sample_seed(test, 1, rng_seed=0, src_vocab=va, tgt_vocab=vb)
     assert d.pairs() == [("w", "common")]
@@ -319,3 +325,20 @@ def test_build_dictionary_rejects_an_unknown_mode_or_a_missing_file(mode, messag
     with pytest.raises(ValueError) as err:
         build_dictionary(v, v, mode, k=1, seed=0)
     assert str(err.value) == message
+
+
+def test_build_dictionary_keeps_every_class_only_without_a_class_list():
+    from xlembed.pipeline import build_dictionary
+
+    v = _vocab([("5", 2), ("hola", 1)])
+    every = build_dictionary(v, v, "identical", classes=None)
+    assert every.pairs() == [("5", "5"), ("hola", "hola")]
+    assert build_dictionary(v, v, "identical", classes=["word"]).pairs() == [
+        ("hola", "hola")
+    ]
+    with pytest.raises(ValueError) as err:
+        build_dictionary(v, v, "identical", classes=[])
+    assert str(err.value) == (
+        "must name at least one token class, got []; "
+        "valid names: numeral, emoji, emoticon, word"
+    )

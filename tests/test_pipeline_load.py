@@ -76,7 +76,6 @@ def _assert_same_space(a, b):
     assert a.matrix.tobytes() == b.matrix.tobytes()
     assert a.vocab.tokens == b.vocab.tokens
     assert a.vocab.freqs == b.vocab.freqs
-    assert a.vocab.classes == b.vocab.classes
 
 
 @pytest.mark.parametrize("sidecar", [False, True])

@@ -254,7 +254,6 @@ def many_to_many(draw):
         tgt_tokens=[f"t{j}" for _, j in pairs],
         src_indices=[i for i, _ in pairs],
         tgt_indices=[j for _, j in pairs],
-        classes=[None] * len(pairs),
         f_src=draw(freqs),
         f_tgt=draw(freqs),
     )
