@@ -19,6 +19,7 @@ from .lexicon import BilingualDictionary
 from .scoring import (
     _blocks,
     check_retrieval,
+    map_rows,
     neighbourhood_mean,
     score_blocks,
     unit_in_place,
@@ -53,8 +54,10 @@ def _fix_svd_signs(u: np.ndarray, vt: np.ndarray) -> None:
             vt[j, :] = -vt[j, :]
 
 
-def _svd_cross(x: np.ndarray, y: np.ndarray):
-    m = x.T @ y
+def _svd_cross(m: np.ndarray):
+    """Sign-fixed SVD of the d x d cross-covariance m = x.T @ y. Callers
+    form m in the call's own expression, so the row gathers x and y are
+    freed before the SVD allocates its workspace."""
     try:
         u, sig, vt = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:
@@ -85,18 +88,18 @@ def _mean_pair_cosine(
 ) -> float:
     """Mean cosine of the pairs (src[i] @ w, tgt[j]) over zip(src_idx,
     tgt_idx), or (src[i] @ w, tgt[j] @ tgt_map) when tgt_map is given.
-    Each side's mapped rows come from one product (row blocks of it may
-    round differently); the unmapped target rows, norms and ratios are
-    taken BLOCK_ROWS pairs at a time into one vector, so the mean sums the
+    BLOCK_ROWS pairs at a time, each side's rows are gathered and mapped
+    (scoring.map_rows, one GEMM per block), and their ratios go into one
+    vector, so scratch is a few blocks of rows and the mean sums the
     ratios in one fixed order."""
-    x = src[src_idx] @ w
-    mapped_tgt = None if tgt_map is None else tgt[tgt_idx] @ tgt_map
-    ratio = np.empty(len(x))
-    for rows in _blocks(len(x)):
-        xb = x[rows]
-        y = tgt[tgt_idx[rows]] if mapped_tgt is None else mapped_tgt[rows]
-        num = np.einsum("ij,ij->i", xb, y)
-        den = np.linalg.norm(xb, axis=1) * np.linalg.norm(y, axis=1)
+    ratio = np.empty(len(src_idx))
+    for rows in _blocks(len(ratio)):
+        x = map_rows(src[src_idx[rows]], w)
+        y = tgt[tgt_idx[rows]]
+        if tgt_map is not None:
+            y = map_rows(y, tgt_map)
+        num = np.einsum("ij,ij->i", x, y)
+        den = np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
         den[den == 0.0] = 1.0
         ratio[rows] = num / den
     return float(np.mean(ratio))
@@ -112,7 +115,7 @@ def solve_procrustes(
     """
     _check_pair(src, tgt, dictionary)
     s_idx, t_idx = dictionary.src_indices, dictionary.tgt_indices
-    u, _, vt = _svd_cross(src.matrix[s_idx], tgt.matrix[t_idx])
+    u, _, vt = _svd_cross(src.matrix[s_idx].T @ tgt.matrix[t_idx])
     w = u @ vt
     cos = _mean_pair_cosine(src.matrix, tgt.matrix, w, s_idx, t_idx)
     return AlignmentModel(src_map=w, iterations=1, dict_cosines=[cos])
@@ -241,9 +244,10 @@ def self_learn(
     best_w = None
     best_score = -np.inf
     for _ in range(cfg.max_iters):
-        u, _, vt = _svd_cross(src.matrix[cur_src], tgt.matrix[cur_tgt])
+        u, _, vt = _svd_cross(src.matrix[cur_src].T @ tgt.matrix[cur_tgt])
         w = u @ vt
-        mapped = src_top @ w  # before the block: src may share tgt's rows
+        # before the block: src may share tgt's rows
+        mapped = map_rows(src_top, w)
         unit_rows(mapped, out=mapped)
         with unit_in_place(tgt_top) as tgt_unit:
             induced = _induce_pairs(mapped, tgt_unit, cfg.retrieval, seed_pairs)
@@ -288,9 +292,8 @@ def reweight(
         raise ValueError("model is already re-weighted")
     _check_pair(src, tgt, dictionary)
     x = src.matrix[dictionary.src_indices] @ model.src_map
-    y = tgt.matrix[dictionary.tgt_indices]
-    u, sig, vt = _svd_cross(x, y)
-    del x, y  # _mean_pair_cosine gathers and maps the pairs again
+    u, sig, vt = _svd_cross(x.T @ tgt.matrix[dictionary.tgt_indices])
+    del x  # _mean_pair_cosine gathers and maps the pairs again
     scale = sig**s
     src_map, tgt_map = model.src_map @ (u * scale), vt.T * scale
     cos = _mean_pair_cosine(
@@ -306,7 +309,9 @@ def apply_mapping(
     model: AlignmentModel, space: EmbeddingSpace, side: str = "src"
 ) -> EmbeddingSpace:
     """Map a whole space into the shared coordinates with the map of its
-    side ("src" or "tgt"). An identity map returns `space` itself."""
+    side ("src" or "tgt"), BLOCK_ROWS rows per GEMM (scoring.map_rows), so
+    scratch beyond the new matrix is one block. An identity map returns
+    `space` itself."""
     if space.dim != model.dim:
         raise ValueError(
             f"dimension mismatch: space d={space.dim}, model d={model.dim}"
@@ -316,7 +321,7 @@ def apply_mapping(
     m = model.src_map if side == "src" else model.tgt_map
     if m is None:
         return space
-    return EmbeddingSpace(vocab=space.vocab, matrix=space.matrix @ m)
+    return EmbeddingSpace(vocab=space.vocab, matrix=map_rows(space.matrix, m))
 
 
 def save_model(model: AlignmentModel, path) -> None:

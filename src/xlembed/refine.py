@@ -16,7 +16,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSpace
 from .lexicon import BilingualDictionary
-from .scoring import BLOCK_ROWS
+from .scoring import BLOCK_ROWS, map_rows
 
 RIDGE_LAMBDA = 1e-3
 
@@ -184,9 +184,10 @@ def meemi_transform(
     space: CrossLingualSpace, dictionary: BilingualDictionary, *, consume=False
 ) -> CrossLingualSpace:
     """Per-side least-squares map onto the pair midpoints, applied to all
-    rows of that side (every vector moves, unlike averaging). With
-    `consume` the space is consumed (see CrossLingualSpace) and each side's
-    old matrix is freed as soon as that side is mapped."""
+    rows of that side (every vector moves, unlike averaging), BLOCK_ROWS
+    rows per GEMM (scoring.map_rows). With `consume` the space is consumed
+    (see CrossLingualSpace) and each side's old matrix is freed as soon as
+    that side is mapped."""
     if len(dictionary) == 0:
         raise ValueError("dictionary is empty")
     d = space.dim
@@ -199,6 +200,6 @@ def meemi_transform(
     src, tgt = space.src, space.tgt
     if consume:  # so each old matrix is freed as soon as its side is mapped
         space.src = space.tgt = None
-    src = replace(src, matrix=src.matrix @ m_src)
-    tgt = replace(tgt, matrix=tgt.matrix @ m_tgt)
+    src = replace(src, matrix=map_rows(src.matrix, m_src))
+    tgt = replace(tgt, matrix=map_rows(tgt.matrix, m_tgt))
     return CrossLingualSpace(src, tgt)

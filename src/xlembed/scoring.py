@@ -1,4 +1,4 @@
-"""Blocked similarity kernels shared by dictionary induction and retrieval.
+"""Blocked kernels shared by dictionary induction, retrieval and mapping.
 
 Queries are scored against every target a block of query rows at a time,
 so no n_queries x n_targets matrix is ever allocated. A block has at most
@@ -10,7 +10,9 @@ row-wise top-k steps partition, and, when query rows are gathered and
 scaled block by block, one buffer of query rows. unit_in_place
 normalizes a matrix's own rows for the length of a `with` block and
 restores every bit afterwards, so neither retrieval nor self-learning
-needs a unit copy of the space it scores. CSLS (Conneau et al. 2018)
+needs a unit copy of the space it scores. map_rows applies a d x d map
+the same way, BLOCK_ROWS rows per GEMM, so OpenBLAS never packs a copy of
+a whole embedding matrix. CSLS (Conneau et al. 2018)
 scores a pair as 2*cos(x, y) - r_T(x) - r_S(y), where r_T(x) is the mean
 cosine of x's CSLS_K nearest targets and r_S(y) the mean cosine of y's
 CSLS_K nearest sources; both neighbourhood means are row-wise passes over
@@ -51,6 +53,25 @@ def unit_rows(matrix: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarra
         out = np.empty(matrix.shape)
     for rows in _blocks(matrix.shape[0]):
         _unit_block(matrix[rows], out[rows])
+    return out
+
+
+def map_rows(matrix: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """matrix @ m in a new array, one GEMM per BLOCK_ROWS rows written
+    straight into it. OpenBLAS packs a copy of the left operand of each
+    GEMM into a buffer that stays resident for the rest of the process, so
+    a one-shot product of a whole embedding matrix would keep a second copy
+    of it; a block keeps one block's worth. A row's bits are those of the
+    product of its block, matrix[rows] @ m, which may differ in the last
+    bits from the one-shot product. A lone last row is multiplied as two
+    rows (the row twice), as in score_blocks, so no row goes through GEMV."""
+    n = matrix.shape[0]
+    out = np.empty((n, m.shape[1]))
+    for rows in _blocks(n):
+        if rows.stop - rows.start == 1:
+            out[rows] = (np.repeat(matrix[rows], 2, axis=0) @ m)[:1]
+        else:
+            np.matmul(matrix[rows], m, out=out[rows])
     return out
 
 

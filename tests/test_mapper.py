@@ -701,10 +701,10 @@ def test_self_learn_solves_and_scores_on_the_raw_target(monkeypatch):
     before = _raw(tgt.matrix)
     real_svd, real_cos, calls = mapper._svd_cross, mapper._mean_pair_cosine, []
 
-    def svd_spy(x, y):
+    def svd_spy(cross):
         calls.append("svd")
         assert np.array_equal(_raw(tgt.matrix), before)
-        return real_svd(x, y)
+        return real_svd(cross)
 
     def cos_spy(src_rows, tgt_rows, *rest):
         calls.append("cos")

@@ -2,10 +2,17 @@
 
 tracemalloc traces numpy's buffers, so the peak is counted in matrices
 (one side's V x d float64 embeddings) and score blocks (the rows of one
-scoring pass against every target).
+scoring pass against every target). It misses BLAS buffers: OpenBLAS packs
+the left operand of a product into memory of its own, which stays resident
+for the rest of the process. The subprocess tests at the end read the
+process's resident set from /proc instead, so they see those buffers.
 """
 
+import ctypes
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,6 +24,7 @@ from xlembed import CrossLingualSpace, build_identical_dictionary, make_space
 from xlembed.mapper import apply_mapping
 from xlembed.pipeline import PipelineConfig, run_pipeline
 from synthetic import write_pipeline_fixture
+from test_cli import child_env
 
 N, D = 2000, 100
 
@@ -140,3 +148,77 @@ def test_align_drops_the_normalized_source_before_the_target_is_mapped(
     dropped, kept = live
     assert dropped < 2.75 * matrix, f"{dropped / matrix:.2f} matrices"
     assert kept - dropped > 0.9 * matrix
+
+
+# One call on a fresh 5000 x 300 Gaussian pair, measured from inside the
+# child. mallopt fixes glibc's mmap threshold at 4 MiB as cli.main does, and
+# a 512-row product first starts OpenBLAS's threads and buffers. Freed heap
+# chunks below a live one stay resident, so malloc_trim(0) returns them
+# before each reading: what is left is live arrays and BLAS buffers. The
+# caller keeps the input matrices, so no freed input offsets what the call
+# adds.
+_RSS_CHILD = """
+import ctypes, json, sys
+import numpy as np
+from xlembed import (
+    AlignmentModel, CrossLingualSpace, SelfLearnConfig, apply_mapping,
+    dictionary_from_pairs, make_space, meemi_transform, self_learn,
+)
+
+libc = ctypes.CDLL(None)
+libc.mallopt(-3, 4 << 20)
+
+def rss():
+    libc.malloc_trim(0)
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh
+                    if line.startswith("VmRSS:"))
+
+n, d = 5000, 300
+rng = np.random.default_rng(0)
+tokens = [f"w{i}" for i in range(n)]
+src = make_space(tokens, rng.normal(size=(n, d)))
+tgt = make_space(tokens, rng.normal(size=(n, d)))
+inputs = (src.matrix, tgt.matrix)
+pairs = dictionary_from_pairs([(t, t) for t in tokens[:500]], src.vocab, tgt.vocab)
+w = np.linalg.qr(rng.normal(size=(d, d)))[0]
+rng.normal(size=(512, d)) @ w
+before = rss()
+if sys.argv[1] == "apply_mapping":
+    out = [apply_mapping(AlignmentModel(src_map=w), src).matrix]
+elif sys.argv[1] == "meemi_transform":
+    space = meemi_transform(CrossLingualSpace(src, tgt), pairs, consume=True)
+    out = [space.src.matrix, space.tgt.matrix]
+else:
+    out = [self_learn(src, tgt, pairs, SelfLearnConfig(max_iters=1)).src_map]
+print(json.dumps({"grew": rss() - before, "outputs": sum(a.nbytes for a in out)}))
+"""
+
+
+def _glibc_on_linux() -> bool:
+    if not os.path.exists("/proc/self/status"):
+        return False
+    libc = ctypes.CDLL(None)
+    return hasattr(libc, "mallopt") and hasattr(libc, "malloc_trim")
+
+
+@pytest.mark.skipif(not _glibc_on_linux(), reason="needs /proc and glibc malloc")
+@pytest.mark.parametrize("call", ["apply_mapping", "meemi_transform", "self_learn"])
+def test_map_holds_no_blas_copy_of_the_matrix(call):
+    """A d x d map applied to a whole matrix in one product makes OpenBLAS
+    pack a copy of the matrix that stays resident, which tracemalloc does
+    not see: each call grew VmRSS by 10-21 MiB above its outputs on a
+    2-core x86-64 host (numpy 2.4, OpenBLAS 0.3.31). Applied in row blocks
+    (scoring.map_rows), each call grows it by its outputs and at most
+    about 3 MiB more."""
+    res = subprocess.run(
+        [sys.executable, "-c", _RSS_CHILD, call],
+        env=child_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    got = json.loads(res.stdout)
+    mib = 1 << 20
+    assert got["grew"] < got["outputs"] + 4 * mib, (
+        f"{call} grew VmRSS by {got['grew'] / mib:.1f} MiB for "
+        f"{got['outputs'] / mib:.1f} MiB of outputs"
+    )

@@ -457,7 +457,8 @@ def test_block_budget_changes_no_bit(monkeypatch, retrieval, budget):
 
 
 def _one_product_pair_cosine(x, y):
-    """The mean pair cosine as one expression over all mapped pairs."""
+    """The mean pair cosine as one expression over all mapped pairs (the
+    source pairs mapped by map_rows, as _mean_pair_cosine maps them)."""
     num = np.einsum("ij,ij->i", x, y)
     den = np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
     den[den == 0.0] = 1.0
@@ -476,7 +477,8 @@ def test_blocked_pair_cosine_equals_one_expression(monkeypatch, block_rows):
     t_idx = rng.integers(0, 80, 300)
     s_idx[:3] = 5
     got = mapper._mean_pair_cosine(src, tgt, w, s_idx, t_idx)
-    assert got == _one_product_pair_cosine(src[s_idx] @ w, tgt[t_idx])
+    want = _one_product_pair_cosine(scoring.map_rows(src[s_idx], w), tgt[t_idx])
+    assert got == want
 
 
 def test_block_rows_follow_the_byte_budget():
@@ -576,6 +578,30 @@ def _ragged_rows():
     ragged last block of one row."""
     rng = np.random.default_rng(8)
     return rng.normal(size=(50, 7)) * np.logspace(-140, 140, 50)[:, None]
+
+
+def _per_block_products(x, m):
+    """x @ m as one product per BLOCK_ROWS rows, concatenated; a lone last
+    row is multiplied as two rows (the row twice)."""
+    parts = []
+    for start in range(0, len(x), scoring.BLOCK_ROWS):
+        rows = x[start : start + scoring.BLOCK_ROWS]
+        if len(rows) == 1:
+            parts.append((np.vstack([rows, rows]) @ m)[:1])
+        else:
+            parts.append(rows @ m)
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 513])
+def test_map_rows_equals_the_per_block_products(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 300))
+    m = np.linalg.qr(rng.normal(size=(300, 300)))[0]
+    got = scoring.map_rows(x, m)
+    want = _per_block_products(x, m)
+    assert got.shape == (n, 300)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_unit_rows_blocked_matches_plain_division(small_blocks):
