@@ -22,8 +22,8 @@ from .scoring import (
     map_rows,
     neighbourhood_mean,
     score_blocks,
-    unit_in_place,
     unit_rows,
+    unit_scale,
 )
 
 
@@ -140,24 +140,27 @@ def _merge_column_max(
 
 def _induce_pairs(
     src_unit: np.ndarray,
-    tgt_unit: np.ndarray,
+    tgt: np.ndarray,
     retrieval: str,
     seed_pairs: np.ndarray,
+    inv_norms: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Union of src->tgt and tgt->src nearest-neighbor pairs plus seeds,
-    deduplicated and lexicographically sorted (deterministic).
+    deduplicated and lexicographically sorted (deterministic). The
+    targets are unit rows, or raw rows with their reciprocal norms
+    (scoring.unit_scale).
 
     One blocked pass over the source rows gives each row's argmax and a
     running per-target max (_merge_column_max). CSLS first needs r_S, one
     more blocked pass with the roles swapped.
     """
     n_src = src_unit.shape[0]
-    n_tgt = tgt_unit.shape[0]
-    r_src = neighbourhood_mean(tgt_unit, src_unit) if retrieval == CSLS else None
+    n_tgt = tgt.shape[0]
+    r_src = neighbourhood_mean(tgt, src_unit) if retrieval == CSLS else None
     fwd = np.empty(n_src, dtype=np.int64)
     bwd = np.zeros(n_tgt, dtype=np.int64)
     best = np.full(n_tgt, -np.inf)
-    for rows, scores in score_blocks(src_unit, tgt_unit, r_src):
+    for rows, scores in score_blocks(src_unit, tgt, r_src, inv_norms=inv_norms):
         fwd[rows] = np.argmax(scores, axis=1)
         _merge_column_max(scores, rows.start, best, bwd)
     pairs = np.concatenate(
@@ -209,11 +212,9 @@ def self_learn(
     frequent tokens of each side, repeat until the mean dictionary cosine
     stops improving. Deterministic; returns the best-scoring model.
 
-    Each induction normalizes the target's top `cutoff` rows in place
-    (scoring.unit_in_place) and restores every bit before the next
-    Procrustes solve, also when it raises, so no unit copy of them is
-    held; a read-only target gets a unit copy instead. No other thread
-    may read the target space while self_learn runs."""
+    Induction scores the target's top `cutoff` rows raw, with their
+    reciprocal norms taken once per call (scoring.unit_scale), so
+    neither space is written and no unit copy of the target is held."""
     cfg = config or SelfLearnConfig()
     _check_pair(src, tgt, seed)
     check_retrieval(cfg.retrieval)
@@ -226,6 +227,7 @@ def self_learn(
     # frequent tokens; src_index and tgt_index map them back to the vocabulary
     src_top, src_index = _most_frequent_rows(src, cutoff)
     tgt_top, tgt_index = _most_frequent_rows(tgt, cutoff)
+    tgt_rows, tgt_inv = unit_scale(tgt_top)
 
     seed_pairs_all = np.stack([
         _positions(src_index, len(src.vocab))[seed.src_indices],
@@ -246,11 +248,11 @@ def self_learn(
     for _ in range(cfg.max_iters):
         u, _, vt = _svd_cross(src.matrix[cur_src].T @ tgt.matrix[cur_tgt])
         w = u @ vt
-        # before the block: src may share tgt's rows
         mapped = map_rows(src_top, w)
         unit_rows(mapped, out=mapped)
-        with unit_in_place(tgt_top) as tgt_unit:
-            induced = _induce_pairs(mapped, tgt_unit, cfg.retrieval, seed_pairs)
+        induced = _induce_pairs(
+            mapped, tgt_rows, cfg.retrieval, seed_pairs, tgt_inv
+        )
         del mapped
         score = _mean_pair_cosine(
             src_top, tgt_top, w, induced[:, 0], induced[:, 1]

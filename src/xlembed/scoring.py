@@ -7,19 +7,18 @@ so its size stays constant as the number of targets grows. Each pass
 allocates its one block buffer once and reuses it for every block; the
 only other scratch is a copy of SUB_ROWS rows of the block, which the
 row-wise top-k steps partition, and, when query rows are gathered and
-scaled block by block, one buffer of query rows. unit_in_place
-normalizes a matrix's own rows for the length of a `with` block and
-restores every bit afterwards, so neither retrieval nor self-learning
-needs a unit copy of the space it scores. map_rows applies a d x d map
-the same way, BLOCK_ROWS rows per GEMM, so OpenBLAS never packs a copy of
-a whole embedding matrix. CSLS (Conneau et al. 2018)
-scores a pair as 2*cos(x, y) - r_T(x) - r_S(y), where r_T(x) is the mean
-cosine of x's CSLS_K nearest targets and r_S(y) the mean cosine of y's
-CSLS_K nearest sources; both neighbourhood means are row-wise passes over
-blocks, and the CSLS scores overwrite the cosine block in place.
+scaled block by block, one buffer of query rows. Target rows are scored
+raw: each score column is multiplied by its target's reciprocal row norm
+(unit_scale), so no pass writes, or makes a unit copy of, the matrices
+it reads. map_rows applies a d x d map the same way, BLOCK_ROWS rows per
+GEMM, so OpenBLAS never packs a copy of a whole embedding matrix. CSLS
+(Conneau et al. 2018) scores a pair as 2*cos(x, y) - r_T(x) - r_S(y),
+where r_T(x) is the mean cosine of x's CSLS_K nearest targets and r_S(y)
+the mean cosine of y's CSLS_K nearest sources; both neighbourhood means
+are row-wise passes over blocks, and the CSLS scores overwrite the
+score block in place.
 """
 
-from contextlib import contextmanager
 from typing import Iterator, Optional
 
 import numpy as np
@@ -46,14 +45,33 @@ def check_retrieval(retrieval: str) -> None:
 def unit_rows(matrix: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Rows scaled to Euclidean norm 1, written to `out` (a new array when
     None; `matrix` itself works in place). All-zero rows stay zero, so they
-    score 0 everywhere. Norms are taken BLOCK_ROWS rows at a time (each row
-    reduces on its own, so the block size changes no bit); a row whose norm
-    lies outside _SAFE_NORM is divided by its largest entry first."""
+    score 0 everywhere. Norms are taken BLOCK_ROWS rows at a time (see
+    _row_norms; each row reduces on its own, so the block size changes no
+    bit); a row whose norm lies outside _SAFE_NORM is divided by its
+    largest entry first."""
     if out is None:
         out = np.empty(matrix.shape)
     for rows in _blocks(matrix.shape[0]):
         _unit_block(matrix[rows], out[rows])
     return out
+
+
+def unit_scale(matrix: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(rows, inv_norms) that score `matrix` as unit target rows (see
+    score_blocks): the matrix itself and the reciprocal of each row's norm
+    (1 for an all-zero row, which scores 0 everywhere). When a nonzero
+    row's norm lies outside _SAFE_NORM, its reciprocal is not exact
+    enough, and the pair is unit_rows(matrix) and None: the one case that
+    copies the matrix. Nothing is written to `matrix`."""
+    lo, hi = _SAFE_NORM
+    norms = np.empty(matrix.shape[0])
+    for rows in _blocks(matrix.shape[0]):
+        norms[rows] = _row_norms(matrix[rows])
+    zero = norms == 0.0
+    if not (zero | ((norms > lo) & (norms < hi))).all():
+        return unit_rows(matrix), None
+    norms[zero] = 1.0
+    return matrix, np.divide(1.0, norms, out=norms)
 
 
 def map_rows(matrix: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -75,12 +93,18 @@ def map_rows(matrix: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unit_block(block: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """unit_rows of one block, written to `out`; returns the norm each row
-    was divided by (1 for an all-zero row)."""
-    lo, hi = _SAFE_NORM
+def _row_norms(block: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a block, reduced from a C-contiguous
+    copy of it, so the bits do not depend on the layout of the matrix (a
+    squared entry may overflow to inf)."""
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(block, axis=1)
+        return np.linalg.norm(np.ascontiguousarray(block), axis=1)
+
+
+def _unit_block(block: np.ndarray, out: np.ndarray) -> None:
+    """unit_rows of one block, written to `out`."""
+    lo, hi = _SAFE_NORM
+    norms = _row_norms(block)
     unsafe = np.flatnonzero(~((norms > lo) & (norms < hi)))
     norms[unsafe] = 1.0  # all-zero rows stay zero; the others are redone
     np.divide(block, norms[:, None], out=out)
@@ -89,59 +113,7 @@ def _unit_block(block: np.ndarray, out: np.ndarray) -> np.ndarray:
         scale = np.abs(x).max(axis=1)
         nonzero = np.flatnonzero(scale)
         x = x[nonzero] / scale[nonzero, None]
-        x_norms = np.linalg.norm(x, axis=1)
-        out[unsafe[nonzero]] = x / x_norms[:, None]
-        with np.errstate(over="ignore"):  # a finite row's norm may be inf
-            norms[unsafe[nonzero]] = scale[nonzero] * x_norms
-    return norms
-
-
-@contextmanager
-def unit_in_place(matrix: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield `matrix` with its rows replaced by unit_rows(matrix), and give
-    every entry its bits back when the block ends, also when it raises
-    (or when normalizing raised part way).
-
-    Entry works BLOCK_ROWS rows at a time: it builds the unit rows and
-    their norms, and records the raw value and block position of each
-    entry that unit * norm does not reproduce bit for bit (int64 views,
-    so -0.0 counts). Exit multiplies each normalized block by its norms
-    and writes the recorded raw values back. Scratch is the row norms
-    plus the recorded entries, 12 bytes each: about 2% of the entries of
-    a Procrustes-mapped space, 10-15% of Gaussian rows in general. Any
-    strided view works; a read-only matrix yields a unit copy instead.
-    Nothing else may read the matrix while the block runs."""
-    if not matrix.flags.writeable:
-        yield unit_rows(matrix)
-        return
-    n, d = matrix.shape
-    norms = np.empty(n)
-    records = []  # (rows, positions, raw values) of each normalized block
-    unit = np.empty((min(BLOCK_ROWS, n), d))
-    back = np.empty_like(unit)
-    pos_type = np.int32 if unit.size < 2**31 else np.int64
-    try:
-        for rows in _blocks(n):
-            block = matrix[rows]
-            m = rows.stop - rows.start
-            norms[rows] = _unit_block(block, unit[:m])
-            # a finite row's norm may be inf, and 0 * inf is nan: such
-            # entries are recorded, so the restore puts them back
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply(unit[:m], norms[rows, None], out=back[:m])
-            lost = back[:m].view(np.int64) != block.view(np.int64)
-            positions = np.flatnonzero(lost).astype(pos_type)
-            values = block.take(positions)  # flat C-order, any strides
-            block[...] = unit[:m]
-            records.append((rows, positions, values))
-        del unit, back
-        yield matrix
-    finally:
-        for rows, positions, values in records:
-            block = matrix[rows]
-            with np.errstate(over="ignore", invalid="ignore"):
-                block *= norms[rows, None]
-            block.put(positions, values)
+        out[unsafe[nonzero]] = x / np.linalg.norm(x, axis=1)[:, None]
 
 
 def topk_mean(scores: np.ndarray, k: int) -> np.ndarray:
@@ -169,22 +141,34 @@ def block_rows(n_targets: int) -> int:
     return max(2, min(BLOCK_ROWS, BLOCK_BYTES // (8 * max(1, n_targets))))
 
 
-def _row_copies(block: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+def _row_copies(
+    block: np.ndarray, scale: Optional[np.ndarray] = None
+) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield (rows, copy of block[rows]) for consecutive SUB_ROWS-row
-    slices; every copy is a view of one reused buffer."""
+    slices, each column multiplied by its entry of `scale` when given;
+    every copy is a view of one reused buffer."""
     buf = np.empty((min(SUB_ROWS, block.shape[0]), block.shape[1]))
     for rows in _blocks(block.shape[0], SUB_ROWS):
         copy = buf[: rows.stop - rows.start]
-        np.copyto(copy, block[rows])
+        if scale is None:
+            np.copyto(copy, block[rows])
+        else:
+            np.multiply(block[rows], scale, out=copy)
         yield rows, copy
 
 
-def neighbourhood_mean(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """For each unit query row, the mean cosine of its CSLS_K nearest unit
-    target rows. With sources as targets this is CSLS's r_S of each
-    target row."""
+def neighbourhood_mean(
+    queries: np.ndarray,
+    targets: np.ndarray,
+    inv_norms: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """For each query row (of any norm, scaled block by block as with
+    score_blocks' `index`), the mean cosine of its CSLS_K nearest target
+    rows, scored as in score_blocks. With sources as targets this is
+    CSLS's r_S of each target row."""
     out = np.empty(queries.shape[0])
-    for rows, cos in score_blocks(queries, targets):
+    index = np.arange(queries.shape[0])
+    for rows, cos in score_blocks(queries, targets, index=index, inv_norms=inv_norms):
         out[rows] = topk_mean(cos, CSLS_K)
     return out
 
@@ -195,15 +179,19 @@ def score_blocks(
     r_src: Optional[np.ndarray] = None,
     *,
     index: Optional[np.ndarray] = None,
+    inv_norms: Optional[np.ndarray] = None,
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield (rows, scores) for consecutive blocks of query rows against
-    all unit target rows: cosine, or CSLS when r_src holds the targets'
-    r_S (see neighbourhood_mean). Without `index` the query rows are
+    all target rows: cosine, or CSLS when r_src holds the targets' r_S
+    (see neighbourhood_mean). Without `index` the query rows are
     `queries` as given (unit rows). With `index` they are
     unit_rows(queries[index]) for rows of any norm: each block gathers
     its rows into one reused buffer and scales them there, so neither a
     copy nor a unit copy of every query row is made, and the bits are
-    those of scoring unit_rows(queries[index]).
+    those of scoring unit_rows(queries[index]). The targets are unit
+    rows, or, with `inv_norms` (see unit_scale), raw rows: each score
+    column is multiplied by its target's reciprocal norm, folded into
+    the CSLS arithmetic, so the targets are only read.
 
     A last block of one row is scored as two rows (the row twice): numpy
     multiplies a single row by GEMV, which OpenBLAS rounds differently
@@ -217,6 +205,7 @@ def score_blocks(
     buf = np.empty((size, targets.shape[0]))
     if index is not None or n % step == 1:  # else no query copy
         staged = np.empty((size, queries.shape[1]))
+    twice = 2.0 if inv_norms is None else 2.0 * inv_norms
     for rows in _blocks(n, step):
         m = rows.stop - rows.start
         if index is None:
@@ -229,13 +218,18 @@ def score_blocks(
             scores = np.matmul(staged[:2], targets.T, out=buf[:2])[:1]
         else:
             scores = np.matmul(block, targets.T, out=buf[:m])
-        if r_src is not None:
-            # 2*cos - r_T - r_S in place, SUB_ROWS rows at a time; r_T
-            # partitions a copy of the rows, so cos is still in order.
-            for sub, cos in _row_copies(scores):
+        if r_src is None:
+            if inv_norms is not None:
+                scores *= inv_norms
+        else:
+            # 2*cos - r_T - r_S in place, SUB_ROWS rows at a time, with
+            # cos the scaled rows; r_T partitions a scaled copy of them,
+            # so the rows are still in order. 2 * inv_norms is exact, so
+            # 2*cos is the doubled cosine of the copy.
+            for sub, cos in _row_copies(scores, inv_norms):
                 r_tgt = topk_mean(cos, CSLS_K)
                 part = scores[sub]
-                part *= 2.0
+                part *= twice
                 part -= r_tgt[:, None]
                 part -= r_src[None, :]
         yield rows, scores
@@ -267,17 +261,21 @@ def topk(
     r_src: Optional[np.ndarray] = None,
     *,
     index: Optional[np.ndarray] = None,
+    inv_norms: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k target indices and their scores for every query row, ranked
     as ranked_topk; cosine, or CSLS when r_src is given. The query rows
-    are `queries`, or unit_rows(queries[index]), as in score_blocks."""
+    are `queries`, or unit_rows(queries[index]), and the targets unit
+    rows or raw rows with `inv_norms`, as in score_blocks."""
     n = queries.shape[0] if index is None else len(index)
     k = min(k, targets.shape[0])
     idx = np.empty((n, k), dtype=np.int64)
     val = np.empty((n, k))
     if k == 0:
         return idx, val
-    for rows, scores in score_blocks(queries, targets, r_src, index=index):
+    for rows, scores in score_blocks(
+        queries, targets, r_src, index=index, inv_norms=inv_norms
+    ):
         idx[rows] = ranked_topk(scores, k)
         val[rows] = np.take_along_axis(scores, idx[rows], axis=1)
     return idx, val

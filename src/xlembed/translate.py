@@ -1,19 +1,14 @@
 """Word-translation evaluation: exhaustive top-k retrieval and P@k.
 
-Retrieval scores the space's own matrices: translate_topk and
-precision_at_k normalize the target matrix in place while they run (with
-CSLS the source matrix too, but only while its r_S is computed), and
-restore every bit before they return, also when they raise. So no other
-thread may read the space while either runs. Query rows are gathered raw
-and scaled one block at a time. Scratch above the space is one score
-block with its sub-row copies, one block of query rows, the row norms
-and the entries scoring.unit_in_place records: 12 bytes for about 2% of
-the entries of a Procrustes-mapped side, and for at most about 15% of
-any side. A space whose two sides share memory (one matrix for both
-included) is scored against a unit copy of its targets.
+Retrieval only reads the space's matrices. Query rows are gathered raw
+and scaled one block at a time; target rows are scored raw, each score
+column multiplied by the target's reciprocal row norm
+(scoring.unit_scale). Scratch above the space is one score block with
+its sub-row copies, one block of query rows and the reciprocal row norms
+of each side it scores as targets. A side with a row norm outside
+scoring._SAFE_NORM is scored as one unit copy instead.
 """
 
-from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +16,7 @@ import numpy as np
 from .config import COSINE, CSLS, DEFAULT_KS
 from .lexicon import TestDictionary
 from .refine import CrossLingualSpace
-from .scoring import (
-    check_retrieval,
-    neighbourhood_mean,
-    topk,
-    unit_in_place,
-    unit_rows,
-)
+from .scoring import check_retrieval, neighbourhood_mean, topk, unit_scale
 
 # Read by perfbench/layertrace.py to size the largest score block. It is
 # the row cap: against more than 5000 targets the byte budget
@@ -50,35 +39,14 @@ def _retrieve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k target indices and scores for the source rows at query_idx.
     CSLS r_S is taken over the whole source space, not just the queries.
-
-    The targets are normalized in place by unit_in_place until return,
-    or copied to unit rows when they share memory with the sources (two
-    sides on one matrix included). With CSLS the sources are normalized
-    in place only while r_S is computed, and get their bits back before
-    any query row is read. topk then gathers the raw query rows block by
-    block and scales each block. A side that is read-only or not
-    C-contiguous is scored as a unit copy instead; the bits are the same
-    either way."""
+    Neither matrix is written (see the module docstring)."""
     src, tgt = space.src.matrix, space.tgt.matrix
-    with ExitStack() as stack:
-        tgt_unit = _unit(tgt, stack, copy=np.may_share_memory(src, tgt))
-        r_src = None
-        if retrieval == CSLS:
-            with ExitStack() as inner:
-                r_src = neighbourhood_mean(tgt_unit, _unit(src, inner))
-        index = np.asarray(query_idx, dtype=np.intp)
-        return topk(src, tgt_unit, k, r_src, index=index)
-
-
-def _unit(matrix: np.ndarray, stack: ExitStack, copy: bool = False) -> np.ndarray:
-    """The unit rows of `matrix`: the matrix itself, normalized in place
-    until `stack` closes, or a unit copy when `copy` is set or the matrix
-    is not C-contiguous. Only C-contiguous rows reduce to the norms of a
-    gathered query block, and a unit copy is C-contiguous, so the score
-    GEMMs and the row norms see one layout in every case."""
-    if copy or not matrix.flags.c_contiguous:
-        return unit_rows(matrix)
-    return stack.enter_context(unit_in_place(matrix))
+    r_src = None
+    if retrieval == CSLS:
+        r_src = neighbourhood_mean(tgt, *unit_scale(src))
+    tgt_rows, inv_norms = unit_scale(tgt)
+    index = np.asarray(query_idx, dtype=np.intp)
+    return topk(src, tgt_rows, k, r_src, index=index, inv_norms=inv_norms)
 
 
 def translate_topk(
@@ -87,9 +55,7 @@ def translate_topk(
     """Rank all target tokens for one source token, or for each token of a
     list in one pass (one CSLS r_S for all of them). A str query returns its
     [(tgt, score), ...]; a list returns one such list per token, in order.
-    Every token is checked before any scoring. The space's matrices are
-    normalized in place while it runs and get every bit back (see the
-    module docstring)."""
+    Every token is checked before any scoring."""
     if k < 1:
         raise ValueError("k must be >= 1")
     check_retrieval(retrieval)
@@ -120,8 +86,6 @@ def precision_at_k(
     An entry counts correct at k iff any in-vocabulary gold target appears
     in the top-k candidates. Entries with out-of-vocabulary sources are
     skipped and reported unless oov_as_wrong, which counts them incorrect.
-    The space's matrices are normalized in place while it runs and get
-    every bit back (see the module docstring).
     """
     check_retrieval(retrieval)
     ks = tuple(sorted(ks))

@@ -1,4 +1,3 @@
-import contextlib
 import math
 import tracemalloc
 
@@ -602,10 +601,10 @@ def test_self_learn_warns_of_seed_pairs_outside_the_induction_cutoff():
     ]
 
 
-# ------------------------------------------- self-learning target in place
+# ------------------------------------------ self-learning target, read only
 #
-# Each induction normalizes the target's top rows in place and restores
-# them; everything else in the loop must see the raw rows.
+# Each induction scores the target's raw top rows with their reciprocal
+# norms; nothing in the loop writes the target.
 
 _CUTOFF = 500
 
@@ -675,21 +674,20 @@ def test_self_learn_restores_the_target_when_induction_raises(
 def test_self_learn_induces_on_unit_top_rows_and_never_writes_the_rest(
     monkeypatch, layout
 ):
-    # in frequency order the top rows are normalized in place and the rows
-    # beyond the cutoff stay raw; in reversed order the top rows are a
-    # gathered copy, so the target matrix is never written at all
+    # induction scores the raw top rows scaled by their reciprocal norms:
+    # in frequency order a view of the target matrix, in reversed order a
+    # gathered copy; the target matrix is never written
     src, tgt, seed = _learning_pair(layout)
+    tgt.matrix[:] *= np.linspace(0.5, 2.0, len(tgt.matrix))[:, None]
     before = _raw(tgt.matrix)
     real, seen = mapper._induce_pairs, []
 
-    def checking(src_unit, tgt_unit, *rest):
-        seen.append(np.allclose(np.linalg.norm(tgt_unit, axis=1), 1.0))
-        if layout == "plain":
-            assert np.shares_memory(tgt_unit, tgt.matrix)
-            assert np.array_equal(_raw(tgt.matrix[_CUTOFF:]), before[_CUTOFF:])
-        else:
-            assert np.array_equal(_raw(tgt.matrix), before)
-        return real(src_unit, tgt_unit, *rest)
+    def checking(src_unit, tgt_rows, retrieval, seed_pairs, inv_norms):
+        norms = np.linalg.norm(tgt_rows, axis=1)
+        seen.append(np.allclose(norms * inv_norms, 1.0) and not np.allclose(norms, 1.0))
+        assert np.shares_memory(tgt_rows, tgt.matrix) == (layout == "plain")
+        assert np.array_equal(_raw(tgt.matrix), before)
+        return real(src_unit, tgt_rows, retrieval, seed_pairs, inv_norms)
 
     monkeypatch.setattr(mapper, "_induce_pairs", checking)
     model = _learn(src, tgt, seed, "csls")
@@ -718,9 +716,9 @@ def test_self_learn_solves_and_scores_on_the_raw_target(monkeypatch):
     assert calls == ["svd", "cos"] * model.iterations
 
 
-@contextlib.contextmanager
 def _unit_copy(matrix):
-    yield scoring.unit_rows(matrix)
+    """unit_scale's answer for a matrix it cannot scale: a unit copy."""
+    return scoring.unit_rows(matrix), None
 
 
 @pytest.mark.parametrize("retrieval", ["cosine", "csls"])
@@ -729,7 +727,7 @@ def test_self_learn_in_place_matches_a_unit_copy_oracle(
     monkeypatch, layout, retrieval
 ):
     got = _learn(*_learning_pair(layout), retrieval)
-    monkeypatch.setattr(mapper, "unit_in_place", _unit_copy)
+    monkeypatch.setattr(mapper, "unit_scale", _unit_copy)
     want = _learn(*_learning_pair(layout), retrieval)
     assert got.iterations == want.iterations >= 2
     assert got.dict_cosines == want.dict_cosines
@@ -741,7 +739,7 @@ def test_self_learn_holds_no_unit_copy_of_the_target(retrieval):
     """self_learn alone at 5000 x 300, cutoff 2500, holds above its inputs
     the two dictionary gathers of each Procrustes solve and the scratch of
     one induction (the mapped top source rows, one score block, the
-    entries unit_in_place records): about 1.6-1.7 matrices. A unit copy
+    target's reciprocal row norms): about 1.6-1.7 matrices. A unit copy
     of the target's top rows, half a matrix here, held across the solve,
     pushes it past 1.9 (2.1-2.2). The run is made once untraced first, so
     one-time lazy imports inside numpy are not counted."""

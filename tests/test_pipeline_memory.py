@@ -33,9 +33,9 @@ N, D = 2000, 100
 def test_pipeline_peak_below_five_matrices_and_a_block_and_a_quarter(
     tmp_path, retrieval
 ):
-    """The peak is P@k: the two aligned matrices, which it normalizes in
-    place, the entries it records to restore them, and one score block
-    with its sub-block copies. A second block buffer or an argpartition
+    """The peak is P@k: the two aligned matrices, which it only reads,
+    their reciprocal row norms, and one score block with its sub-block
+    copies. A second block buffer or an argpartition
     index block pushes CSLS past the bound; so does keeping the
     normalized inputs past align. The run is made once untraced first,
     so one-time lazy imports inside numpy are not counted."""
@@ -74,8 +74,8 @@ def test_pipeline_peak_below_three_matrices_and_scratch(
     normalized in place, and apply_mapping's output (align maps the
     target side of a re-weighted model after it drops the normalized
     source); refine works in place on the aligned pair (MEEMI frees each
-    side once it is mapped) and P@k normalizes the aligned pair in place,
-    holding no unit matrix. Scratch on top is _average's weighted rows of
+    side once it is mapped) and P@k only reads the aligned pair, holding
+    no unit matrix. Scratch on top is _average's weighted rows of
     the paired tokens, or one score block with its sub-block copies. A
     normalized copy, a refined copy or two unit matrices in P@k each push
     the run past the bound."""

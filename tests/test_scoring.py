@@ -224,11 +224,14 @@ def _copying_topk_mean(scores, k):
     return part[:, n - k :].mean(axis=1)
 
 
-def _copying_score_blocks(queries, targets, r_src=None):
+def _copying_score_blocks(queries, targets, r_src=None, inv_norms=None):
     """score_blocks as it was before buffer reuse: fresh arrays per block
-    and the CSLS score as one expression."""
+    and the CSLS score as one expression, with raw targets' scores
+    scaled as a separate product."""
     for rows in scoring._blocks(queries.shape[0]):
         cos = queries[rows] @ targets.T
+        if inv_norms is not None:
+            cos = cos * inv_norms
         if r_src is None:
             yield rows, cos
         else:
@@ -236,9 +239,9 @@ def _copying_score_blocks(queries, targets, r_src=None):
             yield rows, 2.0 * cos - r_tgt[:, None] - r_src[None, :]
 
 
-def _copying_neighbourhood_mean(queries, targets):
+def _copying_neighbourhood_mean(queries, targets, inv_norms=None):
     out = np.empty(queries.shape[0])
-    for rows, cos in _copying_score_blocks(queries, targets):
+    for rows, cos in _copying_score_blocks(queries, targets, None, inv_norms):
         out[rows] = _copying_topk_mean(cos, scoring.CSLS_K)
     return out
 
@@ -265,27 +268,36 @@ def test_topk_mean_in_place_matches_partitioned_copy(scores, k):
 def test_reused_buffers_bit_identical_to_copying_kernel(
     small_blocks, retrieval, space_name
 ):
+    """Unit targets, and raw targets (rows scaled 1/3 to 3) scored with
+    their reciprocal norms: the CSLS block folds the scale into 2 * cos
+    and into the copy r_T partitions, and keeps every bit of the
+    copying kernel's separate product."""
     space = SPACES[space_name]()
     src = scoring.unit_rows(space.src.matrix)
-    tgt = scoring.unit_rows(space.tgt.matrix)
+    tgt_unit = scoring.unit_rows(space.tgt.matrix)
     assert src.shape[0] % scoring.BLOCK_ROWS  # a ragged last block
-    r_src = None
-    if retrieval == "csls":
-        r_src = scoring.neighbourhood_mean(tgt, src)
-        assert np.array_equal(r_src, _copying_neighbourhood_mean(tgt, src))
-    got = [(rows, block.copy()) for rows, block in scoring.score_blocks(src, tgt, r_src)]
-    want = list(_copying_score_blocks(src, tgt, r_src))
-    assert [rows for rows, _ in got] == [rows for rows, _ in want]
-    for (_, a), (_, b) in zip(got, want):
-        assert np.array_equal(a, b)
-    dense = np.concatenate([b for _, b in want])
-    for k in (1, 5, tgt.shape[0], tgt.shape[0] + 3):
-        idx, val = scoring.topk(src, tgt, k, r_src)
-        want_idx = np.concatenate(
-            [scoring.ranked_topk(b, min(k, tgt.shape[0])) for _, b in want]
-        )
-        assert np.array_equal(idx, want_idx)
-        assert np.array_equal(val, np.take_along_axis(dense, want_idx, axis=1))
+    raw = tgt_unit * np.linspace(1 / 3, 3, tgt_unit.shape[0])[:, None]
+    for tgt, inv in ((tgt_unit, None), scoring.unit_scale(raw)):
+        r_src = None
+        if retrieval == "csls":
+            r_src = scoring.neighbourhood_mean(tgt_unit, src)
+            assert np.array_equal(r_src, _copying_neighbourhood_mean(tgt_unit, src))
+        got = [
+            (rows, block.copy())
+            for rows, block in scoring.score_blocks(src, tgt, r_src, inv_norms=inv)
+        ]
+        want = list(_copying_score_blocks(src, tgt, r_src, inv))
+        assert [rows for rows, _ in got] == [rows for rows, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert np.array_equal(a, b)
+        dense = np.concatenate([b for _, b in want])
+        for k in (1, 5, tgt.shape[0], tgt.shape[0] + 3):
+            idx, val = scoring.topk(src, tgt, k, r_src, inv_norms=inv)
+            want_idx = np.concatenate(
+                [scoring.ranked_topk(b, min(k, tgt.shape[0])) for _, b in want]
+            )
+            assert np.array_equal(idx, want_idx)
+            assert np.array_equal(val, np.take_along_axis(dense, want_idx, axis=1))
 
 
 @settings(max_examples=300, deadline=None)
@@ -362,9 +374,12 @@ def test_self_learn_blocked_induced_pairs_match_dense(
     calls = []
     blocked = mapper._induce_pairs
 
-    def recording(src_unit, tgt_unit, mode, seed_pairs):
-        got = blocked(src_unit, tgt_unit, mode, seed_pairs)
-        calls.append((got, _dense_induce(src_unit, tgt_unit, mode, seed_pairs)))
+    def recording(src_unit, tgt, mode, seed_pairs, inv_norms):
+        # self_learn hands over the raw target rows: the oracle scores
+        # a unit copy of them
+        got = blocked(src_unit, tgt, mode, seed_pairs, inv_norms)
+        want = _dense_induce(src_unit, scoring.unit_rows(tgt), mode, seed_pairs)
+        calls.append((got, want))
         return got
 
     monkeypatch.setattr(mapper, "_induce_pairs", recording)
@@ -555,6 +570,49 @@ def test_csls_peak_memory_below_two_score_blocks():
         )
 
 
+def _read_only(space):
+    matrix = space.matrix.copy()
+    matrix.flags.writeable = False
+    return make_space(space.vocab.tokens, matrix, space.vocab.freqs)
+
+
+def test_read_only_spaces_are_scored_without_a_copy():
+    """A read-only side is only read, like a writeable one, so no call
+    copies it: each peak stays within 0.1 matrix of the same call on
+    writeable matrices. The induction cutoff covers every row, so a unit
+    copy of the target's top rows would be a whole matrix. Each run is
+    made once untraced first, as above."""
+    src, tgt, _ = rotation_benchmark(n=V, d=100, noise=0.1, seed=6)
+    test = TestDictionary(entries=[(t, (t,)) for t in src.vocab.tokens[:500]])
+    full = build_identical_dictionary(src.vocab, tgt.vocab)
+    seed = dictionary_from_pairs(full.pairs()[:50], src.vocab, tgt.vocab)
+    queries = src.vocab.tokens[:300]
+
+    def peaks(src, tgt):
+        space = CrossLingualSpace(src=src, tgt=tgt)
+        out = {}
+        for r in MODES:
+            cfg = SelfLearnConfig(induce_vocab_cutoff=V, retrieval=r, max_iters=2)
+            runs = {
+                "P@k": lambda: precision_at_k(space, test, (1, 10), r),
+                "translate_topk": lambda: translate_topk(space, queries, 10, r),
+                "self_learn": lambda: self_learn(src, tgt, seed, cfg),
+            }
+            for name, run in runs.items():
+                run()
+                out[f"{r} {name}"] = _peak_bytes(run)
+        return out
+
+    writeable = peaks(src, tgt)
+    read_only = peaks(_read_only(src), _read_only(tgt))
+    matrix = src.matrix.nbytes
+    for name, peak in read_only.items():
+        assert peak < writeable[name] + 0.1 * matrix, (
+            f"{name} on read-only matrices peaked "
+            f"{(peak - writeable[name]) / matrix:.2f} matrices higher"
+        )
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_unique_pairs_equals_row_unique(seed):
     rng = np.random.default_rng(seed)
@@ -665,15 +723,16 @@ def test_huge_source_row_retrieves_its_direction(retrieval):
         top = translate_topk(space, "c", 1, retrieval)
     assert report.p_at[1] == 100.0
     assert top[0][0] == "z"
-    # retrieval gives back the rows it normalized in place
+    # retrieval never writes the rows it scores
     assert space.src.matrix[2].tolist() == [1e200, 1e200]
 
 
 def test_r_s_of_raw_target_rows_equals_r_s_of_the_unit_copy():
-    # CSLS r_S in translate scores the raw target matrix normalized in
-    # place; unit_rows is row-wise and the GEMM blocks keep their shapes,
-    # so every bit is that of scoring a unit copy of all targets, also for
-    # a last block of one row, a zero row and rows outside the safe norms
+    # CSLS r_S in translate gathers and scales the raw target rows block
+    # by block and scores them against the raw sources with their
+    # reciprocal norms: within 1e-12 of scoring unit copies of both, also
+    # for a last block of one row, a zero row and query rows outside the
+    # safe norms, and neither matrix is written
     rng = np.random.default_rng(12)
     n_src, d = 300, 20
     step = scoring.block_rows(n_src)
@@ -684,11 +743,12 @@ def test_r_s_of_raw_target_rows_equals_r_s_of_the_unit_copy():
     tgt[7] *= 1e200
     tgt[-1] *= 1e-200
     want = scoring.neighbourhood_mean(scoring.unit_rows(tgt), scoring.unit_rows(src))
-    raw = tgt.copy()
-    with scoring.unit_in_place(tgt) as unit:
-        got = scoring.neighbourhood_mean(unit, scoring.unit_rows(src))
-    assert np.array_equal(got, want)
-    assert _same_bits(tgt, raw)
+    raw_src, raw_tgt = src.copy(), tgt.copy()
+    src_rows, inv = scoring.unit_scale(src)
+    assert src_rows is src
+    got = scoring.neighbourhood_mean(tgt, src, inv)
+    assert np.abs(got - want).max() < 1e-12
+    assert _same_bits(src, raw_src) and _same_bits(tgt, raw_tgt)
 
 
 @pytest.mark.parametrize("retrieval", MODES)
@@ -707,147 +767,21 @@ def test_indexed_topk_scores_the_gathered_rows_as_unit_rows(retrieval):
     idx[:3] = [5, 7, 9]
     idx[-1] = 7  # the lone row of the last block
     assert len(idx) % step == 1
-    tgt = scoring.unit_rows(rng.normal(size=(n_tgt, d)))
-    r_src = None
-    if retrieval == "csls":
-        r_src = scoring.neighbourhood_mean(tgt, scoring.unit_rows(raw))
-    before = raw.copy()
-    want = scoring.topk(scoring.unit_rows(raw[idx]), tgt, 10, r_src)
-    got = scoring.topk(raw, tgt, 10, r_src, index=idx)
-    assert np.array_equal(got[0], want[0])
-    assert _same_bits(got[1], want[1])
-    assert _same_bits(raw, before)
+    tgt_raw = rng.normal(size=(n_tgt, d))
+    # unit targets, and raw targets with their reciprocal norms
+    for tgt, inv in ((scoring.unit_rows(tgt_raw), None), scoring.unit_scale(tgt_raw)):
+        r_src = None
+        if retrieval == "csls":
+            r_src = scoring.neighbourhood_mean(tgt_raw, scoring.unit_rows(raw))
+        before = raw.copy()
+        want = scoring.topk(scoring.unit_rows(raw[idx]), tgt, 10, r_src, inv_norms=inv)
+        got = scoring.topk(raw, tgt, 10, r_src, index=idx, inv_norms=inv)
+        assert np.array_equal(got[0], want[0])
+        assert _same_bits(got[1], want[1])
+        assert _same_bits(raw, before)
 
-
-# ------------------------------------------------- unit rows in place
 
 def _same_bits(a, b):
     """Equal shapes and equal bits, so -0.0 and 0.0 differ."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
-def _awkward_rows():
-    """_ragged_rows with the rows unit * norm does not give back: all-zero
-    rows of either sign, signed zeros inside a row, rows at 1e-200 and
-    1e200, subnormal rows, a subnormal entry in a normal row and a row
-    whose norm overflows (its norm is inf, and 0 * inf is nan)."""
-    rng = np.random.default_rng(9)
-    matrix = _ragged_rows()
-    matrix[3] = 0.0
-    matrix[4] = -0.0
-    matrix[11, ::2] = -0.0
-    matrix[20] = rng.normal(size=7) * 1e-200
-    matrix[21] = rng.normal(size=7) * 1e200
-    matrix[30] = [5e-324, 0.0, -5e-324, 0.0, 0.0, 1e-310, 0.0]
-    matrix[31] = rng.normal(size=7) * 1e-310
-    matrix[40, 2] = 5e-324
-    matrix[48] = TINY_AND_HUGE_ROWS[4] + [0.0] * 5
-    matrix[49] = TINY_AND_HUGE_ROWS[0] + [0.0] * 5
-    return matrix
-
-
-def _gaussian_rows():
-    return np.random.default_rng(10).normal(size=(300, 40))
-
-
-@pytest.mark.parametrize("rows", [_awkward_rows, _gaussian_rows])
-def test_unit_in_place_yields_unit_rows_and_restores_every_bit(small_blocks, rows):
-    matrix = rows()
-    raw = matrix.copy()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no overflow or 0/0 RuntimeWarning
-        with scoring.unit_in_place(matrix) as unit:
-            assert unit is matrix
-            assert _same_bits(unit, scoring.unit_rows(raw))
-    assert _same_bits(matrix, raw)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    hnp.arrays(
-        np.float64,
-        hnp.array_shapes(min_dims=2, max_dims=2, max_side=20),
-        elements=st.floats(allow_nan=False, allow_infinity=False),
-    )
-)
-def test_unit_in_place_restores_any_finite_matrix(matrix):
-    raw = matrix.copy()
-    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
-        mp.setattr(scoring, "BLOCK_ROWS", 7)
-        warnings.simplefilter("error")  # no overflow or 0 * inf RuntimeWarning
-        with scoring.unit_in_place(matrix) as unit:
-            assert _same_bits(unit, scoring.unit_rows(raw))
-    assert _same_bits(matrix, raw)
-
-
-def test_unit_in_place_on_a_strided_view(small_blocks):
-    # every other row and column of a larger matrix: the entries between
-    # them are never written
-    full = np.random.default_rng(11).normal(size=(100, 14))
-    full[::2, ::2] = _awkward_rows()
-    raw = full.copy()
-    view = full[::2, ::2]
-    with scoring.unit_in_place(view) as unit:
-        assert unit is view
-        assert _same_bits(unit, scoring.unit_rows(raw[::2, ::2]))
-        assert _same_bits(full[1::2], raw[1::2])
-        assert _same_bits(full[:, 1::2], raw[:, 1::2])
-    assert _same_bits(full, raw)
-
-
-def test_unit_in_place_copies_a_read_only_matrix(small_blocks):
-    matrix = _awkward_rows()
-    raw = matrix.copy()
-    matrix.flags.writeable = False
-    with scoring.unit_in_place(matrix) as unit:
-        assert unit is not matrix
-        assert _same_bits(unit, scoring.unit_rows(raw))
-    assert _same_bits(matrix, raw)
-
-
-def test_unit_in_place_restores_after_an_error_in_the_block(small_blocks):
-    matrix = _awkward_rows()
-    raw = matrix.copy()
-    with pytest.raises(RuntimeError, match="in the block"):
-        with scoring.unit_in_place(matrix):
-            raise RuntimeError("in the block")
-    assert _same_bits(matrix, raw)
-
-
-def test_unit_in_place_restores_after_an_error_while_normalizing(
-    small_blocks, monkeypatch
-):
-    # the third block fails: the two normalized ones are restored, the
-    # rest were never written
-    matrix = _awkward_rows()
-    raw = matrix.copy()
-    real, calls = scoring._unit_block, []
-
-    def failing(block, out):
-        calls.append(block.shape[0])
-        if len(calls) == 3:
-            raise MemoryError("while normalizing")
-        return real(block, out)
-
-    monkeypatch.setattr(scoring, "_unit_block", failing)
-    with pytest.raises(MemoryError, match="while normalizing"):
-        with scoring.unit_in_place(matrix):
-            raise AssertionError("the block ran")
-    assert len(calls) == 3
-    assert _same_bits(matrix, raw)
-
-
-def test_unit_in_place_scratch_is_norms_and_recorded_entries():
-    # Gaussian rows are about the worst case: 10-15% of their entries are
-    # recorded, at 12 bytes each; a unit copy would be 8 bytes per entry
-    matrix = np.random.default_rng(13).normal(size=(4000, 100))
-    with scoring.unit_in_place(matrix):
-        pass
-    tracemalloc.start()
-    try:
-        with scoring.unit_in_place(matrix):
-            held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert held < 0.25 * matrix.nbytes, f"held {held / matrix.nbytes:.3f} matrices"

@@ -1,6 +1,9 @@
 import heapq
 import math
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -208,7 +211,7 @@ def test_topk_empty_list_runs_no_kernel(monkeypatch):
     def kernel(*args, **kwargs):
         raise AssertionError("a kernel ran for no query")
 
-    for name in ("neighbourhood_mean", "topk", "unit_rows"):
+    for name in ("neighbourhood_mean", "topk", "unit_scale"):
         monkeypatch.setattr(translate, name, kernel)
     for retrieval in ("cosine", "csls"):
         assert translate_topk(space, [], k=1, retrieval=retrieval) == []
@@ -373,7 +376,7 @@ def test_p_at_k_all_sources_oov_runs_no_kernel(monkeypatch, retrieval):
     def kernel(*args, **kwargs):
         raise AssertionError("a kernel ran with no covered source")
 
-    for name in ("neighbourhood_mean", "topk", "unit_rows"):
+    for name in ("neighbourhood_mean", "topk", "unit_scale"):
         monkeypatch.setattr(translate, name, kernel)
     test = TestDictionary(entries=[("nope", ("t000",)), ("gone", ("t001",))])
     report = precision_at_k(
@@ -417,7 +420,7 @@ def _layout_space(layout):
     """A space whose two sides are laid out as named: two matrices, one
     matrix for both sides, overlapping row ranges of one array,
     column-major matrices, or read-only ones. Rows of norms 1e-2 to 1e2,
-    a zero row and signed zeros, so unit * norm misses many entries."""
+    a zero row and signed zeros."""
     rng = np.random.default_rng(21)
     n, d = 600, 16
     base = rng.normal(size=(n + 100, d)) * np.logspace(-2, 2, n + 100)[:, None]
@@ -455,14 +458,30 @@ def _bits(space):
     return [m.copy().view(np.int64) for m in (space.src.matrix, space.tgt.matrix)]
 
 
+def _assert_ranks_like(got, want, tol=1e-12):
+    """Identical rankings; scores within tol."""
+    assert [[t for t, _ in r] for r in got] == [[t for t, _ in r] for r in want]
+    gaps = [abs(a - b) for g, w in zip(got, want) for (_, a), (_, b) in zip(g, w)]
+    assert max(gaps) <= tol
+
+
 @pytest.mark.parametrize("retrieval", ["cosine", "csls"])
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_retrieval_scores_unit_rows_and_restores_both_matrices(layout, retrieval):
+    """Retrieval ranks like a unit copy of both sides, with scores within
+    1e-12, gives every layout the same result and writes neither
+    matrix."""
     space = _layout_space(layout)
     before = _bits(space)
     tokens = space.src.vocab.tokens[::3]
     got = translate_topk(space, tokens, 10, retrieval)
-    assert got == _unit_copy_topk(space, tokens, 10, retrieval)
+    _assert_ranks_like(got, _unit_copy_topk(space, tokens, 10, retrieval))
+    # the same rows as two separate C-contiguous writeable matrices
+    separate = CrossLingualSpace(*(
+        make_space(side.vocab.tokens, np.array(side.matrix, order="C"))
+        for side in (space.src, space.tgt)
+    ))
+    assert got == translate_topk(separate, tokens, 10, retrieval)
     test = TestDictionary(entries=[(t, (t,)) for t in tokens])
     report = precision_at_k(space, test, ks=(1, 10), retrieval=retrieval)
     assert report.p_at == _p_at_k_oracle(space, test, (1, 10), retrieval, False)
@@ -471,9 +490,37 @@ def test_retrieval_scores_unit_rows_and_restores_both_matrices(layout, retrieval
     assert (space.src.matrix is space.tgt.matrix) == (layout == "shared")
 
 
+def _extreme_space(sides):
+    """_layout_space("separate") with rows of norm 1e-200 and 1e200 on the
+    named sides: their reciprocal norms are not exact enough, so such a
+    side is scored through one unit copy."""
+    space = _layout_space("separate")
+    for side in sides:
+        matrix = getattr(space, side).matrix
+        matrix[3] *= 1e-200 / np.linalg.norm(matrix[3])
+        matrix[11] *= 1e200 / np.linalg.norm(matrix[11])
+    return space
+
+
+@pytest.mark.parametrize("retrieval", ["cosine", "csls"])
+@pytest.mark.parametrize("sides", [("src",), ("tgt",), ("src", "tgt")])
+def test_rows_of_norm_1e_minus_200_and_1e200_rank_like_the_unit_copy(sides, retrieval):
+    space = _extreme_space(sides)
+    before = _bits(space)
+    tokens = space.src.vocab.tokens[::3] + ["w011"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no overflow
+        got = translate_topk(space, tokens, 10, retrieval)
+        test = TestDictionary(entries=[(t, (t,)) for t in tokens])
+        report = precision_at_k(space, test, ks=(1, 10), retrieval=retrieval)
+    _assert_ranks_like(got, _unit_copy_topk(space, tokens, 10, retrieval))
+    assert report.p_at == _p_at_k_oracle(space, test, (1, 10), retrieval, False)
+    assert all(np.array_equal(a, b) for a, b in zip(_bits(space), before))
+
+
 def test_csls_query_pass_reads_the_raw_source_matrix(monkeypatch):
-    """CSLS normalizes the sources in place only while r_S is computed:
-    the query pass gathers its rows from the raw source matrix."""
+    """The query pass gathers its rows from the raw source matrix, which
+    the CSLS r_S pass before it only read."""
     space = _layout_space("separate")
     raw_src = _bits(space)[0]
     seen = []
@@ -510,9 +557,8 @@ def test_retrieval_restores_both_matrices_after_an_error(monkeypatch, retrieval)
 @pytest.mark.parametrize("retrieval", ["cosine", "csls"])
 def test_p_at_k_holds_no_unit_copy_of_the_space(retrieval):
     """P@k alone at 5000 x 300 holds, above its inputs, one score block
-    with its sub-row copies, one gathered query block, the row norms and
-    the entries unit_in_place records (about 14% of Gaussian rows, 12
-    bytes each). A unit copy of either side, or of all queries, pushes it
+    with its sub-row copies, one gathered query block and the reciprocal
+    row norms. A unit copy of either side, or of all queries, pushes it
     past 1.25 score blocks plus half a matrix. The run is made once
     untraced first, so one-time lazy imports inside numpy are not
     counted."""
@@ -537,3 +583,36 @@ def test_p_at_k_holds_no_unit_copy_of_the_space(retrieval):
         f"P@k ({retrieval}) peaked at {(peak - 1.25 * block) / matrix:.2f} "
         f"matrices above 1.25 score blocks"
     )
+
+
+def test_threads_share_one_space_while_csls_retrieval_runs():
+    """Four threads (more than two cores) score one space at once, with
+    the interpreter switching threads every microsecond: retrieval only
+    reads the space, so every thread gets the sequential result and both
+    matrices keep their bytes."""
+    space = _layout_space("separate")
+    before = _bits(space)
+    tokens = space.src.vocab.tokens[::2]
+    want = translate_topk(space, tokens, 10, "csls")
+    results, errors = {}, []
+
+    def worker(i):
+        try:
+            results[i] = [translate_topk(space, tokens, 10, "csls") for _ in range(3)]
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert results == {i: [want] * 3 for i in range(4)}
+    assert all(np.array_equal(a, b) for a, b in zip(_bits(space), before))
