@@ -156,7 +156,9 @@ def _induce_pairs(
     """
     n_src = src_unit.shape[0]
     n_tgt = tgt.shape[0]
-    r_src = neighbourhood_mean(tgt, src_unit) if retrieval == CSLS else None
+    r_src = None
+    if retrieval == CSLS:
+        r_src = neighbourhood_mean(tgt, src_unit, query_inv=inv_norms)
     fwd = np.empty(n_src, dtype=np.int64)
     bwd = np.zeros(n_tgt, dtype=np.int64)
     best = np.full(n_tgt, -np.inf)

@@ -9,9 +9,10 @@ only other scratch is a copy of SUB_ROWS rows of the block, which the
 row-wise top-k steps partition, and, when query rows are gathered and
 scaled block by block, one buffer of query rows. Target rows are scored
 raw: each score column is multiplied by its target's reciprocal row norm
-(unit_scale), so no pass writes, or makes a unit copy of, the matrices
-it reads. map_rows applies a d x d map the same way, BLOCK_ROWS rows per
-GEMM, so OpenBLAS never packs a copy of a whole embedding matrix. CSLS
+(unit_scale), and a neighbourhood mean of a raw query row by the row's,
+so no pass writes, or makes a unit copy of, the matrices it reads.
+map_rows applies a d x d map the same way, BLOCK_ROWS rows per GEMM, so
+OpenBLAS never packs a copy of a whole embedding matrix. CSLS
 (Conneau et al. 2018) scores a pair as 2*cos(x, y) - r_T(x) - r_S(y),
 where r_T(x) is the mean cosine of x's CSLS_K nearest targets and r_S(y)
 the mean cosine of y's CSLS_K nearest sources; both neighbourhood means
@@ -57,20 +58,21 @@ def unit_rows(matrix: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarra
 
 
 def unit_scale(matrix: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """(rows, inv_norms) that score `matrix` as unit target rows (see
-    score_blocks): the matrix itself and the reciprocal of each row's norm
-    (1 for an all-zero row, which scores 0 everywhere). When a nonzero
-    row's norm lies outside _SAFE_NORM, its reciprocal is not exact
-    enough, and the pair is unit_rows(matrix) and None: the one case that
-    copies the matrix. Nothing is written to `matrix`."""
+    """(rows, inv_norms) that score `matrix` as unit rows (see score_blocks
+    and neighbourhood_mean): the matrix itself and the reciprocal of each
+    row's norm (1 for an all-zero row, which scores 0 everywhere). When a
+    nonzero row's norm lies outside _SAFE_NORM (tiny entries may even
+    give a norm of 0), its reciprocal is not exact enough, and the pair
+    is unit_rows(matrix) and None: the one case that copies the matrix.
+    Nothing is written to `matrix`."""
     lo, hi = _SAFE_NORM
     norms = np.empty(matrix.shape[0])
     for rows in _blocks(matrix.shape[0]):
         norms[rows] = _row_norms(matrix[rows])
-    zero = norms == 0.0
-    if not (zero | ((norms > lo) & (norms < hi))).all():
+    unsafe = np.flatnonzero(~((norms > lo) & (norms < hi)))
+    if matrix[unsafe].any():  # not only all-zero rows
         return unit_rows(matrix), None
-    norms[zero] = 1.0
+    norms[unsafe] = 1.0
     return matrix, np.divide(1.0, norms, out=norms)
 
 
@@ -161,15 +163,19 @@ def neighbourhood_mean(
     queries: np.ndarray,
     targets: np.ndarray,
     inv_norms: Optional[np.ndarray] = None,
+    *,
+    query_inv: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """For each query row (of any norm, scaled block by block as with
-    score_blocks' `index`), the mean cosine of its CSLS_K nearest target
-    rows, scored as in score_blocks. With sources as targets this is
-    CSLS's r_S of each target row."""
+    """For each query row, the mean cosine of its CSLS_K nearest target
+    rows, scored as in score_blocks. The queries are unit rows, or, with
+    `query_inv` (see unit_scale), raw rows: each row's mean is multiplied
+    by its reciprocal norm, which keeps the order of its scores. With
+    sources as targets this is CSLS's r_S of each target row."""
     out = np.empty(queries.shape[0])
-    index = np.arange(queries.shape[0])
-    for rows, cos in score_blocks(queries, targets, index=index, inv_norms=inv_norms):
+    for rows, cos in score_blocks(queries, targets, inv_norms=inv_norms):
         out[rows] = topk_mean(cos, CSLS_K)
+    if query_inv is not None:
+        out *= query_inv
     return out
 
 
@@ -184,14 +190,14 @@ def score_blocks(
     """Yield (rows, scores) for consecutive blocks of query rows against
     all target rows: cosine, or CSLS when r_src holds the targets' r_S
     (see neighbourhood_mean). Without `index` the query rows are
-    `queries` as given (unit rows). With `index` they are
-    unit_rows(queries[index]) for rows of any norm: each block gathers
-    its rows into one reused buffer and scales them there, so neither a
-    copy nor a unit copy of every query row is made, and the bits are
-    those of scoring unit_rows(queries[index]). The targets are unit
-    rows, or, with `inv_norms` (see unit_scale), raw rows: each score
-    column is multiplied by its target's reciprocal norm, folded into
-    the CSLS arithmetic, so the targets are only read.
+    `queries` as given (unit rows, or raw rows in neighbourhood_mean).
+    With `index` they are unit_rows(queries[index]) for rows of any
+    norm: each block gathers its rows into one reused buffer and scales
+    them there, so neither a copy nor a unit copy of every query row is
+    made, and the bits are those of scoring unit_rows(queries[index]).
+    The targets are unit rows, or, with `inv_norms` (see unit_scale),
+    raw rows: each score column is multiplied by its target's reciprocal
+    norm, folded into the CSLS arithmetic, so the targets are only read.
 
     A last block of one row is scored as two rows (the row twice): numpy
     multiplies a single row by GEMV, which OpenBLAS rounds differently

@@ -3,10 +3,13 @@
 Retrieval only reads the space's matrices. Query rows are gathered raw
 and scaled one block at a time; target rows are scored raw, each score
 column multiplied by the target's reciprocal row norm
-(scoring.unit_scale). Scratch above the space is one score block with
-its sub-row copies, one block of query rows and the reciprocal row norms
-of each side it scores as targets. A side with a row norm outside
-scoring._SAFE_NORM is scored as one unit copy instead.
+(scoring.unit_scale). CSLS's r_S pass scores the raw target rows
+against the raw sources and multiplies each target's mean by the same
+reciprocal norm, so each side's norms are taken once per call. Scratch
+above the space is one score block with its sub-row copies, one block
+of query rows and the reciprocal row norms of both sides. A side
+holding a nonzero row whose norm lies outside scoring._SAFE_NORM is
+scored as one unit copy instead.
 """
 
 from dataclasses import dataclass
@@ -40,13 +43,13 @@ def _retrieve(
     """Top-k target indices and scores for the source rows at query_idx.
     CSLS r_S is taken over the whole source space, not just the queries.
     Neither matrix is written (see the module docstring)."""
-    src, tgt = space.src.matrix, space.tgt.matrix
+    src = space.src.matrix
+    tgt_rows, tgt_inv = unit_scale(space.tgt.matrix)
     r_src = None
     if retrieval == CSLS:
-        r_src = neighbourhood_mean(tgt, *unit_scale(src))
-    tgt_rows, inv_norms = unit_scale(tgt)
+        r_src = neighbourhood_mean(tgt_rows, *unit_scale(src), query_inv=tgt_inv)
     index = np.asarray(query_idx, dtype=np.intp)
-    return topk(src, tgt_rows, k, r_src, index=index, inv_norms=inv_norms)
+    return topk(src, tgt_rows, k, r_src, index=index, inv_norms=tgt_inv)
 
 
 def translate_topk(

@@ -271,7 +271,8 @@ def test_reused_buffers_bit_identical_to_copying_kernel(
     """Unit targets, and raw targets (rows scaled 1/3 to 3) scored with
     their reciprocal norms: the CSLS block folds the scale into 2 * cos
     and into the copy r_T partitions, and keeps every bit of the
-    copying kernel's separate product."""
+    copying kernel's separate product. A neighbourhood mean of raw query
+    rows is the copying kernel's mean times the reciprocal norm."""
     space = SPACES[space_name]()
     src = scoring.unit_rows(space.src.matrix)
     tgt_unit = scoring.unit_rows(space.tgt.matrix)
@@ -282,6 +283,9 @@ def test_reused_buffers_bit_identical_to_copying_kernel(
         if retrieval == "csls":
             r_src = scoring.neighbourhood_mean(tgt_unit, src)
             assert np.array_equal(r_src, _copying_neighbourhood_mean(tgt_unit, src))
+            if inv is not None:
+                scaled = scoring.neighbourhood_mean(raw, src, query_inv=inv)
+                assert np.array_equal(scaled, _copying_neighbourhood_mean(raw, src) * inv)
         got = [
             (rows, block.copy())
             for rows, block in scoring.score_blocks(src, tgt, r_src, inv_norms=inv)
@@ -704,6 +708,36 @@ def test_unit_rows_tiny_and_huge_rows(small_blocks, row):
     assert np.delete(out, 7, axis=0).tolist() == [[0.6, 0.8]] * 8
 
 
+@pytest.mark.parametrize("row", TINY_AND_HUGE_ROWS)
+def test_unit_scale_copies_a_side_with_a_nonzero_row_of_unsafe_norm(
+    small_blocks, row
+):
+    # a row of tiny entries may have a norm of 0; it is scored as its
+    # unit direction, through the unit copy, not as an all-zero row
+    matrix = np.tile([3.0, 4.0], (9, 1))
+    matrix[2] = 0.0
+    matrix[7] = row  # first row of the ragged second block
+    before = matrix.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning
+        rows, inv = scoring.unit_scale(matrix)
+    assert inv is None
+    assert _same_bits(rows, scoring.unit_rows(matrix))
+    assert _same_bits(matrix, before)
+
+
+def test_unit_scale_keeps_a_side_of_safe_and_all_zero_rows(small_blocks):
+    matrix = np.tile([3.0, 4.0], (9, 1))
+    matrix[2] = 0.0
+    matrix[3] = [-0.0, 0.0]
+    matrix[7] *= 1e-140
+    rows, inv = scoring.unit_scale(matrix)
+    assert rows is matrix
+    assert inv[2] == inv[3] == 1.0
+    assert np.allclose(inv[7], 0.2e140, rtol=1e-15, atol=0)
+    assert np.delete(inv, [2, 3, 7]).tolist() == [0.2] * 6
+
+
 def _huge_row_space():
     """Source row c is (1e200, 1e200): its squared norm overflows, and a
     plain norm turned it into zeros, which scored 0 against every target
@@ -728,27 +762,31 @@ def test_huge_source_row_retrieves_its_direction(retrieval):
 
 
 def test_r_s_of_raw_target_rows_equals_r_s_of_the_unit_copy():
-    # CSLS r_S in translate gathers and scales the raw target rows block
-    # by block and scores them against the raw sources with their
-    # reciprocal norms: within 1e-12 of scoring unit copies of both, also
-    # for a last block of one row, a zero row and query rows outside the
-    # safe norms, and neither matrix is written
+    # CSLS r_S in translate scores the raw target rows against the raw
+    # sources with the reciprocal norms of both (unit_scale): within
+    # 1e-12 of scoring unit copies of both, also for a last block of one
+    # row and a zero row; with target rows outside the safe norms the
+    # targets are one unit copy. Neither matrix is written.
     rng = np.random.default_rng(12)
     n_src, d = 300, 20
     step = scoring.block_rows(n_src)
     n_tgt = 2 * step + 1
     src = rng.normal(size=(n_src, d)) * np.logspace(-3, 3, n_src)[:, None]
-    tgt = rng.normal(size=(n_tgt, d)) * np.logspace(-3, 3, n_tgt)[:, None]
-    tgt[5] = 0.0
-    tgt[7] *= 1e200
-    tgt[-1] *= 1e-200
-    want = scoring.neighbourhood_mean(scoring.unit_rows(tgt), scoring.unit_rows(src))
-    raw_src, raw_tgt = src.copy(), tgt.copy()
-    src_rows, inv = scoring.unit_scale(src)
-    assert src_rows is src
-    got = scoring.neighbourhood_mean(tgt, src, inv)
-    assert np.abs(got - want).max() < 1e-12
-    assert _same_bits(src, raw_src) and _same_bits(tgt, raw_tgt)
+    for extreme in (False, True):
+        tgt = rng.normal(size=(n_tgt, d)) * np.logspace(-3, 3, n_tgt)[:, None]
+        tgt[5] = 0.0
+        if extreme:
+            tgt[7] *= 1e200
+            tgt[-1] *= 1e-200
+        unit_tgt, unit_src = scoring.unit_rows(tgt), scoring.unit_rows(src)
+        want = scoring.neighbourhood_mean(unit_tgt, unit_src)
+        raw_src, raw_tgt = src.copy(), tgt.copy()
+        src_rows, inv = scoring.unit_scale(src)
+        tgt_rows, tgt_inv = scoring.unit_scale(tgt)
+        assert src_rows is src and (tgt_rows is tgt) != extreme
+        got = scoring.neighbourhood_mean(tgt_rows, src, inv, query_inv=tgt_inv)
+        assert np.abs(got - want).max() < 1e-12
+        assert _same_bits(src, raw_src) and _same_bits(tgt, raw_tgt)
 
 
 @pytest.mark.parametrize("retrieval", MODES)
@@ -772,7 +810,9 @@ def test_indexed_topk_scores_the_gathered_rows_as_unit_rows(retrieval):
     for tgt, inv in ((scoring.unit_rows(tgt_raw), None), scoring.unit_scale(tgt_raw)):
         r_src = None
         if retrieval == "csls":
-            r_src = scoring.neighbourhood_mean(tgt_raw, scoring.unit_rows(raw))
+            r_src = scoring.neighbourhood_mean(
+                scoring.unit_rows(tgt_raw), scoring.unit_rows(raw)
+            )
         before = raw.copy()
         want = scoring.topk(scoring.unit_rows(raw[idx]), tgt, 10, r_src, inv_norms=inv)
         got = scoring.topk(raw, tgt, 10, r_src, index=idx, inv_norms=inv)

@@ -490,30 +490,49 @@ def test_retrieval_scores_unit_rows_and_restores_both_matrices(layout, retrieval
     assert (space.src.matrix is space.tgt.matrix) == (layout == "shared")
 
 
-def _extreme_space(sides):
-    """_layout_space("separate") with rows of norm 1e-200 and 1e200 on the
-    named sides: their reciprocal norms are not exact enough, so such a
-    side is scored through one unit copy."""
+# Rows 3 and 11 (when given) that send their side through one unit copy:
+# the reciprocals of norms 1e-200 and 1e200 are not exact enough, and the
+# sums of squares of 1e-170 and of subnormal entries underflow to 0, so
+# those nonzero rows have a norm of 0.
+EXTREME_ROWS = {
+    "1e-200-1e200": ((1e-200, -1e-200), (1e200, 1e200)),
+    "1e-170": ((1e-170, 0.0), None),
+    "subnormal": ((5e-324, -5e-324), None),
+}
+
+
+def _extreme_space(sides, tiny, huge):
+    """_layout_space("separate") whose row 3 holds only `tiny` on the
+    named sides, and row 11 only `huge` when given. Source row 4 points
+    the way of `tiny`, so its query ranks a tiny target row first."""
     space = _layout_space("separate")
     for side in sides:
         matrix = getattr(space, side).matrix
-        matrix[3] *= 1e-200 / np.linalg.norm(matrix[3])
-        matrix[11] *= 1e200 / np.linalg.norm(matrix[11])
+        matrix[3] = 0.0
+        matrix[3, :2] = tiny
+        if huge is not None:
+            matrix[11] = 0.0
+            matrix[11, :2] = huge
+    space.src.matrix[4] = 0.0
+    space.src.matrix[4, :2] = np.sign(tiny)
     return space
 
 
 @pytest.mark.parametrize("retrieval", ["cosine", "csls"])
 @pytest.mark.parametrize("sides", [("src",), ("tgt",), ("src", "tgt")])
-def test_rows_of_norm_1e_minus_200_and_1e200_rank_like_the_unit_copy(sides, retrieval):
-    space = _extreme_space(sides)
+@pytest.mark.parametrize("rows", EXTREME_ROWS.values(), ids=EXTREME_ROWS)
+def test_rows_of_extreme_norm_rank_like_the_unit_copy(rows, sides, retrieval):
+    space = _extreme_space(sides, *rows)
     before = _bits(space)
-    tokens = space.src.vocab.tokens[::3] + ["w011"]
+    tokens = space.src.vocab.tokens[::3] + ["w004", "w011"]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # no overflow
         got = translate_topk(space, tokens, 10, retrieval)
         test = TestDictionary(entries=[(t, (t,)) for t in tokens])
         report = precision_at_k(space, test, ks=(1, 10), retrieval=retrieval)
     _assert_ranks_like(got, _unit_copy_topk(space, tokens, 10, retrieval))
+    if "tgt" in sides:
+        assert got[-2][0][0] == "w003"
     assert report.p_at == _p_at_k_oracle(space, test, (1, 10), retrieval, False)
     assert all(np.array_equal(a, b) for a, b in zip(_bits(space), before))
 
