@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .corpus import parse_classes, undecodable_line
+from .corpus import parse_classes, read_lines
 
 # Normalization steps (embeddings.normalize).
 UNIT_ROWS = "unit"
@@ -200,11 +200,12 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
+        """The config in the JSON file at `path`, read by read_lines: an
+        undecodable byte or malformed JSON is a ValueError naming the file,
+        the line and the column."""
         path = Path(path)
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ValueError(undecodable_line(path, exc)) from None
+            raw = json.loads("".join(read_lines(path)))
         except json.JSONDecodeError as exc:
             where = f"line {exc.lineno}: {exc.msg} at column {exc.colno}"
             raise ValueError(f"{path}: {where}") from None

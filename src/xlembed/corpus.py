@@ -6,7 +6,7 @@ from the token string alone; the class drives how the synthetic bilingual
 dictionaries are filtered later on.
 """
 
-import codecs
+import io
 import os
 import re
 import unicodedata
@@ -152,42 +152,60 @@ def vocabulary_from_counts(counts: Counter, min_count: int = 5) -> Vocabulary:
     return Vocabulary(tokens=kept, freqs=[counts[t] for t in kept])
 
 
-# Replacement characters inserted by the corpus decoder in this process. A
-# reader adds only the increments made between its resume and its yield,
-# while no other reader in the thread can decode, so readers advanced in
-# turn (e.g. zipped) each count their own file.
-_replaced = [0]
+def read_lines(path, replace: bool = False, error=ValueError) -> Iterator[str]:
+    """The lines of the UTF-8 file at `path`, as open(path, encoding="utf-8")
+    yields them: "\\n", "\\r" and "\\r\\n" each end a line and read as "\\n";
+    only an unterminated last line lacks it. Every input file is decoded
+    here.
 
-
-def _count_replace(exc: UnicodeDecodeError):
-    _replaced[0] += 1
-    return "\ufffd", exc.end
-
-
-codecs.register_error("xlembed.corpus.replace", _count_replace)
-
-
-def iter_corpus_lines(path: str) -> Iterator[str]:
-    """Yield raw tweet lines; invalid UTF-8 becomes the replacement char.
-
-    Each undecodable byte sequence becomes one U+FFFD, and one warning names
-    the file and the number of sequences replaced.
+    An undecodable byte raises `error` (ValueError, or a subclass of it),
+    naming the line and the byte's column, when the iteration reaches that
+    line; the lines before it come first, so the errors of a reader show in
+    file order. With `replace`, each ill-formed sequence reads as one
+    U+FFFD, as errors="replace" gives it, and one warning gives the file
+    and their count when the iteration ends.
     """
+    errors = "replace" if replace else "strict"
     replaced = 0
     try:
-        with open(path, encoding="utf-8", errors="xlembed.corpus.replace") as fh:
-            before = _replaced[0]
-            for line in fh:
-                replaced += _replaced[0] - before
-                yield line.rstrip("\n")
-                before = _replaced[0]
-            replaced += _replaced[0] - before
+        with open(path, "rb") as fh:
+            added = 0  # lines that a "\r" inside a byte line added
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    text = raw.decode("utf-8", errors)
+                except UnicodeDecodeError as exc:
+                    head = raw[: exc.start]
+                    start = head.rfind(b"\r") + 1
+                    yield from io.StringIO(head[:start].decode("utf-8"), newline=None)
+                    lineno += added + head.count(b"\r")
+                    raise error(
+                        f"{path}: line {lineno}: invalid UTF-8 byte "
+                        f"{raw[exc.start]:#04x} at column {exc.start - start + 1}"
+                    ) from None
+                if replace and "\ufffd" in text:
+                    # a U+FFFD already in the file is not a replacement
+                    replaced += text.count("\ufffd") - raw.count(b"\xef\xbf\xbd")
+                if "\r" in text:
+                    lines = io.StringIO(text, newline=None).readlines()
+                    added += len(lines) - 1
+                    yield from lines
+                else:
+                    yield text
     finally:
         if replaced:
             warnings.warn(
                 f"{path}: {replaced} invalid UTF-8 byte sequence(s) replaced "
                 f"by U+FFFD"
             )
+
+
+def iter_corpus_lines(path: str) -> Iterator[str]:
+    """The lines of a corpus without their "\\n", read by read_lines with
+    `replace`: each undecodable byte sequence becomes one U+FFFD, and one
+    warning names the file and the number of sequences replaced. Lines end
+    at "\\n", "\\r" and "\\r\\n"."""
+    for line in read_lines(path, replace=True):
+        yield line.rstrip("\n")
 
 
 # Lines read and deduplicated, and distinct tweets counted, per batch.
@@ -310,53 +328,50 @@ def write_vocab_tsv(vocab: Vocabulary, path: str) -> None:
 
 def read_vocab_tsv(path: str) -> Vocabulary:
     """Read a UTF-8 vocabulary TSV (token, count, class), preserving file
-    order. Undecodable bytes, duplicate tokens and unknown class names are
-    errors naming the line. The class column is not kept: rows whose class
+    order. Undecodable bytes (read_lines, strict), duplicate tokens and
+    unknown class names are errors naming the line; the first in file order
+    is the one raised. The class column is not kept: rows whose class
     differs from classify_token(token) get one warning giving their count
     and the first one."""
     tokens: list[str] = []
     freqs: list[int] = []
     first_line: dict[str, int] = {}
     differ = []  # (line, token, listed class) of rows classify_token contradicts
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ValueError(
-                        f"{path}: line {lineno}: expected 3 tab-separated "
-                        f"fields, got {len(parts)}"
-                    )
-                tok = parts[0]
-                if tok in first_line:
-                    raise ValueError(
-                        f"{path}: line {lineno}: duplicate token {tok!r} "
-                        f"(first on line {first_line[tok]})"
-                    )
-                first_line[tok] = lineno
-                tokens.append(tok)
-                try:
-                    count = int(parts[1])
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {lineno}: bad count field {parts[1]!r}"
-                    ) from None
-                if count < 0:
-                    raise ValueError(
-                        f"{path}: line {lineno}: negative count field {parts[1]!r}"
-                    )
-                freqs.append(count)
-                if parts[2] not in CLASS_BY_NAME:
-                    raise ValueError(
-                        f"{path}: line {lineno}: unknown token class {parts[2]!r}"
-                    )
-                if CLASS_BY_NAME[parts[2]] is not classify_token(tok):
-                    differ.append((lineno, tok, parts[2]))
-    except UnicodeDecodeError as exc:
-        raise ValueError(undecodable_line(path, exc)) from None
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ValueError(
+                f"{path}: line {lineno}: expected 3 tab-separated "
+                f"fields, got {len(parts)}"
+            )
+        tok = parts[0]
+        if tok in first_line:
+            raise ValueError(
+                f"{path}: line {lineno}: duplicate token {tok!r} "
+                f"(first on line {first_line[tok]})"
+            )
+        first_line[tok] = lineno
+        tokens.append(tok)
+        try:
+            count = int(parts[1])
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}: bad count field {parts[1]!r}"
+            ) from None
+        if count < 0:
+            raise ValueError(
+                f"{path}: line {lineno}: negative count field {parts[1]!r}"
+            )
+        freqs.append(count)
+        if parts[2] not in CLASS_BY_NAME:
+            raise ValueError(
+                f"{path}: line {lineno}: unknown token class {parts[2]!r}"
+            )
+        if CLASS_BY_NAME[parts[2]] is not classify_token(tok):
+            differ.append((lineno, tok, parts[2]))
     if differ:
         lineno, tok, listed = differ[0]
         warnings.warn(
@@ -366,17 +381,3 @@ def read_vocab_tsv(path: str) -> Vocabulary:
             f"comes from the token, not from this column"
         )
     return Vocabulary(tokens=tokens, freqs=freqs)
-
-
-def undecodable_line(path, exc: UnicodeDecodeError) -> str:
-    """Error text naming the first line of `path` that is not valid UTF-8."""
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as bad:
-                return (
-                    f"{path}: line {lineno}: invalid UTF-8 byte "
-                    f"{raw[bad.start]:#04x} at column {bad.start + 1}"
-                )
-    return f"{path}: invalid UTF-8: {exc}"

@@ -6,13 +6,14 @@ addresses matrix row i.
 """
 
 import warnings
+from contextlib import closing
 from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
 
 from .config import CENTER_COLUMNS, DEFAULT_NORMALIZE, UNIT_ROWS
-from .corpus import Vocabulary, open_output, read_vocab_tsv, undecodable_line
+from .corpus import Vocabulary, open_output, read_lines, read_vocab_tsv
 from .scoring import unit_rows
 
 # Rows per parse or format block of the word2vec-text reader and writer.
@@ -76,22 +77,21 @@ def make_space(tokens, matrix, freqs=None) -> EmbeddingSpace:
 def load_embeddings(path, vocab_tsv=None) -> EmbeddingSpace:
     """Parse a word2vec text file (header `n d`, rows `token v1 .. vd`).
 
-    The file must be UTF-8. Rows are parsed BLOCK_ROWS lines at a time into
-    a matrix allocated for the n rows the header declares, so scratch memory
-    does not grow with the file (a header declaring more than can be
-    allocated is an error naming line 1). Frequencies come from the
-    sidecar vocabulary TSV when given (tokens it lacks get frequency 0, with
-    one warning; sidecar tokens the file lacks are left out, with another);
-    without a sidecar the file rank serves as a proxy
-    (frequency := n - rank, so the first row gets n). Duplicate tokens keep
-    the first occurrence, with one warning per file giving their count and
-    the first duplicate's line and token. A non-blank line after the n
-    declared rows is an error.
+    The file must be UTF-8: it is read by read_lines, whose first
+    undecodable byte is an EmbeddingFormatError naming the line and column
+    (lines end at "\\n", "\\r" and "\\r\\n"). Rows are parsed BLOCK_ROWS
+    lines at a time into a matrix allocated for the n rows the header
+    declares, so scratch memory does not grow with the file (a header
+    declaring more than can be allocated is an error naming line 1).
+    Frequencies come from the sidecar vocabulary TSV when given (tokens it
+    lacks get frequency 0, with one warning; sidecar tokens the file lacks
+    are left out, with another); without a sidecar the file rank serves as
+    a proxy (frequency := n - rank, so the first row gets n). Duplicate
+    tokens keep the first occurrence, with one warning per file giving
+    their count and the first duplicate's line and token. A non-blank line
+    after the n declared rows is an error.
     """
-    try:
-        tokens, matrix = _read_word2vec(path)
-    except UnicodeDecodeError as exc:
-        raise EmbeddingFormatError(undecodable_line(path, exc)) from None
+    tokens, matrix = _read_word2vec(path)
     if vocab_tsv is not None:
         side = read_vocab_tsv(vocab_tsv)
         missing = sum(t not in side.index for t in tokens)
@@ -115,8 +115,8 @@ def load_embeddings(path, vocab_tsv=None) -> EmbeddingSpace:
 
 def _read_word2vec(path):
     """Tokens and float64 matrix of a word2vec text file, duplicates dropped."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
+    with closing(read_lines(path, error=EmbeddingFormatError)) as lines:
+        header = next(lines, "")
         parts = header.split()
         if len(parts) != 2:
             raise EmbeddingFormatError(
@@ -146,14 +146,14 @@ def _read_word2vec(path):
         for start in range(0, n, BLOCK_ROWS):
             first = start + 2  # file line of the block's first row
             rows = min(BLOCK_ROWS, n - start)
-            lines = list(islice(fh, rows))
-            if len(lines) < rows:
+            block_lines = list(islice(lines, rows))
+            if len(block_lines) < rows:
                 raise EmbeddingFormatError(
-                    f"{path}: line {first + len(lines)}: "
+                    f"{path}: line {first + len(block_lines)}: "
                     f"file ends before {n} rows were read"
                 )
             block_tokens, payloads = [], []
-            for lineno, line in enumerate(lines, start=first):
+            for lineno, line in enumerate(block_lines, start=first):
                 body = line.rstrip("\n")
                 # tolerate a trailing space, common in the wild
                 if body.endswith(" "):
@@ -196,7 +196,7 @@ def _read_word2vec(path):
                 f"{path}: {duplicates} duplicate token row(s), the first at "
                 f"line {lineno} ({tok!r}); kept the first occurrence of each"
             )
-        if fh.readline().strip():
+        if next(lines, "").strip():
             raise EmbeddingFormatError(
                 f"{path}: line {n + 2}: unexpected row after the {n} rows "
                 f"the header declares"

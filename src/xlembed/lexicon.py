@@ -12,13 +12,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .corpus import (
-    TokenClass,
-    Vocabulary,
-    classify_token,
-    open_output,
-    undecodable_line,
-)
+from .corpus import TokenClass, Vocabulary, classify_token, open_output, read_lines
 
 
 @dataclass
@@ -137,24 +131,20 @@ def _read_pairs(path, exact: bool) -> list[tuple[str, str]]:
     error naming the line."""
     pairs: dict = {}
     duplicates = 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                fields = line.split()
-                if not fields:
-                    continue
-                if len(fields) < 2 or (exact and len(fields) != 2):
-                    raise ValueError(
-                        f"{path}: line {lineno}: expected "
-                        f"{'' if exact else 'at least '}two fields `src tgt`, "
-                        f"got {len(fields)}"
-                    )
-                pair = (fields[0], fields[1])
-                if pair in pairs:
-                    duplicates += 1
-                pairs[pair] = None
-    except UnicodeDecodeError as exc:
-        raise ValueError(undecodable_line(path, exc)) from None
+    for lineno, line in enumerate(read_lines(path), start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) < 2 or (exact and len(fields) != 2):
+            raise ValueError(
+                f"{path}: line {lineno}: expected "
+                f"{'' if exact else 'at least '}two fields `src tgt`, "
+                f"got {len(fields)}"
+            )
+        pair = (fields[0], fields[1])
+        if pair in pairs:
+            duplicates += 1
+        pairs[pair] = None
     if duplicates:
         warnings.warn(f"{path}: dropped {duplicates} duplicate `src tgt` line(s)")
     return list(pairs)

@@ -295,9 +295,11 @@ def reweight(
     if model.tgt_map is not None:
         raise ValueError("model is already re-weighted")
     _check_pair(src, tgt, dictionary)
-    x = src.matrix[dictionary.src_indices] @ model.src_map
-    u, sig, vt = _svd_cross(x.T @ tgt.matrix[dictionary.tgt_indices])
-    del x  # _mean_pair_cosine gathers and maps the pairs again
+    # the map goes on the d x d product, so no dictionary-sized GEMM operand
+    # is packed by OpenBLAS into memory that stays resident
+    u, sig, vt = _svd_cross(model.src_map.T @ (
+        src.matrix[dictionary.src_indices].T @ tgt.matrix[dictionary.tgt_indices]
+    ))
     scale = sig**s
     src_map, tgt_map = model.src_map @ (u * scale), vt.T * scale
     cos = _mean_pair_cosine(

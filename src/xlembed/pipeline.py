@@ -17,7 +17,7 @@ from . import __version__
 from .config import (
     DICT_MODES, REFINE_MODES, PipelineConfig, PipelineError, SelfLearnConfig,
 )
-from .corpus import parse_classes, write_text
+from .corpus import parse_classes, read_lines, write_text
 from .embeddings import load_embeddings, normalize, save_embeddings
 from .lexicon import (
     build_identical_dictionary,
@@ -220,7 +220,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
     if any(out.iterdir()):
         message = f"run directory {out} is not empty; runs are write-once"
         with suppress(OSError, ValueError, KeyError, TypeError):  # no readable manifest
-            earlier = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            earlier = json.loads("".join(read_lines(out / "manifest.json")))
             message += f"; its manifest.json has status {earlier['status']!r}"
         raise ValueError(message)
     seed = config.get("seed")

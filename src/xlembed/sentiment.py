@@ -54,8 +54,9 @@ def load_sentiment_tsv(
     The scheme is inferred from the labels present (3-class iff any
     'neutral') unless given; a label outside it is an error naming its
     line. Lines whose text tokenizes to nothing are dropped with a
-    warning. Invalid UTF-8 is read as iter_corpus_lines reads it: one
-    U+FFFD per sequence, and one warning with the count.
+    warning. Lines are read by iter_corpus_lines: they end at "\\n", "\\r"
+    and "\\r\\n", and invalid UTF-8 reads as one U+FFFD per sequence, with
+    one warning giving the file and the count.
     """
     rows, linenos = [], []
     for lineno, line in enumerate(iter_corpus_lines(path), start=1):

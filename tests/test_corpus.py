@@ -1,5 +1,9 @@
+import gc
 import os
 import pickle
+import re
+import sys
+import threading
 import unicodedata
 import warnings
 from collections import Counter
@@ -8,9 +12,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import xlembed
 from xlembed import (
     CorpusStats,
     TokenClass,
@@ -23,6 +28,7 @@ from xlembed import (
 from xlembed import corpus, workers
 from xlembed.corpus import (
     iter_corpus_lines,
+    read_lines,
     read_vocab_tsv,
     vocabulary_from_counts,
     write_vocab_tsv,
@@ -415,6 +421,198 @@ def test_iter_corpus_lines_clean_file_is_silent(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert list(iter_corpus_lines(p)) == ["hola \ufffd literal"]
+
+
+# Pieces of the byte strings the reader is checked on: every line ending,
+# invalid and truncated sequences, an encoded surrogate, a 4-byte emoji and
+# a literal U+FFFD.
+_PIECES = [
+    b"a", b"Z", b" ", b"\t", b"\n", b"\r", b"\r\n", b"\xc3\xa9", b"\xe2\x82\xac",
+    b"\xf0\x9f\x98\x82", b"\xef\xbf\xbd", b"\xff", b"\x80", b"\xe2\x82",
+    b"\xf0\x9f", b"\xed\xa0\x80", b"\xc0\xaf",
+]
+_BYTES = st.one_of(
+    st.lists(st.sampled_from(_PIECES), max_size=40).map(b"".join),
+    st.binary(max_size=40),
+)
+
+
+def _byte_lines(data: bytes) -> list:
+    """The lines of `data` as universal newlines end them, as bytes."""
+    return re.findall(rb"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z", data)
+
+
+def _invalid_sequences(data: bytes) -> int:
+    """The number of ill-formed sequences errors="replace" replaces."""
+    count = 0
+    while True:
+        try:
+            data.decode("utf-8")
+            return count
+        except UnicodeDecodeError as exc:
+            count += 1
+            data = data[exc.end :]
+
+
+@settings(
+    max_examples=400, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_BYTES)
+def test_read_lines_strict_is_text_mode_or_names_the_first_bad_byte(tmp_path, data):
+    p = tmp_path / "f.txt"
+    p.write_bytes(data)
+    got = []
+    try:
+        with open(p, encoding="utf-8") as fh:
+            want = list(fh)
+    except UnicodeDecodeError:
+        with pytest.raises(ValueError) as err:
+            got.extend(read_lines(p))
+        raw = _byte_lines(data)
+        for n, line in enumerate(raw, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                column = exc.start
+                break
+        # the lines before the bad one come first, as text mode reads them
+        assert got == [
+            line.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+            for line in raw[: n - 1]
+        ]
+        assert str(err.value) == (
+            f"{p}: line {n}: invalid UTF-8 byte {raw[n - 1][column]:#04x} at "
+            f"column {column + 1}"
+        )
+    else:
+        assert list(read_lines(p)) == want
+
+
+@settings(
+    max_examples=400, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_BYTES)
+def test_read_lines_replace_is_text_mode_and_counts_its_replacements(
+    tmp_path, data
+):
+    p = tmp_path / "f.txt"
+    p.write_bytes(data)
+    with open(p, encoding="utf-8", errors="replace") as fh:
+        want = list(fh)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        assert list(read_lines(p, replace=True)) == want
+        assert list(iter_corpus_lines(p)) == [line.rstrip("\n") for line in want]
+    n = _invalid_sequences(data)
+    message = f"{p}: {n} invalid UTF-8 byte sequence(s) replaced by U+FFFD"
+    assert [str(w.message) for w in record] == [message] * 2 * (n > 0)
+
+
+def test_read_lines_counts_each_file_when_threads_interleave(tmp_path):
+    # with one count for the process, a clean file read while another
+    # thread read a broken one was reported with hundreds of replacements
+    clean, broken = tmp_path / "clean.txt", tmp_path / "broken.txt"
+    clean.write_bytes(b"hola mundo\n" * 200_000)
+    broken.write_bytes(b"\xff x\n" * 5000)
+
+    def read_clean():
+        for _ in iter_corpus_lines(clean):
+            pass
+
+    def read_broken():
+        for _ in range(20):
+            for _ in iter_corpus_lines(broken):
+                pass
+            if not reader.is_alive():
+                break
+
+    reader = threading.Thread(target=read_clean)
+    other = threading.Thread(target=read_broken)
+    interval = sys.getswitchinterval()
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        sys.setswitchinterval(1e-6)
+        try:
+            reader.start()
+            other.start()
+            for thread in (reader, other):
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not reader.is_alive() and not other.is_alive()
+    messages = {str(w.message) for w in record}
+    assert messages == {
+        f"{broken}: 5000 invalid UTF-8 byte sequence(s) replaced by U+FFFD"
+    }
+
+
+def test_read_lines_numbers_lines_as_it_yields_them(tmp_path):
+    # "\r" ends a line: the bad byte is on the third line the reader
+    # yields, not in the first "\n"-terminated run of bytes
+    path = tmp_path / "v.tsv"
+    path.write_bytes(b"a\t5\tword\rb\t4\tword\rc\xff\t3\tword\r")
+    with pytest.raises(ValueError) as err:
+        read_vocab_tsv(path)
+    assert str(err.value) == f"{path}: line 3: invalid UTF-8 byte 0xff at column 2"
+
+
+def test_read_lines_reports_errors_in_file_order(tmp_path):
+    # text mode decodes a whole chunk before it yields a line of it, so the
+    # bad byte on line 3 hid the duplicate token on line 2
+    path = tmp_path / "v.tsv"
+    path.write_bytes(b"a\t5\tword\na\t4\tword\nc\xff\t3\tword\n")
+    with pytest.raises(ValueError) as err:
+        read_vocab_tsv(path)
+    assert str(err.value) == (
+        f"{path}: line 2: duplicate token 'a' (first on line 1)"
+    )
+
+
+@pytest.mark.parametrize(
+    "reader, content",
+    [
+        ("read_vocab_tsv", b"a\t5\tword\na\t4\tword\n" + b"b\t1\tword\n" * 5000),
+        ("load_test_dictionary", b"a b\nc\n" + b"d e\n" * 5000),
+        ("load_embeddings", b"3 1\na\nb 1.0\n" + b"c 1.0\n" * 5000),
+        ("load_sentiment_tsv", b"positive\tbien \xff\nno tab\n" + b"x\ty\n" * 5000),
+        ("read_lines", b"ok\n\xff\n" + b"ok\n" * 5000),
+    ],
+    ids=lambda value: value if isinstance(value, str) else "",
+)
+def test_a_reader_stopped_by_an_error_has_closed_its_file(
+    tmp_path, monkeypatch, reader, content
+):
+    # the file is closed when the error leaves the reader, while the
+    # traceback still holds the reader's frames, not when the garbage
+    # collector finalizes a suspended generator: so no ResourceWarning,
+    # whatever order the collector takes
+    path = tmp_path / "in.txt"
+    path.write_bytes(content)
+    vocab = Vocabulary(["a"], [1])
+    opened = []
+
+    def spy(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(corpus, "open", spy, raising=False)
+    call = {
+        "read_vocab_tsv": lambda: read_vocab_tsv(path),
+        "load_test_dictionary": lambda: xlembed.load_test_dictionary(path, vocab, vocab),
+        "load_embeddings": lambda: xlembed.load_embeddings(path),
+        "load_sentiment_tsv": lambda: xlembed.load_sentiment_tsv(path),
+        "read_lines": lambda: list(read_lines(path)),
+    }[reader]
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=f"^{path}: line 2: ") as err:
+            call()
+        assert len(opened) == 1 and opened[0].closed
+        del err, opened[:]
+        gc.collect()
+    assert not [w for w in record if issubclass(w.category, ResourceWarning)]
 
 
 # ------------------------------------------------------ output files

@@ -162,7 +162,7 @@ import ctypes, json, sys
 import numpy as np
 from xlembed import (
     AlignmentModel, CrossLingualSpace, SelfLearnConfig, apply_mapping,
-    dictionary_from_pairs, make_space, meemi_transform, self_learn,
+    dictionary_from_pairs, make_space, meemi_transform, reweight, self_learn,
 )
 
 libc = ctypes.CDLL(None)
@@ -182,6 +182,8 @@ tgt = make_space(tokens, rng.normal(size=(n, d)))
 inputs = (src.matrix, tgt.matrix)
 pairs = dictionary_from_pairs([(t, t) for t in tokens[:500]], src.vocab, tgt.vocab)
 w = np.linalg.qr(rng.normal(size=(d, d)))[0]
+# every token: a 500-pair dictionary is too small to show a packed copy
+every = dictionary_from_pairs([(t, t) for t in tokens], src.vocab, tgt.vocab)
 rng.normal(size=(512, d)) @ w
 before = rss()
 if sys.argv[1] == "apply_mapping":
@@ -189,6 +191,9 @@ if sys.argv[1] == "apply_mapping":
 elif sys.argv[1] == "meemi_transform":
     space = meemi_transform(CrossLingualSpace(src, tgt), pairs, consume=True)
     out = [space.src.matrix, space.tgt.matrix]
+elif sys.argv[1] == "reweight":
+    model = reweight(AlignmentModel(src_map=w), src, tgt, every)
+    out = [model.src_map, model.tgt_map]
 else:
     out = [self_learn(src, tgt, pairs, SelfLearnConfig(max_iters=1)).src_map]
 print(json.dumps({"grew": rss() - before, "outputs": sum(a.nbytes for a in out)}))
@@ -203,14 +208,18 @@ def _glibc_on_linux() -> bool:
 
 
 @pytest.mark.skipif(not _glibc_on_linux(), reason="needs /proc and glibc malloc")
-@pytest.mark.parametrize("call", ["apply_mapping", "meemi_transform", "self_learn"])
+@pytest.mark.parametrize(
+    "call", ["apply_mapping", "meemi_transform", "self_learn", "reweight"]
+)
 def test_map_holds_no_blas_copy_of_the_matrix(call):
     """A d x d map applied to a whole matrix in one product makes OpenBLAS
     pack a copy of the matrix that stays resident, which tracemalloc does
     not see: each call grew VmRSS by 10-21 MiB above its outputs on a
     2-core x86-64 host (numpy 2.4, OpenBLAS 0.3.31). Applied in row blocks
     (scoring.map_rows), each call grows it by its outputs and at most
-    about 3 MiB more."""
+    about 3 MiB more. reweight mapped its 5000 dictionary rows in one
+    product (12.3 MiB grown) until the map moved onto the d x d
+    cross-covariance."""
     res = subprocess.run(
         [sys.executable, "-c", _RSS_CHILD, call],
         env=child_env(), capture_output=True, text=True, timeout=300,
